@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/score_kernel.hpp"
+
 namespace spnl {
 
 namespace {
@@ -26,16 +28,7 @@ GammaDeltaBuffer::GammaDeltaBuffer(PartitionId num_partitions, std::size_t rows)
   limit_ = slots / 2;
   ids_.assign(slots, kInvalidVertex);
   counts_.assign(slots * k_, 0);
-}
-
-void GammaDeltaBuffer::clear() {
-  if (used_ == 0) return;
-  for (std::size_t idx = 0; idx <= mask_; ++idx) {
-    if (ids_[idx] == kInvalidVertex) continue;
-    ids_[idx] = kInvalidVertex;
-    std::fill_n(counts_.begin() + static_cast<std::ptrdiff_t>(idx * k_), k_, 0u);
-  }
-  used_ = 0;
+  dest_.resize(slots);
 }
 
 ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
@@ -50,6 +43,7 @@ ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
   }
   const VertexId n = std::max<VertexId>(num_vertices, 1);
   window_size_ = (n + num_shards - 1) / num_shards;
+  mod_magic_ = mod_magic(window_size_);
   const std::size_t total = static_cast<std::size_t>(window_size_) * num_partitions_;
   counters_ = std::make_unique<std::atomic<std::uint32_t>[]>(total);
   for (std::size_t i = 0; i < total; ++i) {
@@ -121,35 +115,41 @@ void ConcurrentGammaWindow::publish(GammaDeltaBuffer& delta, PerfStats* perf) {
   PerfScope scope(perf, PerfStage::kGammaPublish);
   const VertexId b = base_.load(std::memory_order_relaxed);
   const VertexId w = window_size_;
-  std::uint64_t cells = 0;
-  std::uint64_t dropped = 0;
-  for (std::size_t idx = 0; idx <= delta.mask_; ++idx) {
-    const VertexId u = delta.ids_[idx];
-    if (u == kInvalidVertex) continue;
-    const std::uint32_t* row = delta.counts_.data() + idx * delta.k_;
-    // Membership re-check at merge time: a row whose id retired between
-    // buffering and publish is dropped — the eager path's increments to it
-    // would have been cleared by the slide, so dropping is byte-identical.
-    if (u < b ||
-        static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
-      for (PartitionId p = 0; p < delta.k_; ++p) {
-        if (row[p] != 0) ++dropped;
-      }
+  // Membership re-check at merge time: a row whose id retired between
+  // buffering and publish is dropped — the eager path's increments to it
+  // would have been cleared by the slide, so dropping is byte-identical.
+  // The live rows are scattered over a table of tens of MB, so most miss,
+  // and each fetch_add below is a locked RMW that would wait out its miss
+  // before the next one issues: every row is requested up front instead.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  for (const std::size_t slot : delta.slots_) {
+    const VertexId u = delta.ids_[slot];
+    delta.ids_[slot] = kInvalidVertex;
+    if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
+      delta.dest_[slot] = kDropped;
       continue;
     }
-    auto* dest = counters_.get() + static_cast<std::size_t>(u % w) * num_partitions_;
-    for (PartitionId p = 0; p < delta.k_; ++p) {
-      if (row[p] == 0) continue;
-      dest[p].fetch_add(row[p], std::memory_order_relaxed);
-      ++cells;
-    }
+    delta.dest_[slot] = static_cast<std::size_t>(slot_of(u)) * num_partitions_;
+    prefetch_write(counters_.get() + delta.dest_[slot]);
   }
-  delta.clear();
+  std::uint64_t dropped = 0;
+  for (const GammaDeltaBuffer::Cell& cell : delta.cells_) {
+    std::uint32_t& count = delta.counts_[cell.slot * delta.k_ + cell.part];
+    const std::size_t dest = delta.dest_[cell.slot];
+    if (dest == kDropped) {
+      ++dropped;
+    } else {
+      counters_[dest + cell.part].fetch_add(count, std::memory_order_relaxed);
+    }
+    count = 0;
+  }
   if (perf != nullptr) {
     perf->add_count(PerfCounter::kGammaDeltaPublishes, 1);
-    perf->add_count(PerfCounter::kGammaDeltaCells, cells);
+    perf->add_count(PerfCounter::kGammaDeltaCells, delta.cells_.size() - dropped);
     if (dropped != 0) perf->add_count(PerfCounter::kGammaDeltaDropped, dropped);
   }
+  delta.slots_.clear();
+  delta.cells_.clear();
 }
 
 void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
@@ -178,6 +178,7 @@ void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
   }
   counters_ = std::move(counters);
   window_size_ = new_window;
+  mod_magic_ = mod_magic(new_window);
 }
 
 void ConcurrentGammaWindow::save(StateWriter& out) const {

@@ -56,25 +56,21 @@ class GammaDeltaBuffer {
   /// publishes and retries (an empty buffer always accepts).
   bool add(PartitionId p, VertexId u, std::uint32_t run) {
     std::size_t idx = home(u);
-    while (true) {
-      const VertexId id = ids_[idx];
-      if (id == u) {
-        counts_[idx * k_ + p] += run;
-        return true;
-      }
-      if (id == kInvalidVertex) {
-        if (used_ >= limit_) return false;
-        ids_[idx] = u;
-        ++used_;
-        counts_[idx * k_ + p] += run;  // row is all-zero between occupancies
-        return true;
-      }
-      idx = (idx + 1) & mask_;
+    for (VertexId id; (id = ids_[idx]) != u; idx = (idx + 1) & mask_) {
+      if (id != kInvalidVertex) continue;
+      if (slots_.size() >= limit_) return false;
+      ids_[idx] = u;
+      slots_.push_back(idx);
+      break;
     }
+    std::uint32_t& count = counts_[idx * k_ + p];
+    if (count == 0) cells_.push_back({idx, p});
+    count += run;
+    return true;
   }
 
   /// The K buffered counts for u, or nullptr if u has no row. Valid until
-  /// the next add()/clear().
+  /// the next add() or publish.
   const std::uint32_t* row(VertexId u) const {
     std::size_t idx = home(u);
     while (true) {
@@ -85,11 +81,7 @@ class GammaDeltaBuffer {
     }
   }
 
-  bool empty() const { return used_ == 0; }
-  std::size_t used() const { return used_; }
-  std::size_t capacity_rows() const { return limit_; }
-
-  void clear();
+  bool empty() const { return slots_.empty(); }
 
  private:
   friend class ConcurrentGammaWindow;
@@ -102,12 +94,21 @@ class GammaDeltaBuffer {
     return static_cast<std::size_t>(x ^ (x >> 31)) & mask_;
   }
 
+  struct Cell {
+    std::size_t slot = 0;
+    PartitionId part = 0;
+  };
+
   PartitionId k_;
   std::size_t mask_;
   std::size_t limit_;
-  std::size_t used_ = 0;
   std::vector<VertexId> ids_;          // kInvalidVertex = empty slot
-  std::vector<std::uint32_t> counts_;  // slot-major, K per slot
+  std::vector<std::uint32_t> counts_;  // slot-major, K per slot; 0 when unused
+  // Occupied slots and non-zero cells in first-touch order, so a publish
+  // walks only what was buffered instead of every slot and partition.
+  std::vector<std::size_t> slots_;
+  std::vector<Cell> cells_;
+  std::vector<std::size_t> dest_;      // publish scratch: slot -> shared row
 };
 
 class ConcurrentGammaWindow {
@@ -120,22 +121,20 @@ class ConcurrentGammaWindow {
   /// (contended cedes are counted, never waited on).
   void advance_to(VertexId head, PerfStats* perf = nullptr);
 
-  void increment(PartitionId p, VertexId u) {
-    if (contains(u)) {
-      counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p]
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  void increment(PartitionId p, VertexId u) { increment_many(p, {&u, 1}); }
 
   /// Batched per-record increments for the parallel commit path: one base
   /// load for the whole neighbor list instead of one per neighbor, and
   /// consecutive duplicate neighbors (multigraph edges arrive sorted from
-  /// the loaders) coalesced into a single fetch_add of the run length.
-  /// Semantically identical to calling increment() per neighbor: slot_of is
+  /// the loaders) coalesced into one add of the run length. Semantically
+  /// identical to calling increment() per neighbor: slot_of is
   /// base-independent (u mod W), so an increment racing a concurrent slide
   /// lands on the same slot either way — the same benign heuristic race the
-  /// class header documents.
-  void increment_many(PartitionId p, std::span<const VertexId> out) {
+  /// class header documents. With a `delta` buffer the adds accumulate there
+  /// instead of in the shared counters; a full buffer is published inline
+  /// and the add retried, so no increment is ever lost.
+  void increment_many(PartitionId p, std::span<const VertexId> out,
+                      GammaDeltaBuffer* delta = nullptr, PerfStats* perf = nullptr) {
     const VertexId b = base_.load(std::memory_order_relaxed);
     const VertexId w = window_size_;
     const std::size_t n = out.size();
@@ -147,33 +146,12 @@ class ConcurrentGammaWindow {
       if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
         continue;
       }
-      counters_[static_cast<std::size_t>(u % w) * num_partitions_ + p]
-          .fetch_add(run, std::memory_order_relaxed);
-    }
-  }
-
-  /// Epoch-local variant of increment_many(): accumulate into the caller's
-  /// private delta buffer instead of the shared counters. If the buffer is
-  /// full it is published inline and the add retried — so the call never
-  /// loses an increment. Out-of-window neighbors are skipped exactly as in
-  /// increment_many().
-  void increment_many_buffered(PartitionId p, std::span<const VertexId> out,
-                               GammaDeltaBuffer& delta,
-                               PerfStats* perf = nullptr) {
-    const VertexId b = base_.load(std::memory_order_relaxed);
-    const VertexId w = window_size_;
-    const std::size_t n = out.size();
-    for (std::size_t i = 0; i < n;) {
-      const VertexId u = out[i];
-      std::uint32_t run = 1;
-      while (i + run < n && out[i + run] == u) ++run;
-      i += run;
-      if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
-        continue;
-      }
-      if (!delta.add(p, u, run)) {
-        publish(delta, perf);
-        delta.add(p, u, run);  // empty buffer always accepts
+      if (delta == nullptr) {
+        counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p].fetch_add(
+            run, std::memory_order_relaxed);
+      } else if (!delta->add(p, u, run)) {
+        publish(*delta, perf);
+        delta->add(p, u, run);  // empty buffer always accepts
       }
     }
   }
@@ -186,10 +164,16 @@ class ConcurrentGammaWindow {
   /// worker-index order at quiesce points).
   void publish(GammaDeltaBuffer& delta, PerfStats* perf = nullptr);
 
+  /// u's row of K counters, or nullptr when u is outside the window. One
+  /// base load and one modulo serve all K reads of the row.
+  const std::atomic<std::uint32_t>* row(VertexId u) const {
+    if (!contains(u)) return nullptr;
+    return counters_.get() + static_cast<std::size_t>(slot_of(u)) * num_partitions_;
+  }
+
   std::uint32_t get(PartitionId p, VertexId u) const {
-    if (!contains(u)) return 0;
-    return counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p]
-        .load(std::memory_order_relaxed);
+    const std::atomic<std::uint32_t>* r = row(u);
+    return r == nullptr ? 0 : r[p].load(std::memory_order_relaxed);
   }
 
   bool contains(VertexId u) const {
@@ -222,10 +206,17 @@ class ConcurrentGammaWindow {
   void restore(StateReader& in);
 
  private:
-  VertexId slot_of(VertexId u) const { return u % window_size_; }
+  /// u mod W by Lemire's fastmod — two multiplies instead of a divide, and
+  /// this runs for every Γ row touched.
+  VertexId slot_of(VertexId u) const {
+    return static_cast<VertexId>(
+        (static_cast<unsigned __int128>(mod_magic_ * u) * window_size_) >> 64);
+  }
+  static std::uint64_t mod_magic(VertexId w) { return ~std::uint64_t{0} / w + 1; }
 
   PartitionId num_partitions_;
   VertexId window_size_;
+  std::uint64_t mod_magic_;  // mod_magic(window_size_)
   std::atomic<VertexId> base_{0};
   /// Highest head any worker has requested; the slide lags it by at most one
   /// commit. Monotone via CAS fetch-max.

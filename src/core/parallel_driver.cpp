@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -47,8 +48,9 @@ class WatermarkTracker {
  public:
   WatermarkTracker(std::size_t span, bool lock_free)
       : lock_free_(lock_free),
-        ring_(std::max<std::size_t>(span, 1), false),
-        flags_(std::max<std::size_t>(span, 1)) {
+        mask_(std::bit_ceil(std::max<std::size_t>(span, 1)) - 1),  // no divides
+        ring_(mask_ + 1, false),
+        flags_(mask_ + 1) {
     for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
   }
 
@@ -56,26 +58,24 @@ class WatermarkTracker {
   VertexId mark_done(VertexId id, PerfStats* perf = nullptr) {
     if (!lock_free_) {
       std::lock_guard lock(mutex_);
-      const std::size_t slot = id % ring_.size();
-      ring_[slot] = true;
-      while (ring_[watermark_ % ring_.size()]) {
-        ring_[watermark_ % ring_.size()] = false;
+      ring_[id & mask_] = true;
+      while (ring_[watermark_ & mask_]) {
+        ring_[watermark_ & mask_] = false;
         ++watermark_;
       }
       return watermark_;
     }
-    const std::size_t size = flags_.size();
     // release pairs with the acquire flag loads below: whichever thread
     // advances the watermark past `id` has observed this store.
-    flags_[id % size].store(1, std::memory_order_release);
+    flags_[id & mask_].store(1, std::memory_order_release);
     VertexId w = watermark_atomic_.load(std::memory_order_acquire);
-    while (flags_[w % size].load(std::memory_order_acquire) != 0) {
+    while (flags_[w & mask_].load(std::memory_order_acquire) != 0) {
       if (watermark_atomic_.compare_exchange_weak(w, w + 1,
                                                   std::memory_order_acq_rel,
                                                   std::memory_order_acquire)) {
         // CAS winner owns slot w's retirement; the slot's next occupant is
         // at least w + span, which sizing guarantees is not yet in flight.
-        flags_[w % size].store(0, std::memory_order_relaxed);
+        flags_[w & mask_].store(0, std::memory_order_relaxed);
         ++w;
       } else if (perf != nullptr) {
         // w was reloaded by the failed CAS; loop re-tests its flag.
@@ -87,6 +87,7 @@ class WatermarkTracker {
 
  private:
   const bool lock_free_;
+  const std::size_t mask_;
   std::mutex mutex_;
   std::vector<bool> ring_;
   VertexId watermark_ = 0;
@@ -124,15 +125,6 @@ struct SharedState {
     }
   }
 
-  double load(PartitionId i) const {
-    // kBoth degrades to the vertex constraint in the parallel driver (the
-    // paper's primary constraint; racy dual-capacity checks are not worth
-    // the extra synchronization).
-    return config.balance == BalanceMode::kEdge
-               ? static_cast<double>(loads[i].edges.load(std::memory_order_relaxed))
-               : static_cast<double>(loads[i].vertices.load(std::memory_order_relaxed));
-  }
-
   const PartitionConfig config;
   const VertexId num_vertices;
   const double capacity;
@@ -149,6 +141,59 @@ struct SharedState {
   /// Last-rung governor degradation: replace scoring with a deterministic
   /// capacity-weighted hash vote (and stop feeding the Γ window).
   std::atomic<bool> hash_fallback{false};
+};
+
+/// score_record's read policy over the shared state (see score_kernel.hpp):
+/// relaxed atomic route and counter reads, and Γ as the shared row plus the
+/// worker's own unpublished delta row, summed in uint64 (at M=1 that is the
+/// eager total). kBoth balance degrades to the vertex constraint (the
+/// paper's primary one; racy dual-capacity checks are not worth it).
+struct SharedReads {
+  struct Row {
+    const std::atomic<std::uint32_t>* shared = nullptr;
+    const std::uint32_t* delta = nullptr;  // nullptr: nothing buffered for this id
+  };
+
+  PartitionId num_partitions() const { return state.config.num_partitions; }
+  VertexId num_vertices() const { return state.num_vertices; }
+  PartitionId route(VertexId u) const {
+    return state.route[u].load(std::memory_order_relaxed);
+  }
+  bool locality() const { return state.options.use_locality; }
+  PartitionId logical_of(VertexId u) const { return state.logical.partition_of(u); }
+  void prefetch(VertexId u) const { prefetch_read(&state.route[u]); }
+
+  bool gamma_row(VertexId u, Row& row) const {
+    row.shared = state.gamma.row(u);
+    row.delta = row.shared != nullptr && delta != nullptr ? delta->row(u) : nullptr;
+    return row.shared != nullptr;
+  }
+
+  std::uint64_t gamma(const Row& row, std::size_t i) const {
+    const std::uint64_t shared = row.shared[i].load(std::memory_order_relaxed);
+    return row.delta != nullptr ? shared + row.delta[i] : shared;
+  }
+
+  void snapshot(std::span<double> loads, std::span<double> eta) const {
+    const ParallelOptions& o = state.options;
+    const EtaPolicy policy = o.use_locality ? o.spnl.eta_policy : EtaPolicy::kZero;
+    const bool by_edges = state.config.balance == BalanceMode::kEdge;
+    const double placed =  // every commit writes this line: read it only if needed
+        policy == EtaPolicy::kLinear
+            ? static_cast<double>(state.placed_total.load(std::memory_order_relaxed))
+            : 0.0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      const PartitionLoad& c = state.loads[i];
+      const double pt = static_cast<double>(c.vertices.load(std::memory_order_relaxed));
+      const double lt = static_cast<double>(c.logical.load(std::memory_order_relaxed));
+      loads[i] = by_edges ? static_cast<double>(c.edges.load(std::memory_order_relaxed))
+                          : pt;
+      eta[i] = eta_value(policy, o.spnl.eta0, lt, pt, placed, state.num_vertices);
+    }
+  }
+
+  const SharedState& state;
+  const GammaDeltaBuffer* delta;
 };
 
 class Worker {
@@ -172,99 +217,27 @@ class Worker {
         watchdog_(watchdog),
         index_(index),
         delta_(delta),
-        epoch_records_(epoch_records) {}
+        epoch_records_(epoch_records),
+        reads_{state, delta},
+        params_{state.options.spnl.lambda, state.capacity,
+                state.options.spnl.estimator == InNeighborEstimator::kNeighborSum} {}
 
-  /// Score + pick; bumps RCT counters of in-flight out-neighbors along the
-  /// out-list traversal (the "no additional runtime cost" counting of the
-  /// paper).
-  PartitionId choose(const OwnedVertexRecord& record, bool bump_rct) {
+  /// Score + pick through the shared scoring kernel; the degraded last rung
+  /// replaces the score with a deterministic hash vote under the same
+  /// capacity weighting — balance survives, affinity does not.
+  PartitionId choose(const OwnedVertexRecord& record) {
     PerfScope scope(perf_, PerfStage::kScore);
+    if (!state_.hash_fallback.load(std::memory_order_relaxed)) {
+      return score_record(reads_, params_, record.id, record.out, scratch_);
+    }
     const PartitionId k = state_.config.num_partitions;
-    const double lambda = state_.options.spnl.lambda;
-    physical_.assign(k, 0.0);
-    logical_.assign(k, 0.0);
-    scores_.assign(k, 0.0);
-
-    if (state_.hash_fallback.load(std::memory_order_relaxed)) {
-      // Degraded last rung: a deterministic hash vote run through the normal
-      // capacity weighting below — balance survives, affinity does not.
-      scores_[static_cast<PartitionId>(mix64(kDegradedHashSeed ^ record.id) % k)] =
-          1.0;
-      return pick(k);
-    }
-
-    for (VertexId u : record.out) {
-      if (bump_rct && rct_ != nullptr && u != record.id) rct_->bump_if_present(u);
-      if (u >= state_.route.size()) continue;
-      const PartitionId placed = state_.route[u].load(std::memory_order_relaxed);
-      if (placed != kUnassigned) {
-        physical_[placed] += 1.0;
-      } else if (state_.options.use_locality) {
-        logical_[state_.logical.partition_of(u)] += 1.0;
-      }
-    }
-
-    const double placed_total =
-        static_cast<double>(state_.placed_total.load(std::memory_order_relaxed));
-    for (PartitionId i = 0; i < k; ++i) {
-      double e = 0.0;
-      if (state_.options.use_locality) {
-        switch (state_.options.spnl.eta_policy) {
-          case EtaPolicy::kPaper: {
-            const double lt = static_cast<double>(
-                state_.loads[i].logical.load(std::memory_order_relaxed));
-            const double pt = static_cast<double>(
-                state_.loads[i].vertices.load(std::memory_order_relaxed));
-            e = lt > 0.0 ? std::max(0.0, (lt - pt) / lt) : 0.0;
-            break;
-          }
-          case EtaPolicy::kLinear:
-            e = state_.num_vertices == 0 ? 0.0
-                                         : 1.0 - placed_total / state_.num_vertices;
-            break;
-          case EtaPolicy::kConstant:
-            e = state_.options.spnl.eta0;
-            break;
-          case EtaPolicy::kZero:
-            e = 0.0;
-            break;
-        }
-      }
-      scores_[i] = lambda * ((1.0 - e) * physical_[i] + e * logical_[i]);
-    }
-
-    // Γ contributions read the shared window PLUS the worker's own
-    // unpublished delta row (read-your-own-writes): at M=1 the sum equals
-    // the eager total exactly — uint32 counts summed in uint64, one double
-    // conversion, one multiply, so the float sequence is bit-identical to
-    // the eager path. The delta row is only consulted for in-window ids,
-    // mirroring publish()'s membership drop rule.
-    if (state_.options.spnl.estimator == InNeighborEstimator::kSelf) {
-      const std::uint32_t* drow =
-          delta_ != nullptr && state_.gamma.contains(record.id)
-              ? delta_->row(record.id)
-              : nullptr;
-      for (PartitionId i = 0; i < k; ++i) {
-        const std::uint64_t g =
-            static_cast<std::uint64_t>(state_.gamma.get(i, record.id)) +
-            (drow != nullptr ? drow[i] : 0u);
-        scores_[i] += (1.0 - lambda) * static_cast<double>(g);
-      }
-    } else {
-      for (VertexId u : record.out) {
-        const std::uint32_t* drow =
-            delta_ != nullptr && state_.gamma.contains(u) ? delta_->row(u)
-                                                          : nullptr;
-        for (PartitionId i = 0; i < k; ++i) {
-          const std::uint64_t g =
-              static_cast<std::uint64_t>(state_.gamma.get(i, u)) +
-              (drow != nullptr ? drow[i] : 0u);
-          scores_[i] += (1.0 - lambda) * static_cast<double>(g);
-        }
-      }
-    }
-
-    return pick(k);
+    scratch_.scores.assign(k, 0.0);
+    scratch_.scores[static_cast<PartitionId>(mix64(kDegradedHashSeed ^ record.id) % k)] =
+        1.0;
+    scratch_.loads.resize(k);
+    scratch_.eta.resize(k);
+    reads_.snapshot(scratch_.loads, scratch_.eta);
+    return weigh_and_pick(scratch_.scores, scratch_.loads, state_.capacity);
   }
 
   void commit(const OwnedVertexRecord& record, PartitionId pid) {
@@ -280,20 +253,12 @@ class Worker {
       }
     }
     if (!state_.hash_fallback.load(std::memory_order_relaxed)) {
-      // No stashed row offsets here, unlike the sequential kernel: other
-      // workers may slide the shared window between choose() and commit(),
-      // so membership is re-checked by id — but batched over the record's
-      // whole out-list (one base load, duplicate runs coalesced) instead of
-      // one increment call per neighbor. (Hash fallback stops feeding the
-      // window — the scores never read it again.) With a delta buffer the
-      // increments stay worker-local and hit the shared array only at the
-      // next publish.
+      // Membership is re-checked by id, not taken from the scoring stash:
+      // other workers may slide the shared window between choose() and
+      // commit(). (Hash fallback stops feeding the window — the scores never
+      // read it again.)
       PerfScope t(perf_, PerfStage::kGammaIncrement);
-      if (delta_ != nullptr) {
-        state_.gamma.increment_many_buffered(pid, record.out, *delta_, perf_);
-      } else {
-        state_.gamma.increment_many(pid, record.out);
-      }
+      state_.gamma.increment_many(pid, record.out, delta_, perf_);
     }
     {
       PerfScope t(perf_, PerfStage::kWindowAdvance);
@@ -320,53 +285,39 @@ class Worker {
     while (!stack.empty()) {
       OwnedVertexRecord current = std::move(stack.back());
       stack.pop_back();
-      const PartitionId pid = choose(current, /*bump_rct=*/false);
-      commit(current, pid);
-      if (rct_ != nullptr) {
-        auto released = rct_->on_placed(current.id, current.out);
-        for (auto& r : released) stack.push_back(std::move(r));
+      commit(current, choose(current));
+      for (auto& r : rct_->on_placed(current.id, current.out)) {
+        stack.push_back(std::move(r));
       }
     }
   }
 
   void process(OwnedVertexRecord record) {
     if (rct_ == nullptr) {
-      const PartitionId pid = choose(record, false);
-      commit(record, pid);
+      commit(record, choose(record));
       return;
     }
     const bool tracked = rct_->register_vertex(record.id);
-    const PartitionId pid = choose(record, /*bump_rct=*/true);
-    if (tracked && rct_->should_delay(record.id)) {
-      // park() only consumes the record on success.
-      if (rct_->park(std::move(record))) {
-        state_.delayed.fetch_add(1, std::memory_order_relaxed);
-        return;
+    // v's out-neighbors still in flight would see a richer Γ row if v were
+    // placed first: count the dependency (a no-op for untracked ids). The
+    // hash-fallback rung reads no Γ, so it counts none.
+    if (!state_.hash_fallback.load(std::memory_order_relaxed)) {
+      for (VertexId u : record.out) {
+        if (u != record.id) rct_->bump_if_present(u);
       }
-      // Parked set full: place immediately with the score already computed.
+    }
+    const PartitionId pid = choose(record);
+    // park() only consumes the record on success; with the parked set full
+    // the record is placed now with the score already computed.
+    if (tracked && rct_->should_delay(record.id) && rct_->park(std::move(record))) {
+      state_.delayed.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     commit(record, pid);
-    auto released = rct_->on_placed(record.id, record.out);
-    for (auto& r : released) place_chain(std::move(r));
+    for (auto& r : rct_->on_placed(record.id, record.out)) place_chain(std::move(r));
   }
 
  private:
-  /// Capacity weight + argmax via the shared scoring kernel: one load
-  /// snapshot per decision, then score_kernel's weigh_and_pick — the exact
-  /// contract the sequential partitioners use (full partitions skipped, ties
-  /// to lower load then lower id, all-full overflow to the least loaded).
-  /// Snapshotting also fixes the old racy fallback, which re-read the live
-  /// atomic loads mid-scan and could compare two different snapshots of the
-  /// same partition; at M=1 the snapshot equals the live values, so routes
-  /// are unchanged.
-  PartitionId pick(PartitionId k) const {
-    loads_.resize(k);
-    for (PartitionId i = 0; i < k; ++i) loads_[i] = state_.load(i);
-    return weigh_and_pick(std::span<double>(scores_.data(), k),
-                          std::span<const double>(loads_.data(), k),
-                          state_.capacity);
-  }
-
   SharedState& state_;
   Rct* rct_;
   WatermarkTracker& watermark_;
@@ -376,7 +327,9 @@ class Worker {
   GammaDeltaBuffer* delta_;
   std::uint64_t epoch_records_;
   std::uint64_t commits_since_publish_ = 0;
-  mutable std::vector<double> physical_, logical_, scores_, loads_;
+  SharedReads reads_;
+  RecordParams params_;
+  RecordScratch<SharedReads::Row> scratch_;
 };
 
 constexpr const char* kParTag = "par-driver";
@@ -532,7 +485,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   const bool lock_free = options.hot_path == HotPathMode::kLockFree;
   Rct rct(rct_capacity, rct_shards,
           lock_free ? RctMode::kLockFree : RctMode::kStriped);
-  Rct* rct_ptr = options.use_rct ? &rct : nullptr;
   // The watermark ring must span the maximum in-flight id spread: the queue,
   // every worker's popped-but-unprocessed local batch, and the parked RCT
   // records.
@@ -576,6 +528,13 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
       }
     }
   }
+  // With one worker the record being placed is the only one in flight, so
+  // no counter can leave zero and nothing ever parks: the table would be
+  // pure per-record cost. It stays on for parked records a resumed snapshot
+  // brought along, which still wait on their counters.
+  Rct* rct_ptr =
+      options.use_rct && (options.num_threads > 1 || rct.parked_size() > 0) ? &rct
+                                                                             : nullptr;
 
   // Workers hold the pipeline lock shared for the span of each placement;
   // the producer takes it exclusively to quiesce for a snapshot or a
@@ -605,7 +564,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
                                   options.watchdog_poll_seconds},
         [&](unsigned, OwnedVertexRecord record) {
           std::shared_lock lock(pipeline_mutex);
-          const PartitionId pid = rescuer.choose(record, /*bump_rct=*/false);
+          const PartitionId pid = rescuer.choose(record);
           rescuer.commit(record, pid);
         },
         [&] { queue.abort(); });
@@ -891,8 +850,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     auto rest = rct.drain_parked();
     state.forced.fetch_add(rest.size(), std::memory_order_relaxed);
     for (auto& record : rest) {
-      const PartitionId pid = finisher.choose(record, false);
-      finisher.commit(record, pid);
+      finisher.commit(record, finisher.choose(record));
     }
   }
 

@@ -95,6 +95,10 @@ std::size_t Rct::probe_home(const Shard& shard, VertexId v) {
   return static_cast<std::size_t>(mix64(v)) & shard.table_mask;
 }
 
+std::atomic<std::uint32_t>& Rct::filter_of(const Shard& shard, VertexId v) {
+  return shard.filter[(mix64(v) >> 32) & (kFilterBuckets - 1)];
+}
+
 std::size_t Rct::find_locked(const Shard& shard, VertexId v) {
   // Probe chains only change under the exclusive lock (erase/grow), so a
   // shared holder's walk is stable. The acquire load pairs with the claim
@@ -142,6 +146,7 @@ std::size_t Rct::insert_locked(Shard& shard, VertexId v) {
   while (shard.table[i].id.load(std::memory_order_relaxed) != kInvalidVertex) {
     i = (i + 1) & shard.table_mask;
   }
+  filter_of(shard, v).fetch_add(1, std::memory_order_relaxed);
   shard.table[i].id.store(v, std::memory_order_relaxed);
   shard.table[i].counter.store(0, std::memory_order_relaxed);
   shard.table[i].parked = false;
@@ -193,13 +198,13 @@ bool Rct::register_exclusive(VertexId v) {
 }
 
 bool Rct::register_vertex(VertexId v) {
-  // Global admission: claim a ticket against the *total* capacity before
-  // touching the shard. The old per-shard bound (capacity_/S entries per
-  // shard) degenerated with ε·M ≈ 2·next_pow2(M): every shard could hold 2
-  // entries, so three in-flight vertices striping to one shard overflowed
-  // while the table as a whole was nearly empty (the M=4 untracked_overflow
-  // spike in BENCH_parallel.json). The shard tables themselves grow on
-  // demand, so only the global count needs bounding.
+  // Global admission (see the constructor's doc): a ticket against the
+  // total capacity, taken only if a plain load says there is room — a full
+  // table refuses without writing the ticket's line.
+  if (entry_count_.load(std::memory_order_relaxed) >= capacity_) {
+    untracked_overflow_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   const std::size_t ticket = entry_count_.fetch_add(1, std::memory_order_relaxed);
   if (ticket >= capacity_) {
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -229,6 +234,7 @@ bool Rct::register_vertex(VertexId v) {
           break;
         }
         VertexId expected = kInvalidVertex;
+        filter_of(shard, v).fetch_add(1, std::memory_order_relaxed);
         if (shard.table[i].id.compare_exchange_strong(
                 expected, v, std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
@@ -236,6 +242,7 @@ bool Rct::register_vertex(VertexId v) {
           shard.entries.fetch_add(1, std::memory_order_relaxed);
           return true;
         }
+        filter_of(shard, v).fetch_sub(1, std::memory_order_relaxed);
         claim_cas_retries_.fetch_add(1, std::memory_order_relaxed);
         if (expected == v) {
           entry_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -256,6 +263,7 @@ bool Rct::register_vertex(VertexId v) {
 }
 
 void Rct::bump_if_present(VertexId u) {
+  if (!maybe_tracked(u)) return;
   Shard& shard = shard_of(u);
   Guard guard(*this, shard, /*exclusive=*/false);
   const std::size_t i = find_locked(shard, u);
@@ -285,14 +293,7 @@ double Rct::mean_nonzero_count() const {
 }
 
 bool Rct::should_delay(VertexId v) const {
-  std::uint32_t counter;
-  {
-    const Shard& shard = shard_of(v);
-    Guard guard(*this, shard, /*exclusive=*/false);
-    const std::size_t i = find_locked(shard, v);
-    if (i == shard.table_size) return false;
-    counter = shard.table[i].counter.load(std::memory_order_relaxed);
-  }
+  const std::uint32_t counter = count(v);  // 0 when untracked
   if (counter == 0) return false;
   return static_cast<double>(counter) >= std::max(1.0, mean_nonzero_count());
 }
@@ -336,7 +337,15 @@ std::vector<OwnedVertexRecord> Rct::on_placed(VertexId v,
     }
   };
 
-  {
+  // Exclusive only to erase a real entry; a filter hit may be a bucket
+  // collision. v's entry cannot vanish in between: only v's placer erases it.
+  bool tracked = maybe_tracked(v);
+  if (tracked) {
+    const Shard& shard = shard_of(v);
+    Guard guard(*this, shard, /*exclusive=*/false);
+    tracked = find_locked(shard, v) != shard.table_size;
+  }
+  if (tracked) {
     Shard& shard = shard_of(v);
     // Exclusive: erase rewrites the probe chain (backward shift), which
     // would invalidate concurrent shared-side probes. Holding it also
@@ -362,12 +371,14 @@ std::vector<OwnedVertexRecord> Rct::on_placed(VertexId v,
         }
       }
       erase_locked(shard, i);
+      filter_of(shard, v).fetch_sub(1, std::memory_order_relaxed);
       entry_count_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
   // One shard lock at a time: the self shard above is released before any
   // neighbor shard is taken, so there is no cross-shard ordering hazard.
   for (VertexId u : out) {
+    if (!maybe_tracked(u)) continue;
     Shard& shard = shard_of(u);
     bool need_unpark = false;
     {

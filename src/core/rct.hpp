@@ -23,15 +23,21 @@
 //    bump, count, should_delay, decrement) take the shard lock SHARED and
 //    mutate slots with atomics: registration claims an empty slot with a
 //    CAS on the id, bumps are fetch_adds, decrements are CAS loops that
-//    never go below zero. Workers on the same shard no longer serialize;
-//    the exclusive side is reserved for structural mutation (table growth,
-//    erase + backward-shift, park/unpark, snapshot/restore), which is
-//    exactly what the shared/exclusive split exists to protect: probe
-//    chains and the parked vector are only rewritten under exclusive, so
+//    never go below zero. The exclusive side is reserved for structural
+//    mutation (growth, erase + backward-shift, park/unpark, snapshot), so
 //    shared-side probes are stable.
 //  * RctMode::kStriped — every operation takes the shard lock EXCLUSIVE;
-//    this is PR 4's striped behavior, kept as the measurable baseline for
-//    the contention counters.
+//    the original striping, kept as the baseline for the contention counters.
+//
+//  Untracked fast path (both modes): once the table is full most records
+//  are refused, and they must not pay for it. A full table refuses on a
+//  plain load of the entry count. Each shard keeps a presence filter —
+//  per-bucket entry counts, raised before an entry becomes findable and
+//  lowered after its erase — so a zero bucket proves an id untracked to
+//  any thread ordered after its registration (its registrant or an
+//  unparker): bump, decrement and on_placed of such an id take no lock, and
+//  a racing registration linearizes after them. on_placed takes the
+//  exclusive lock only after a shared probe has found a real entry.
 //
 //  Counter-accounting exactness (both modes): a 0→nonzero transition is
 //  observed by exactly one fetch_add (the one whose previous value was 0)
@@ -60,6 +66,7 @@
 // PerfStats after the pipeline joins.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -216,9 +223,13 @@ class Rct {
     bool parked = false;
   };
 
+  static constexpr std::size_t kFilterBuckets = 64;
   // Cache-line aligned so two shards' mutexes never share a line (the whole
   // point of striping is that workers on different shards do not ping-pong).
   struct alignas(64) Shard {
+    /// Presence filter (see the file header): entries per id-hash bucket.
+    /// On lines of its own — only registrations and erasures write it.
+    mutable std::array<std::atomic<std::uint32_t>, kFilterBuckets> filter{};
     mutable std::shared_mutex mutex;
     std::unique_ptr<Slot[]> table;  // power-of-two open-addressed flat table
     std::size_t table_size = 0;
@@ -238,6 +249,11 @@ class Rct {
   const Shard& shard_of(VertexId v) const { return shards_[v & shard_mask_]; }
 
   static std::size_t probe_home(const Shard& shard, VertexId v);
+  static std::atomic<std::uint32_t>& filter_of(const Shard& shard, VertexId v);
+  /// False proves v untracked; true means "take the lock and look".
+  bool maybe_tracked(VertexId v) const {
+    return filter_of(shard_of(v), v).load(std::memory_order_relaxed) != 0;
+  }
   /// Index of v's slot, or table_size if absent. Caller holds the shard lock
   /// (shared suffices: probe chains only change under exclusive).
   static std::size_t find_locked(const Shard& shard, VertexId v);
@@ -262,10 +278,11 @@ class Rct {
   std::atomic<std::uint32_t> nonzero_count_{0};
   std::atomic<std::size_t> entry_count_{0};
   std::atomic<std::size_t> parked_count_{0};
-  std::atomic<std::uint64_t> untracked_overflow_{0};
+  // Own line: every refusal writes it, every registration reads entry_count_.
+  alignas(64) std::atomic<std::uint64_t> untracked_overflow_{0};
   // mutable: const operations (count, should_delay, snapshot) still acquire
   // shard locks and must tally their contention.
-  mutable std::atomic<std::uint64_t> shared_contended_{0};
+  alignas(64) mutable std::atomic<std::uint64_t> shared_contended_{0};
   mutable std::atomic<std::uint64_t> exclusive_contended_{0};
   mutable std::atomic<std::uint64_t> exclusive_acquires_{0};
   mutable std::atomic<std::uint64_t> claim_cas_retries_{0};

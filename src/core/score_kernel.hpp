@@ -119,4 +119,70 @@ inline PartitionId weigh_and_pick(std::span<double> scores,
   return best;
 }
 
+/// score_record reads the partitioner state through a policy `Reads`, so the
+/// kernel does not depend on how that state is stored: the parallel worker's
+/// policy (core/parallel_driver.cpp) reads relaxed atomics and overlays its
+/// unpublished Γ delta, a policy over plain arrays reads them. It provides
+/// num_partitions(), num_vertices(), route(u) (kUnassigned while unplaced),
+/// locality() and logical_of(u) (false: no logical term, i.e. SPN),
+/// prefetch(u), a Γ row handle `Row` with gamma_row(u, row) (false outside
+/// the window) and gamma(row, i) (its count for partition i), and
+/// snapshot(loads, eta): one read of the partition counters per record that
+/// yields both the balance load and η_i of Eq. 6.
+template <class Row>
+struct RecordScratch {
+  std::vector<double> scores, physical, logical, loads, eta;
+  std::vector<Row> rows;  // stashed Γ rows of in-window out-neighbors
+};
+
+struct RecordParams {
+  double lambda = 0.5;
+  double capacity = 0.0;
+  bool neighbor_sum = false;  ///< InNeighborEstimator::kNeighborSum
+};
+
+/// Eq. 6 score of v and the capacity-weighted argmax. The floating-point
+/// sequence is SpnlPartitioner::place's — λ term per partition, then Γ rows
+/// in out-list order, then the weight — so equal reads give equal routes.
+template <class Reads>
+PartitionId score_record(const Reads& reads, const RecordParams& params, VertexId v,
+                         std::span<const VertexId> out,
+                         RecordScratch<typename Reads::Row>& s) {
+  const std::size_t k = reads.num_partitions();
+  const VertexId n = reads.num_vertices();
+  typename Reads::Row row{};
+  s.rows.clear();
+  for (VertexId u : out) {  // stash pass: one window lookup per neighbor
+    if (u < n) reads.prefetch(u);
+    if (params.neighbor_sum && reads.gamma_row(u, row)) s.rows.push_back(row);
+  }
+  s.loads.resize(k);
+  s.eta.resize(k);
+  reads.snapshot(s.loads, s.eta);
+
+  s.physical.assign(k, 0.0);
+  s.logical.assign(k, 0.0);
+  for (VertexId u : out) {
+    if (u >= n) continue;
+    const PartitionId placed = reads.route(u);
+    if (placed != kUnassigned) {
+      s.physical[placed] += 1.0;
+    } else if (reads.locality()) {
+      s.logical[reads.logical_of(u)] += 1.0;
+    }
+  }
+  s.scores.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    s.scores[i] = params.lambda *
+                  ((1.0 - s.eta[i]) * s.physical[i] + s.eta[i] * s.logical[i]);
+  }
+  if (!params.neighbor_sum && reads.gamma_row(v, row)) s.rows.push_back(row);
+  for (const auto& r : s.rows) {  // Γ rows: v's own, or its out-neighbors'
+    for (std::size_t i = 0; i < k; ++i) {
+      s.scores[i] += (1.0 - params.lambda) * static_cast<double>(reads.gamma(r, i));
+    }
+  }
+  return weigh_and_pick(s.scores, s.loads, params.capacity);
+}
+
 }  // namespace spnl

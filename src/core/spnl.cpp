@@ -45,23 +45,8 @@ SpnlPartitioner::SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
 }
 
 double SpnlPartitioner::eta(PartitionId i) const {
-  switch (options_.eta_policy) {
-    case EtaPolicy::kPaper: {
-      const double lt = logical_counts_[i];
-      if (lt <= 0.0) return 0.0;
-      const double e = (lt - static_cast<double>(vertex_count(i))) / lt;
-      return e > 0.0 ? e : 0.0;
-    }
-    case EtaPolicy::kLinear:
-      return num_vertices_ == 0
-                 ? 0.0
-                 : 1.0 - static_cast<double>(placed_total_) / num_vertices_;
-    case EtaPolicy::kConstant:
-      return options_.eta0;
-    case EtaPolicy::kZero:
-      return 0.0;
-  }
-  return 0.0;
+  return eta_value(options_.eta_policy, options_.eta0, logical_counts_[i],
+                   vertex_count(i), placed_total_, num_vertices_);
 }
 
 PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {

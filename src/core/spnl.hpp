@@ -37,6 +37,24 @@ enum class EtaPolicy {
   kZero,       ///< ignore logical table entirely (degrades SPNL to SPN)
 };
 
+/// η_i^t of Eq. 6 under `policy`, from lt = |V_i^lt|, pt = |V_i^pt| and the
+/// `placed` vertices out of n = |V|. Shared by the sequential partitioner and
+/// the parallel worker. (lt > pt implies lt > 0: pt counts placements.)
+inline double eta_value(EtaPolicy policy, double eta0, double lt, double pt,
+                        double placed, double n) {
+  switch (policy) {
+    case EtaPolicy::kPaper:
+      return lt > pt ? (lt - pt) / lt : 0.0;
+    case EtaPolicy::kLinear:
+      return n == 0.0 ? 0.0 : 1.0 - placed / n;
+    case EtaPolicy::kConstant:
+      return eta0;
+    case EtaPolicy::kZero:
+      break;
+  }
+  return 0.0;
+}
+
 struct SpnlOptions {
   double lambda = 0.5;
   std::uint32_t num_shards = 0;  ///< 0 = paper recommendation, 1 = full table

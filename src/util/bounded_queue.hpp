@@ -46,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,9 @@ class BoundedQueue {
       throw std::length_error("BoundedQueue::push_batch: batch exceeds capacity");
     }
     bool chain;
+    spin_while([&] {
+      return size_hint_.load(std::memory_order_relaxed) + batch.size() > capacity_;
+    });
     {
       Guard g(*this);
       g.wait(not_full_, [&] {
@@ -211,6 +215,7 @@ class BoundedQueue {
     out.clear();
     if (max_items == 0) max_items = 1;
     bool more;
+    spin_while([&] { return size_hint_.load(std::memory_order_relaxed) == 0; });
     {
       Guard g(*this);
       g.wait(not_empty_, [&] { return !items_.empty() || closed_ || aborted_; });
@@ -314,6 +319,19 @@ class BoundedQueue {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Yields for a while as long as `busy()` before a batched call blocks.
+  /// A parked thread must be woken by the other side's notify, and on the
+  /// 4-vCPU VM this was measured on each such wake cost the waking thread
+  /// 0.1–0.2 ms (the woken thread ran on the waker's CPU), which added
+  /// ~0.15 s per 1M records to a one-worker pipeline. When the other side
+  /// is about to make progress, yielding keeps both threads running.
+  /// `busy` reads the unlocked size hint, so it decides only how long to
+  /// wait before locking, never what the locked path does.
+  template <typename Busy>
+  static void spin_while(Busy busy) {
+    for (int i = 0; i < 512 && busy(); ++i) std::this_thread::yield();
+  }
+
   /// Instrumented unique_lock: records acquisition wait (blocked mutex
   /// acquisitions only — condvar blocking is the caller-visible kQueueWait,
   /// not lock contention) and hold time with the cv-wait spans excluded
@@ -339,6 +357,7 @@ class BoundedQueue {
     }
 
     ~Guard() {
+      q_.size_hint_.store(q_.items_.size(), std::memory_order_relaxed);
       if (q_.stats_ != nullptr) flush_hold();
     }
 
@@ -389,6 +408,9 @@ class BoundedQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
+  /// items_.size() as of the last Guard release; read without the lock by
+  /// spin_while only.
+  std::atomic<std::size_t> size_hint_{0};
   QueueStats* stats_ = nullptr;
   bool closed_ = false;
   bool aborted_ = false;

@@ -23,6 +23,7 @@
 #include "partition/driver.hpp"
 #include "partition/ldg.hpp"
 #include "partition/metrics.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -30,8 +31,7 @@ namespace {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "spnl_checkpoint_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

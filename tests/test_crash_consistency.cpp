@@ -28,6 +28,7 @@
 #include "graph/io.hpp"
 #include "graph/stream_binary.hpp"
 #include "util/fault_fs.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -36,9 +37,7 @@ class CrashConsistencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     faultfs::disarm();
-    dir_ = std::filesystem::temp_directory_path() / "spnl_crash_consistency";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override {
     faultfs::disarm();

@@ -21,6 +21,7 @@
 #include "graph/stream_binary.hpp"
 #include "util/checked_io.hpp"
 #include "util/sigbus_guard.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -29,9 +30,7 @@ class FaultFsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     faultfs::disarm();
-    dir_ = std::filesystem::temp_directory_path() / "spnl_fault_fs_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override {
     faultfs::disarm();

@@ -18,6 +18,7 @@
 #include "graph/mmap_stream.hpp"
 #include "graph/stream_binary.hpp"
 #include "partition/driver.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -66,9 +67,7 @@ void expect_same_records(const std::vector<OwnedVertexRecord>& a,
 class TempDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("spnl_ingest_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string path(const std::string& name) const {

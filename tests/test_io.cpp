@@ -7,6 +7,7 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/generators.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -14,8 +15,7 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "spnl_io_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

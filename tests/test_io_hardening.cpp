@@ -13,6 +13,7 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/generators.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -20,8 +21,7 @@ namespace {
 class IoHardeningTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "spnl_io_hardening_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -194,6 +194,44 @@ TEST(Parallel, SingleWorkerRouteInvariantAcrossBatchSizes) {
   }
 }
 
+TEST(Parallel, SingleWorkerRouteMatchesSequentialSpnl) {
+  // The worker scores through the same kernel as the sequential partitioner,
+  // so with one worker (the stream order is the placement order and nothing
+  // else slides the window) run_parallel must reproduce SpnlPartitioner's
+  // route byte for byte, for every estimator, η policy, window width and
+  // batch size.
+  const Graph g = crawl(4000, 61);
+  const PartitionConfig config{.num_partitions = 8};
+  int configs = 0;
+  for (const auto estimator :
+       {InNeighborEstimator::kSelf, InNeighborEstimator::kNeighborSum}) {
+    for (const auto eta : {EtaPolicy::kPaper, EtaPolicy::kLinear, EtaPolicy::kConstant,
+                           EtaPolicy::kZero}) {
+      for (const std::uint32_t shards : {1u, 4u}) {
+        const SpnlOptions spnl{
+            .num_shards = shards, .estimator = estimator, .eta_policy = eta};
+        SpnlPartitioner sequential(g.num_vertices(), g.num_edges(), config, spnl);
+        InMemoryStream seq_stream(g);
+        const auto expected = run_streaming(seq_stream, sequential).route;
+        ASSERT_TRUE(is_complete_assignment(expected, 8));
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
+          ++configs;
+          InMemoryStream stream(g);
+          ParallelOptions options;
+          options.num_threads = 1;
+          options.batch_size = batch;
+          options.spnl = spnl;
+          EXPECT_EQ(run_parallel(stream, config, options).route, expected)
+              << "estimator=" << static_cast<int>(estimator)
+              << " eta=" << static_cast<int>(eta) << " shards=" << shards
+              << " batch=" << batch;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 32);
+}
+
 TEST(Parallel, UntrackedOverflowSurfacesInResult) {
   // Admission is global now, so a refusal means the whole table was full —
   // not just one stripe. A deliberately undersized RCT (ε = 0.25 with four

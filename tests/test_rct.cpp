@@ -195,6 +195,34 @@ TEST(Rct, UntrackedOverflowIsCounted) {
   EXPECT_EQ(rct.untracked_overflow(), 2u);
 }
 
+TEST(Rct, UntrackedIdsNeverTakeTheExclusiveLock) {
+  // Once the table is full, the bulk of a parallel run's records are
+  // untracked: refusing, bumping and finalizing them must not take an
+  // exclusive shard lock (on_placed used to take one for every id). Tracked
+  // ids still erase under it and the table drains back to empty.
+  Rct rct(4, 2);
+  for (VertexId v : {0u, 1u, 2u, 3u}) ASSERT_TRUE(rct.register_vertex(v));
+  rct.bump_if_present(1);
+  const std::uint64_t before = rct.exclusive_acquires();
+  for (VertexId v = 100; v < 1100; ++v) {
+    EXPECT_FALSE(rct.register_vertex(v));
+    rct.bump_if_present(v);
+    EXPECT_TRUE(rct.on_placed(v, std::vector<VertexId>{v + 1, v + 2}).empty());
+  }
+  EXPECT_EQ(rct.exclusive_acquires(), before);
+  EXPECT_EQ(rct.untracked_overflow(), 1000u);
+  EXPECT_EQ(rct.count(1), 1u);
+  EXPECT_EQ(rct.size(), 4u);
+
+  for (VertexId v : {0u, 1u, 2u, 3u}) rct.on_placed(v, std::vector<VertexId>{});
+  EXPECT_EQ(rct.exclusive_acquires(), before + 4);
+  EXPECT_EQ(rct.size(), 0u);
+  EXPECT_DOUBLE_EQ(rct.mean_nonzero_count(), 0.0);
+  // Erased ids are untracked again: finalizing one a second time is free.
+  rct.on_placed(2, std::vector<VertexId>{});
+  EXPECT_EQ(rct.exclusive_acquires(), before + 4);
+}
+
 TEST(Rct, ShardedCapacityIsGlobalNotPerStripe) {
   // Regression (BENCH_parallel.json M=4 overflow spike): capacity used to be
   // split evenly across stripes, so a capacity-8 table with 4 shards refused

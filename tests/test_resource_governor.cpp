@@ -18,6 +18,7 @@
 #include "graph/io.hpp"
 #include "partition/driver.hpp"
 #include "partition/metrics.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -224,9 +225,7 @@ TEST(Degradation, AbortPolicyThrowsOutOfTheDriver) {
 TEST(Degradation, CheckpointResumeCarriesDegradedStage) {
   const Graph g = crawl(20000, 17);
   const PartitionId k = 8;
-  const auto dir =
-      std::filesystem::temp_directory_path() / "spnl_governor_ckpt_test";
-  std::filesystem::create_directories(dir);
+  const auto dir = unique_test_dir();
   const std::string ckpt = (dir / "degraded.ckpt").string();
 
   SpnlPartitioner full(g.num_vertices(), g.num_edges(), {.num_partitions = k});

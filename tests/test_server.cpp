@@ -20,6 +20,7 @@
 #include "server/session.hpp"
 #include "server/session_registry.hpp"
 #include "util/net.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -368,9 +369,7 @@ TEST(SessionRegistry, UnknownTokenFindsNothing) {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "spnl_server_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

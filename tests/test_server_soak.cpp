@@ -27,6 +27,7 @@
 #include "server/session.hpp"
 #include "util/net.hpp"
 #include "util/shutdown.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -40,9 +41,7 @@ struct SoakWorkload {
 class ServerSoakTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "spnl_soak";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = unique_test_dir();
     reset_shutdown_flag();
   }
   void TearDown() override {

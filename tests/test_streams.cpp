@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "graph/generators.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -79,9 +80,9 @@ TEST(Materialize, RoundTripsGraph) {
 class FileStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() / "spnl_stream_test.adj";
+    path_ = unique_test_dir() / "stream_test.adj";
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override { std::filesystem::remove_all(path_.parent_path()); }
   std::filesystem::path path_;
 };
 
@@ -139,9 +140,9 @@ TEST_F(FileStreamTest, MissingFileThrows) {
 class EdgeListStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() / "spnl_el_stream_test.el";
+    path_ = unique_test_dir() / "el_stream_test.el";
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override { std::filesystem::remove_all(path_.parent_path()); }
   void write(const char* contents) {
     std::ofstream out(path_);
     out << contents;
