@@ -1,7 +1,6 @@
 // bench_fig12_parallel — scaling benchmark for the micro-batched parallel
 // pipeline (paper Sec. V-B / Fig. 12), plus the original paper-shaped tables
-// behind --paper and a lock-free vs striped contention A/B behind
-// --contention.
+// behind --paper.
 //
 // Default (scaling) mode streams a 1M-vertex power-law webcrawl graph at
 // K=32 through the sequential SPNL baseline and the parallel driver at
@@ -16,9 +15,8 @@
 //
 //   bench_fig12_parallel [--n=1000000] [--k=32] [--batch=64] [--reps=3]
 //                        [--threshold=2.0] [--quality-threshold=0.05]
-//                        [--hot-path=lockfree|striped]
 //                        [--json=FILE] [--smoke] [--force-gate]
-//                        [--paper] [--scale=1.0] [--contention]
+//                        [--paper] [--scale=1.0]
 //
 // Gates (exit 1 on failure):
 //   speedup_m8_vs_m1 >= --threshold   — enforced only when the host actually
@@ -33,12 +31,13 @@
 //     sequential baseline, worst M; always enforced (quality does not need
 //     cores). --smoke shrinks the graph and relaxes the quality bound to
 //     0.08 (the small-graph noise floor the unit suite also uses).
-//
-// --contention runs the same small graph at M=4 under both hot-path modes
-// and asserts the lock-free mode takes strictly fewer exclusive RCT shard
-// locks than the striped baseline — a deterministic structural property
-// (the striped mode locks exclusively on EVERY table touch), so the gate
-// holds even on a single-core box where wall-clock contention is zero.
+//   rct_exclusive_acquires <= n + 2·delayed + 64 on every instrumented rep —
+//     the RCT locks a shard exclusively only to erase a tracked entry (at
+//     most one per record), to park and to unpark a delayed record, and a
+//     bounded number of times to grow or scan its tables. The count does not
+//     depend on how many cores contend, so the gate holds on any box; an RCT
+//     that locked exclusively per bump or registration would take several
+//     times n.
 //
 // --paper reproduces the old Fig. 12 tables (PT vs M on uk2002/sk2005).
 #include <algorithm>
@@ -69,19 +68,10 @@ struct ScalingPoint {
   std::uint64_t untracked_overflow = 0;
   // From the extra instrumented rep (excluded from best_seconds).
   double instrumented_seconds = 0.0;
+  std::uint64_t rct_exclusive_bound = 0;  // n + 2·delayed + 64
   PerfStats perf;
   ContentionReport contention;
 };
-
-HotPathMode parse_hot_path(const CliArgs& args) {
-  const std::string mode = args.get("hot-path", "lockfree");
-  if (mode == "striped") return HotPathMode::kStriped;
-  if (mode != "lockfree") {
-    std::fprintf(stderr, "error: --hot-path: want lockfree|striped\n");
-    std::exit(2);
-  }
-  return HotPathMode::kLockFree;
-}
 
 std::string contention_json(const ContentionReport& c) {
   auto field = [](const char* name, std::uint64_t v) {
@@ -96,16 +86,13 @@ std::string contention_json(const ContentionReport& c) {
          field("queue_lock_acquires", c.queue_lock_acquires) + "," +
          field("queue_lock_wait_nanos", c.queue_lock_wait_nanos) + "," +
          field("queue_lock_hold_nanos", c.queue_lock_hold_nanos) + "," +
-         field("gamma_delta_publishes", c.gamma_delta_publishes) + "," +
-         field("gamma_delta_cells", c.gamma_delta_cells) + "," +
-         field("gamma_delta_dropped", c.gamma_delta_dropped) + "," +
          field("gamma_head_cas_retries", c.gamma_head_cas_retries) + "," +
          field("gamma_advance_contended", c.gamma_advance_contended) + "," +
          field("watermark_cas_retries", c.watermark_cas_retries) + "}";
 }
 
 // Per-stage nanos/calls from the instrumented rep, stage name -> [nanos,
-// calls]. All eight stages always present so trajectory diffs line up.
+// calls]. Every stage is always present so trajectory diffs line up.
 std::string stages_json(const PerfStats& perf) {
   std::string json = "[";
   for (std::size_t i = 0; i < kPerfStageCount; ++i) {
@@ -154,109 +141,11 @@ int run_paper_mode(const CliArgs& args) {
   return 0;
 }
 
-// Lock-free vs striped A/B at M=4 on a small graph: the lock-free hot path
-// must take strictly fewer exclusive RCT shard locks (structural property,
-// independent of core count). Backs the perf.contention_smoke ctest entry.
-int run_contention_mode(const CliArgs& args) {
-  const auto n = static_cast<VertexId>(args.get_int("n", 20'000));
-  const auto k = static_cast<PartitionId>(args.get_int("k", 32));
-  const unsigned threads = static_cast<unsigned>(args.get_int("threads", 4));
-
-  std::printf("generating webcrawl graph: n=%u...\n", n);
-  WebCrawlParams params;
-  params.num_vertices = n;
-  params.avg_out_degree = 8.0;
-  params.degree_alpha = 2.0;
-  params.seed = 42;
-  const Graph graph = generate_webcrawl(params);
-
-  PartitionConfig config;
-  config.num_partitions = k;
-
-  struct ModeResult {
-    const char* name;
-    HotPathMode mode;
-    ContentionReport contention;
-    double seconds = 0.0;
-  };
-  std::vector<ModeResult> modes = {
-      {"lockfree", HotPathMode::kLockFree, {}, 0.0},
-      {"striped", HotPathMode::kStriped, {}, 0.0},
-  };
-  for (ModeResult& mode : modes) {
-    InMemoryStream stream(graph);
-    PerfStats perf;
-    ParallelOptions options;
-    options.num_threads = threads;
-    options.hot_path = mode.mode;
-    options.perf = &perf;
-    const auto result = run_parallel(stream, config, options);
-    mode.contention = result.contention;
-    mode.seconds = result.partition_seconds;
-  }
-
-  print_header("RCT locking: lock-free vs striped (M=4)");
-  TablePrinter table({"mode", "excl locks", "excl contended", "shared contended",
-                      "claim CAS retries", "queue contended"});
-  for (const ModeResult& mode : modes) {
-    table.add_row(
-        {mode.name,
-         TablePrinter::fmt(static_cast<std::size_t>(mode.contention.rct_exclusive_acquires)),
-         TablePrinter::fmt(static_cast<std::size_t>(mode.contention.rct_exclusive_contended)),
-         TablePrinter::fmt(static_cast<std::size_t>(mode.contention.rct_shared_contended)),
-         TablePrinter::fmt(static_cast<std::size_t>(mode.contention.rct_claim_cas_retries)),
-         TablePrinter::fmt(static_cast<std::size_t>(mode.contention.queue_lock_contended))});
-  }
-  table.print();
-
-  const std::uint64_t lockfree_excl = modes[0].contention.rct_exclusive_acquires;
-  const std::uint64_t striped_excl = modes[1].contention.rct_exclusive_acquires;
-  const bool pass = lockfree_excl < striped_excl;
-
-  std::string json = "{\"bench\":\"rct_contention\",\"n\":" + std::to_string(n) +
-                     ",\"k\":" + std::to_string(k) +
-                     ",\"threads\":" + std::to_string(threads) + ",\"modes\":[";
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    if (i > 0) json += ",";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", modes[i].seconds);
-    json += "{\"mode\":\"" + std::string(modes[i].name) + "\",\"seconds\":" + buf +
-            ",\"contention\":" + contention_json(modes[i].contention) + "}";
-  }
-  json += "],\"pass\":" + std::string(pass ? "true" : "false") + "}";
-  std::printf("bench-json: %s\n", json.c_str());
-  if (args.has("json")) {
-    std::ofstream out(args.get("json", ""));
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.get("json", "").c_str());
-      return 1;
-    }
-    out << json << "\n";
-  }
-
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: lock-free exclusive acquires (%llu) not below striped "
-                 "baseline (%llu)\n",
-                 static_cast<unsigned long long>(lockfree_excl),
-                 static_cast<unsigned long long>(striped_excl));
-    return 1;
-  }
-  std::printf("PASS: lock-free took %llu exclusive RCT locks vs %llu striped "
-              "(%.1f%% fewer)\n",
-              static_cast<unsigned long long>(lockfree_excl),
-              static_cast<unsigned long long>(striped_excl),
-              100.0 * (1.0 - static_cast<double>(lockfree_excl) /
-                                 static_cast<double>(striped_excl)));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (args.get_bool("paper", false)) return run_paper_mode(args);
-  if (args.get_bool("contention", false)) return run_contention_mode(args);
 
   const bool smoke = args.get_bool("smoke", false);
   const auto n = static_cast<VertexId>(args.get_int("n", smoke ? 20'000 : 1'000'000));
@@ -267,11 +156,6 @@ int main(int argc, char** argv) {
   const double quality_threshold =
       args.get_double("quality-threshold", smoke ? 0.08 : 0.05);
   const bool force_gate = args.get_bool("force-gate", false);
-  const long long gamma_epoch = args.get_int("gamma-epoch", -1);
-  const long long gamma_rows = args.get_int("gamma-rows", -1);
-  const HotPathMode hot_path = parse_hot_path(args);
-  const char* hot_path_name =
-      hot_path == HotPathMode::kLockFree ? "lockfree" : "striped";
   const unsigned hardware = std::thread::hardware_concurrency();
 
   std::printf("generating webcrawl graph: n=%u (power-law out-degrees)...\n", n);
@@ -281,9 +165,9 @@ int main(int argc, char** argv) {
   params.degree_alpha = 2.0;
   params.seed = 42;
   const Graph graph = generate_webcrawl(params);
-  std::printf("graph ready: n=%u m=%llu, hardware threads: %u, hot path: %s\n",
+  std::printf("graph ready: n=%u m=%llu, hardware threads: %u\n",
               graph.num_vertices(), static_cast<unsigned long long>(graph.num_edges()),
-              hardware, hot_path_name);
+              hardware);
 
   PartitionConfig config;
   config.num_partitions = k;
@@ -301,7 +185,7 @@ int main(int argc, char** argv) {
   std::printf("sequential SPNL: %.3fs (%.0f rec/s), ECR %.4f\n", seq_seconds,
               seq_rps, seq_ecr);
 
-  print_header("Parallel scaling (micro-batched pipeline, lock-free hot path)");
+  print_header("Parallel scaling (micro-batched pipeline)");
   TablePrinter table({"M", "PT", "rec/s", "ECR", "dECR", "dv", "delayed",
                       "forced", "overflow"});
   table.add_row({"seq", fmt_pt(seq_seconds), TablePrinter::fmt(seq_rps, 0),
@@ -313,14 +197,7 @@ int main(int argc, char** argv) {
     point.threads = threads;
     ParallelOptions options;
     options.num_threads = threads;
-    options.hot_path = hot_path;
     options.batch_size = validated_batch_size(batch, options.queue_capacity);
-    if (gamma_epoch >= 0) {
-      options.gamma_epoch_records = static_cast<std::uint64_t>(gamma_epoch);
-    }
-    if (gamma_rows > 0) {
-      options.gamma_delta_rows = static_cast<std::size_t>(gamma_rows);
-    }
     for (int rep = 0; rep < reps; ++rep) {
       InMemoryStream stream(graph);
       const auto result = run_parallel(stream, config, options);
@@ -344,6 +221,7 @@ int main(int argc, char** argv) {
       const auto result = run_parallel(stream, config, instrumented);
       point.instrumented_seconds = result.partition_seconds;
       point.contention = result.contention;
+      point.rct_exclusive_bound = graph.num_vertices() + 2 * result.delayed_vertices + 64;
     }
     point.records_per_sec =
         point.best_seconds > 0.0 ? graph.num_vertices() / point.best_seconds : 0.0;
@@ -370,6 +248,14 @@ int main(int argc, char** argv) {
   }
   std::printf("\nspeedup M=8 vs M=1: %.2fx, worst quality delta vs sequential: "
               "%+.4f ECR\n", speedup, quality_delta);
+  bool rct_ok = true;
+  for (const ScalingPoint& point : points) {
+    const std::uint64_t acquires = point.contention.rct_exclusive_acquires;
+    std::printf("M=%u: %llu exclusive RCT locks (bound %llu)\n", point.threads,
+                static_cast<unsigned long long>(acquires),
+                static_cast<unsigned long long>(point.rct_exclusive_bound));
+    rct_ok = rct_ok && acquires <= point.rct_exclusive_bound;
+  }
 
   // The speedup gate needs the cores it claims to scale across; enforcing a
   // 2x bar on a 1-core box would only certify a lie. The per-M speedups are
@@ -386,8 +272,8 @@ int main(int argc, char** argv) {
 
   // Quality rides the same honesty rule. With M workers time-sliced onto
   // fewer cores, the M>1 interleavings are scheduler artifacts — §5.1 of
-  // docs/performance.md documents the resulting M=4 ECR spike (delayed=0,
-  // both hot-path modes) — so the tight delta bound is enforced only
+  // docs/performance.md documents the resulting M=4 ECR spike
+  // (delayed=0) — so the tight delta bound is enforced only
   // alongside the speedup gate (or in smoke mode, whose looser threshold
   // is a catastrophic-regression tripwire for ctest). A 2x ceiling stays
   // on unconditionally and every per-M delta is recorded regardless.
@@ -402,19 +288,18 @@ int main(int argc, char** argv) {
   }
   const bool quality_ok = gate_quality ? quality_delta <= quality_threshold
                                        : quality_delta <= quality_ceiling;
-  const bool pass = speedup_ok && quality_ok;
+  const bool pass = speedup_ok && quality_ok && rct_ok;
 
   std::string json;
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\":\"parallel_scaling\",\"n\":%u,\"m\":%llu,\"k\":%u,"
                 "\"batch_size\":%lld,\"reps\":%d,\"hardware_concurrency\":%u,"
-                "\"hot_path\":\"%s\","
                 "\"sequential\":{\"seconds\":%.6f,\"records_per_sec\":%.1f,"
                 "\"ecr\":%.6f},\"runs\":[",
                 graph.num_vertices(),
                 static_cast<unsigned long long>(graph.num_edges()), k,
-                static_cast<long long>(batch), reps, hardware, hot_path_name,
+                static_cast<long long>(batch), reps, hardware,
                 seq_seconds, seq_rps, seq_ecr);
   json += buf;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -429,7 +314,7 @@ int main(int argc, char** argv) {
                   "\"speedup_vs_seq\":%.3f,\"speedup_vs_m1\":%.3f,"
                   "\"ecr\":%.6f,\"ecr_delta\":%.6f,\"delta_v\":%.4f,"
                   "\"delayed\":%llu,\"forced\":%llu,\"untracked_overflow\":%llu,"
-                  "\"instrumented_seconds\":%.6f,",
+                  "\"instrumented_seconds\":%.6f,\"rct_exclusive_bound\":%llu,",
                   i == 0 ? "" : ",", point.threads, effective,
                   point.best_seconds, point.records_per_sec,
                   point.best_seconds > 0.0 ? seq_seconds / point.best_seconds
@@ -441,7 +326,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(point.delayed),
                   static_cast<unsigned long long>(point.forced),
                   static_cast<unsigned long long>(point.untracked_overflow),
-                  point.instrumented_seconds);
+                  point.instrumented_seconds,
+                  static_cast<unsigned long long>(point.rct_exclusive_bound));
     json += buf;
     json += "\"stages\":" + stages_json(point.perf) +
             ",\"contention\":" + contention_json(point.contention) + "}";
@@ -452,11 +338,12 @@ int main(int argc, char** argv) {
                 "\"quality_ceiling\":%.3f,"
                 "\"speedup_gated\":%s,\"gate_skip_reason\":\"%s\","
                 "\"quality_gated\":%s,\"quality_gate_skip_reason\":\"%s\","
-                "\"pass\":%s}",
+                "\"rct_bound_ok\":%s,\"pass\":%s}",
                 speedup, quality_delta, threshold, quality_threshold,
                 quality_ceiling, gate_speedup ? "true" : "false",
                 gate_skip_reason.c_str(), gate_quality ? "true" : "false",
-                quality_gate_skip_reason.c_str(), pass ? "true" : "false");
+                quality_gate_skip_reason.c_str(), rct_ok ? "true" : "false",
+                pass ? "true" : "false");
   json += buf;
   std::printf("bench-json: %s\n", json.c_str());
   if (args.has("json")) {
@@ -477,6 +364,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: quality delta %.4f above %s %.3f\n",
                  quality_delta, gate_quality ? "threshold" : "ceiling",
                  gate_quality ? quality_threshold : quality_ceiling);
+    return 1;
+  }
+  if (!rct_ok) {
+    std::fprintf(stderr, "FAIL: exclusive RCT locks above n + 2*delayed + 64\n");
     return 1;
   }
   if (!gate_quality) {

@@ -2,34 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "core/score_kernel.hpp"
+#include <vector>
 
 namespace spnl {
-
-namespace {
-
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-GammaDeltaBuffer::GammaDeltaBuffer(PartitionId num_partitions, std::size_t rows)
-    : k_(num_partitions) {
-  if (num_partitions == 0) {
-    throw std::invalid_argument("GammaDeltaBuffer: K must be >= 1");
-  }
-  // Table is 2x the requested row budget so load factor stays <= 1/2.
-  const std::size_t slots = next_pow2(std::max<std::size_t>(rows, 1) * 2);
-  mask_ = slots - 1;
-  limit_ = slots / 2;
-  ids_.assign(slots, kInvalidVertex);
-  counts_.assign(slots * k_, 0);
-  dest_.resize(slots);
-}
 
 ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
                                              PartitionId num_partitions,
@@ -108,48 +83,6 @@ void ConcurrentGammaWindow::advance_to(VertexId head, PerfStats* perf) {
     }
     base_.store(target, std::memory_order_relaxed);
   }
-}
-
-void ConcurrentGammaWindow::publish(GammaDeltaBuffer& delta, PerfStats* perf) {
-  if (delta.empty()) return;
-  PerfScope scope(perf, PerfStage::kGammaPublish);
-  const VertexId b = base_.load(std::memory_order_relaxed);
-  const VertexId w = window_size_;
-  // Membership re-check at merge time: a row whose id retired between
-  // buffering and publish is dropped — the eager path's increments to it
-  // would have been cleared by the slide, so dropping is byte-identical.
-  // The live rows are scattered over a table of tens of MB, so most miss,
-  // and each fetch_add below is a locked RMW that would wait out its miss
-  // before the next one issues: every row is requested up front instead.
-  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
-  for (const std::size_t slot : delta.slots_) {
-    const VertexId u = delta.ids_[slot];
-    delta.ids_[slot] = kInvalidVertex;
-    if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
-      delta.dest_[slot] = kDropped;
-      continue;
-    }
-    delta.dest_[slot] = static_cast<std::size_t>(slot_of(u)) * num_partitions_;
-    prefetch_write(counters_.get() + delta.dest_[slot]);
-  }
-  std::uint64_t dropped = 0;
-  for (const GammaDeltaBuffer::Cell& cell : delta.cells_) {
-    std::uint32_t& count = delta.counts_[cell.slot * delta.k_ + cell.part];
-    const std::size_t dest = delta.dest_[cell.slot];
-    if (dest == kDropped) {
-      ++dropped;
-    } else {
-      counters_[dest + cell.part].fetch_add(count, std::memory_order_relaxed);
-    }
-    count = 0;
-  }
-  if (perf != nullptr) {
-    perf->add_count(PerfCounter::kGammaDeltaPublishes, 1);
-    perf->add_count(PerfCounter::kGammaDeltaCells, delta.cells_.size() - dropped);
-    if (dropped != 0) perf->add_count(PerfCounter::kGammaDeltaDropped, dropped);
-  }
-  delta.slots_.clear();
-  delta.cells_.clear();
 }
 
 void ConcurrentGammaWindow::shrink_to(VertexId new_window) {

@@ -10,21 +10,9 @@
 // each pass so no request is stranded (bounded staleness of one commit,
 // heuristic-only — termination never depends on the slide).
 //
-// Epoch-local Γ deltas: instead of fetch_add-ing the shared counter array
-// per neighbor (a cache-line ping-pong between workers placing ids with
-// colliding slots), each worker accumulates increments into a private
-// GammaDeltaBuffer and publishes it as one merge — at epoch boundaries, when
-// the buffer fills, and at every pipeline quiesce (in worker-index order, so
-// merges are deterministic and checkpoints carry the full counts). Reads add
-// the reader's OWN buffered row on top of the shared counters
-// (read-your-own-writes); other workers' unpublished rows are invisible
-// until their merge, the same bounded heuristic staleness as above. At M=1
-// "shared + own delta" equals the eager total exactly (uint32 sums, exact in
-// double), so routes stay byte-identical to the sequential oracle. Publish
-// drops rows whose id retired from the window before the merge — eager
-// increments to such ids would have been cleared by the slide anyway, so
-// dropping preserves byte-identity; the read path filters by contains() for
-// the same reason.
+// Every worker increments the shared counters eagerly on commit
+// (increment_many), so a placement is visible to the next record any worker
+// scores.
 #pragma once
 
 #include <atomic>
@@ -33,83 +21,12 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
 #include "util/perf_stats.hpp"
 
 namespace spnl {
-
-/// Per-worker epoch-local Γ increment buffer: a small open-addressed table
-/// keyed by vertex id, one row of K counts per id. Single-owner (no
-/// synchronization) — the owning worker accumulates and reads it, and merges
-/// it into the shared window via ConcurrentGammaWindow::publish().
-class GammaDeltaBuffer {
- public:
-  /// `rows` is the target number of distinct ids held between publishes;
-  /// the table keeps load factor <= 1/2 so probes stay short.
-  GammaDeltaBuffer(PartitionId num_partitions, std::size_t rows);
-
-  /// Accumulate `run` into row (u, p). Returns false — without accumulating —
-  /// when the buffer is at its load limit and u has no row yet; the caller
-  /// publishes and retries (an empty buffer always accepts).
-  bool add(PartitionId p, VertexId u, std::uint32_t run) {
-    std::size_t idx = home(u);
-    for (VertexId id; (id = ids_[idx]) != u; idx = (idx + 1) & mask_) {
-      if (id != kInvalidVertex) continue;
-      if (slots_.size() >= limit_) return false;
-      ids_[idx] = u;
-      slots_.push_back(idx);
-      break;
-    }
-    std::uint32_t& count = counts_[idx * k_ + p];
-    if (count == 0) cells_.push_back({idx, p});
-    count += run;
-    return true;
-  }
-
-  /// The K buffered counts for u, or nullptr if u has no row. Valid until
-  /// the next add() or publish.
-  const std::uint32_t* row(VertexId u) const {
-    std::size_t idx = home(u);
-    while (true) {
-      const VertexId id = ids_[idx];
-      if (id == u) return counts_.data() + idx * k_;
-      if (id == kInvalidVertex) return nullptr;
-      idx = (idx + 1) & mask_;
-    }
-  }
-
-  bool empty() const { return slots_.empty(); }
-
- private:
-  friend class ConcurrentGammaWindow;
-
-  std::size_t home(VertexId u) const {
-    // splitmix64 finalizer — same mixer the RCT shards use for probe homes.
-    std::uint64_t x = static_cast<std::uint64_t>(u) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(x ^ (x >> 31)) & mask_;
-  }
-
-  struct Cell {
-    std::size_t slot = 0;
-    PartitionId part = 0;
-  };
-
-  PartitionId k_;
-  std::size_t mask_;
-  std::size_t limit_;
-  std::vector<VertexId> ids_;          // kInvalidVertex = empty slot
-  std::vector<std::uint32_t> counts_;  // slot-major, K per slot; 0 when unused
-  // Occupied slots and non-zero cells in first-touch order, so a publish
-  // walks only what was buffered instead of every slot and partition.
-  std::vector<std::size_t> slots_;
-  std::vector<Cell> cells_;
-  std::vector<std::size_t> dest_;      // publish scratch: slot -> shared row
-};
 
 class ConcurrentGammaWindow {
  public:
@@ -126,15 +43,12 @@ class ConcurrentGammaWindow {
   /// Batched per-record increments for the parallel commit path: one base
   /// load for the whole neighbor list instead of one per neighbor, and
   /// consecutive duplicate neighbors (multigraph edges arrive sorted from
-  /// the loaders) coalesced into one add of the run length. Semantically
-  /// identical to calling increment() per neighbor: slot_of is
+  /// the loaders) coalesced into one fetch_add of the run length.
+  /// Semantically identical to calling increment() per neighbor: slot_of is
   /// base-independent (u mod W), so an increment racing a concurrent slide
   /// lands on the same slot either way — the same benign heuristic race the
-  /// class header documents. With a `delta` buffer the adds accumulate there
-  /// instead of in the shared counters; a full buffer is published inline
-  /// and the add retried, so no increment is ever lost.
-  void increment_many(PartitionId p, std::span<const VertexId> out,
-                      GammaDeltaBuffer* delta = nullptr, PerfStats* perf = nullptr) {
+  /// class header documents.
+  void increment_many(PartitionId p, std::span<const VertexId> out) {
     const VertexId b = base_.load(std::memory_order_relaxed);
     const VertexId w = window_size_;
     const std::size_t n = out.size();
@@ -146,23 +60,10 @@ class ConcurrentGammaWindow {
       if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
         continue;
       }
-      if (delta == nullptr) {
-        counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p].fetch_add(
-            run, std::memory_order_relaxed);
-      } else if (!delta->add(p, u, run)) {
-        publish(*delta, perf);
-        delta->add(p, u, run);  // empty buffer always accepts
-      }
+      counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p].fetch_add(
+          run, std::memory_order_relaxed);
     }
   }
-
-  /// Merge a delta buffer into the shared counters and clear it. Rows whose
-  /// id has left the window are dropped (counted), preserving byte-identity
-  /// with the eager path — those increments would have been erased by the
-  /// slide. Lock-free (per-cell fetch_add); deterministic merges come from
-  /// the CALLER's ordering discipline (the driver drains buffers in
-  /// worker-index order at quiesce points).
-  void publish(GammaDeltaBuffer& delta, PerfStats* perf = nullptr);
 
   /// u's row of K counters, or nullptr when u is outside the window. One
   /// base load and one modulo serve all K reads of the row.
@@ -198,10 +99,7 @@ class ConcurrentGammaWindow {
            sizeof(std::atomic<std::uint32_t>);
   }
 
-  /// Checkpoint support. Callers must quiesce all writers first AND drain
-  /// every delta buffer (the parallel driver publishes all buffers under its
-  /// pipeline-wide exclusive lock before snapshotting), so the on-disk
-  /// format is unchanged and carries the full counts.
+  /// Checkpoint support. Callers must quiesce all writers first.
   void save(StateWriter& out) const;
   void restore(StateReader& in);
 

@@ -21,7 +21,6 @@
 #include "core/watchdog.hpp"
 #include "partition/range_partitioner.hpp"
 #include "util/bounded_queue.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace spnl {
@@ -31,48 +30,32 @@ namespace {
 /// Tracks the contiguous prefix of placed vertex ids. The Γ window base
 /// follows this low-watermark so a delayed vertex's row survives its delay.
 ///
-/// Two disciplines behind one interface (HotPathMode): the striped baseline
-/// serializes every mark behind a mutex; the lock-free mode stores a flag
-/// ring of atomics and advances the watermark with a CAS loop — the CAS
+/// A flag ring of atomics; the watermark advances with a CAS loop — the CAS
 /// winner retires the slot, losers just reload and re-test, so no worker
-/// ever blocks here. At M=1 the CAS always succeeds first try and the two
-/// modes return identical watermarks for identical mark sequences.
+/// ever blocks here.
 ///
-/// Ring-aliasing caveat (both modes, inherited from PR 4): the ring spans
-/// the maximum in-flight id spread, so two live ids should never share a
-/// slot. If sizing is ever violated, a lost or phantom mark can stall the
-/// watermark — which only stalls the Γ slide (heuristic staleness), never
-/// the pipeline: quiesce and termination are driven by placed_total. The
-/// lock-free clear-after-CAS preserves exactly this failure envelope.
+/// Ring-aliasing caveat: the ring spans the maximum in-flight id spread, so
+/// two live ids should never share a slot. If sizing is ever violated, a
+/// lost or phantom mark can stall the watermark — which only stalls the Γ
+/// slide (heuristic staleness), never the pipeline: quiesce and termination
+/// are driven by placed_total.
 class WatermarkTracker {
  public:
-  WatermarkTracker(std::size_t span, bool lock_free)
-      : lock_free_(lock_free),
-        mask_(std::bit_ceil(std::max<std::size_t>(span, 1)) - 1),  // no divides
-        ring_(mask_ + 1, false),
+  explicit WatermarkTracker(std::size_t span)
+      : mask_(std::bit_ceil(std::max<std::size_t>(span, 1)) - 1),  // no divides
         flags_(mask_ + 1) {
     for (auto& f : flags_) f.store(0, std::memory_order_relaxed);
   }
 
   /// Mark id placed; returns the new watermark (first unplaced id).
   VertexId mark_done(VertexId id, PerfStats* perf = nullptr) {
-    if (!lock_free_) {
-      std::lock_guard lock(mutex_);
-      ring_[id & mask_] = true;
-      while (ring_[watermark_ & mask_]) {
-        ring_[watermark_ & mask_] = false;
-        ++watermark_;
-      }
-      return watermark_;
-    }
     // release pairs with the acquire flag loads below: whichever thread
     // advances the watermark past `id` has observed this store.
     flags_[id & mask_].store(1, std::memory_order_release);
-    VertexId w = watermark_atomic_.load(std::memory_order_acquire);
+    VertexId w = watermark_.load(std::memory_order_acquire);
     while (flags_[w & mask_].load(std::memory_order_acquire) != 0) {
-      if (watermark_atomic_.compare_exchange_weak(w, w + 1,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
+      if (watermark_.compare_exchange_weak(w, w + 1, std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
         // CAS winner owns slot w's retirement; the slot's next occupant is
         // at least w + span, which sizing guarantees is not yet in flight.
         flags_[w & mask_].store(0, std::memory_order_relaxed);
@@ -86,13 +69,9 @@ class WatermarkTracker {
   }
 
  private:
-  const bool lock_free_;
   const std::size_t mask_;
-  std::mutex mutex_;
-  std::vector<bool> ring_;
-  VertexId watermark_ = 0;
   std::vector<std::atomic<std::uint8_t>> flags_;
-  std::atomic<VertexId> watermark_atomic_{0};
+  std::atomic<VertexId> watermark_{0};
 };
 
 /// Per-partition load counters, one cache line per partition: every commit
@@ -144,15 +123,11 @@ struct SharedState {
 };
 
 /// score_record's read policy over the shared state (see score_kernel.hpp):
-/// relaxed atomic route and counter reads, and Γ as the shared row plus the
-/// worker's own unpublished delta row, summed in uint64 (at M=1 that is the
-/// eager total). kBoth balance degrades to the vertex constraint (the
-/// paper's primary one; racy dual-capacity checks are not worth it).
+/// relaxed atomic route, counter and Γ reads. kBoth balance degrades to the
+/// vertex constraint (the paper's primary one; racy dual-capacity checks are
+/// not worth it).
 struct SharedReads {
-  struct Row {
-    const std::atomic<std::uint32_t>* shared = nullptr;
-    const std::uint32_t* delta = nullptr;  // nullptr: nothing buffered for this id
-  };
+  using Row = const std::atomic<std::uint32_t>*;
 
   PartitionId num_partitions() const { return state.config.num_partitions; }
   VertexId num_vertices() const { return state.num_vertices; }
@@ -164,14 +139,11 @@ struct SharedReads {
   void prefetch(VertexId u) const { prefetch_read(&state.route[u]); }
 
   bool gamma_row(VertexId u, Row& row) const {
-    row.shared = state.gamma.row(u);
-    row.delta = row.shared != nullptr && delta != nullptr ? delta->row(u) : nullptr;
-    return row.shared != nullptr;
+    row = state.gamma.row(u);
+    return row != nullptr;
   }
-
-  std::uint64_t gamma(const Row& row, std::size_t i) const {
-    const std::uint64_t shared = row.shared[i].load(std::memory_order_relaxed);
-    return row.delta != nullptr ? shared + row.delta[i] : shared;
+  std::uint32_t gamma(Row row, std::size_t i) const {
+    return row[i].load(std::memory_order_relaxed);
   }
 
   void snapshot(std::span<double> loads, std::span<double> eta) const {
@@ -193,7 +165,6 @@ struct SharedReads {
   }
 
   const SharedState& state;
-  const GammaDeltaBuffer* delta;
 };
 
 class Worker {
@@ -202,42 +173,27 @@ class Worker {
   /// thread-safe); nullptr disables instrumentation. `watchdog`+`index`
   /// route the per-commit heartbeat (nullptr = no watchdog, e.g. the
   /// monitor's own rescue worker).
-  /// `delta` is the worker's private epoch-local Γ buffer (nullptr = eager
-  /// shared increments — the striped mode, and the single-threaded rescue/
-  /// finisher workers which have no epoch structure). `epoch_records` > 0
-  /// publishes the buffer every that many commits.
   Worker(SharedState& state, Rct* rct, WatermarkTracker& watermark,
          PerfStats* perf = nullptr, PipelineWatchdog* watchdog = nullptr,
-         unsigned index = 0, GammaDeltaBuffer* delta = nullptr,
-         std::uint64_t epoch_records = 0)
+         unsigned index = 0)
       : state_(state),
         rct_(rct),
         watermark_(watermark),
         perf_(perf),
         watchdog_(watchdog),
         index_(index),
-        delta_(delta),
-        epoch_records_(epoch_records),
-        reads_{state, delta},
+        reads_{state},
         params_{state.options.spnl.lambda, state.capacity,
                 state.options.spnl.estimator == InNeighborEstimator::kNeighborSum} {}
 
   /// Score + pick through the shared scoring kernel; the degraded last rung
-  /// replaces the score with a deterministic hash vote under the same
-  /// capacity weighting — balance survives, affinity does not.
+  /// replaces the score with a deterministic hash vote.
   PartitionId choose(const OwnedVertexRecord& record) {
     PerfScope scope(perf_, PerfStage::kScore);
-    if (!state_.hash_fallback.load(std::memory_order_relaxed)) {
-      return score_record(reads_, params_, record.id, record.out, scratch_);
+    if (state_.hash_fallback.load(std::memory_order_relaxed)) {
+      return hash_vote_pick(reads_, params_, record.id, scratch_);
     }
-    const PartitionId k = state_.config.num_partitions;
-    scratch_.scores.assign(k, 0.0);
-    scratch_.scores[static_cast<PartitionId>(mix64(kDegradedHashSeed ^ record.id) % k)] =
-        1.0;
-    scratch_.loads.resize(k);
-    scratch_.eta.resize(k);
-    reads_.snapshot(scratch_.loads, scratch_.eta);
-    return weigh_and_pick(scratch_.scores, scratch_.loads, state_.capacity);
+    return score_record(reads_, params_, record.id, record.out, scratch_);
   }
 
   void commit(const OwnedVertexRecord& record, PartitionId pid) {
@@ -258,20 +214,11 @@ class Worker {
       // commit(). (Hash fallback stops feeding the window — the scores never
       // read it again.)
       PerfScope t(perf_, PerfStage::kGammaIncrement);
-      state_.gamma.increment_many(pid, record.out, delta_, perf_);
+      state_.gamma.increment_many(pid, record.out);
     }
     {
       PerfScope t(perf_, PerfStage::kWindowAdvance);
       state_.gamma.advance_to(watermark_.mark_done(record.id, perf_), perf_);
-    }
-    // Epoch boundary: publish the delta so other workers see these counts.
-    // Happens after the slide so the membership drop rule sees the newest
-    // base (a retired row would be cleared by the slide an instant later
-    // anyway — dropping it keeps publish idempotent with the eager path).
-    if (delta_ != nullptr && epoch_records_ > 0 &&
-        ++commits_since_publish_ >= epoch_records_) {
-      commits_since_publish_ = 0;
-      state_.gamma.publish(*delta_, perf_);
     }
     // The liveness signal the monitor watches: any commit proves progress,
     // including mid-chain commits of RCT-released records.
@@ -324,9 +271,6 @@ class Worker {
   PerfStats* perf_;
   PipelineWatchdog* watchdog_;
   unsigned index_;
-  GammaDeltaBuffer* delta_;
-  std::uint64_t epoch_records_;
-  std::uint64_t commits_since_publish_ = 0;
   SharedReads reads_;
   RecordParams params_;
   RecordScratch<SharedReads::Row> scratch_;
@@ -482,32 +426,17 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   const auto rct_capacity = std::max<std::size_t>(
       static_cast<std::size_t>(std::ceil(options.epsilon * options.num_threads)),
       1);
-  const bool lock_free = options.hot_path == HotPathMode::kLockFree;
-  Rct rct(rct_capacity, rct_shards,
-          lock_free ? RctMode::kLockFree : RctMode::kStriped);
+  Rct rct(rct_capacity, rct_shards);
   // The watermark ring must span the maximum in-flight id spread: the queue,
   // every worker's popped-but-unprocessed local batch, and the parked RCT
   // records.
   WatermarkTracker watermark(options.queue_capacity + rct_capacity +
-                                 options.num_threads * batch_size + 16,
-                             lock_free);
+                             options.num_threads * batch_size + 16);
   BoundedQueue<OwnedVertexRecord> queue(options.queue_capacity);
   // Queue-lock contention accounting rides the same opt-in as the rest of
   // the instrumentation: no sink, no clock reads on the queue path.
   QueueStats queue_stats;
   if (options.perf != nullptr) queue.set_stats(&queue_stats);
-  // Per-worker epoch-local Γ delta buffers, owned here (not by the worker
-  // lambdas) so the quiesce path can drain them ALL in worker-index order —
-  // that fixed order is what makes quiesce-point merges deterministic and
-  // checkpoints byte-identical regardless of which worker held what.
-  std::vector<GammaDeltaBuffer> deltas;
-  if (lock_free) {
-    deltas.reserve(options.num_threads);
-    for (unsigned t = 0; t < options.num_threads; ++t) {
-      deltas.emplace_back(config.num_partitions,
-                          std::max<std::size_t>(options.gamma_delta_rows, 1));
-    }
-  }
   // Everything workers record lands here first (merged under a mutex after
   // each worker's loop); options.perf receives one copy at the end. Keeping
   // an internal sink lets the driver surface the contention counters in the
@@ -576,10 +505,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   // record committed or parked). Returns false without running fn if the
   // pipeline aborted while waiting — a wedged worker would otherwise spin
   // this loop forever.
-  // Producer-thread-only sink for the quiesce-point delta merges (workers
-  // own their own locals; sharing internal_perf here could race a worker's
-  // exit merge on the abort path).
-  PerfStats quiesce_perf;
   auto quiesce = [&](const std::function<void()>& fn) -> bool {
     for (;;) {
       if (wd != nullptr && wd->aborted()) return false;
@@ -588,15 +513,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
         const std::uint64_t accounted =
             state.placed_total.load(std::memory_order_acquire) + rct.parked_size();
         if (accounted == produced) {
-          // Drain every epoch-local Γ delta in WORKER-INDEX ORDER before fn
-          // sees the state: snapshots carry the full counts (resume is then
-          // byte-identical) and the governor's footprint/shrink decisions
-          // act on merged truth. The fixed order makes quiesce merges
-          // deterministic; workers are excluded by the exclusive lock.
-          for (auto& delta : deltas) {
-            state.gamma.publish(
-                delta, options.perf != nullptr ? &quiesce_perf : nullptr);
-          }
           fn();
           return true;
         }
@@ -762,9 +678,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
       // instance and merges it into the shared sink once, after its loop.
       PerfStats local_perf;
       PerfStats* perf = options.perf != nullptr ? &local_perf : nullptr;
-      GammaDeltaBuffer* delta = lock_free ? &deltas[t] : nullptr;
-      Worker worker(state, rct_ptr, watermark, perf, wd, t, delta,
-                    options.gamma_epoch_records);
+      Worker worker(state, rct_ptr, watermark, perf, wd, t);
       std::uint64_t pops = 0;
       // Whole batches cross the queue; everything below the pop — fault
       // injection, watchdog publish/claim/steal, the shared-lock placement —
@@ -823,12 +737,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
           if (wd != nullptr) wd->complete(t);
         }
       }
-      // Exit drain: whatever the final partial epoch buffered becomes
-      // visible before the force-place/finisher phase reads the window.
-      // Never concurrent with a quiesce drain of the same buffer — the
-      // producer only quiesces before close(), and this worker only exits
-      // after close() (or after an abort, which ends quiescing too).
-      if (delta != nullptr) state.gamma.publish(*delta, perf);
       if (perf != nullptr) {
         std::lock_guard lock(perf_merge_mutex);
         internal_perf.merge(local_perf);
@@ -841,8 +749,8 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   if (producer_error) std::rethrow_exception(producer_error);
 
   // Cyclically-parked leftovers: force-place in id order. Single-threaded by
-  // now (every worker has exited and published its delta), so the internal
-  // sink can be used directly. Runs on the abort path too — parked records
+  // now (every worker has exited), so the internal sink can be used
+  // directly. Runs on the abort path too — parked records
   // should not punch extra holes in the partial route.
   if (options.use_rct) {
     Worker finisher(state, rct_ptr, watermark,
@@ -855,10 +763,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   }
 
   // Fold the side tallies together and hand the caller one merged view.
-  if (options.perf != nullptr) {
-    internal_perf.merge(quiesce_perf);
-    queue_stats.merge_into(internal_perf);
-  }
+  if (options.perf != nullptr) queue_stats.merge_into(internal_perf);
   rct.merge_contention_into(internal_perf);
   if (options.perf != nullptr) options.perf->merge(internal_perf);
 
@@ -894,9 +799,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     c.queue_lock_acquires = internal_perf.count(PerfCounter::kQueueLockAcquires);
     c.queue_lock_wait_nanos = internal_perf.nanos(PerfStage::kQueueLockWait);
     c.queue_lock_hold_nanos = internal_perf.nanos(PerfStage::kQueueLockHold);
-    c.gamma_delta_publishes = internal_perf.count(PerfCounter::kGammaDeltaPublishes);
-    c.gamma_delta_cells = internal_perf.count(PerfCounter::kGammaDeltaCells);
-    c.gamma_delta_dropped = internal_perf.count(PerfCounter::kGammaDeltaDropped);
     c.gamma_head_cas_retries = internal_perf.count(PerfCounter::kGammaHeadCasRetries);
     c.gamma_advance_contended =
         internal_perf.count(PerfCounter::kGammaAdvanceContended);

@@ -11,6 +11,11 @@
 // The Γ window base follows a completion low-watermark (the smallest id not
 // yet placed) rather than the newest arrival, so delayed vertices never lose
 // their Γ row to an eager slide.
+//
+// There is one hot path: a commit increments the shared Γ counters eagerly
+// (relaxed fetch_add), the RCT's per-record operations run under shared
+// shard locks with atomic slots, and the watermark advances wait-free by CAS
+// (docs/performance.md §5).
 #pragma once
 
 #include <cstddef>
@@ -58,19 +63,6 @@ struct ParallelFaultPlan {
   bool empty() const {
     return stuck.empty() && slow.empty() && ballast_bytes == 0;
   }
-};
-
-/// Locking discipline for the shared hot state (Γ window, RCT, watermark).
-enum class HotPathMode {
-  /// Default: epoch-local Γ delta buffers published at epoch/quiesce
-  /// boundaries, CAS-claimed RCT registration under shared shard locks, and
-  /// a CAS-advanced completion watermark. Byte-identical routes at M=1.
-  kLockFree,
-  /// PR 4's striped baseline: every shared-state touch takes an exclusive
-  /// stripe lock and Γ increments go straight to the shared counters. Kept
-  /// for the contention-counter A/B (perf.contention_smoke) and as a
-  /// fallback switch.
-  kStriped,
 };
 
 struct ParallelOptions {
@@ -126,23 +118,11 @@ struct ParallelOptions {
   ResourceGovernor* governor = nullptr;
   /// Deterministic fault injection (tests / --inject-faults).
   ParallelFaultPlan faults;
-  /// Locking discipline for the shared hot state (see HotPathMode).
-  HotPathMode hot_path = HotPathMode::kLockFree;
-  /// Row budget of each worker's epoch-local Γ delta buffer (distinct
-  /// neighbor ids held between publishes). A full buffer publishes inline,
-  /// so this trades merge frequency against buffer footprint, never
-  /// correctness. Clamped to >= 1.
-  std::size_t gamma_delta_rows = 128;
-  /// Publish each worker's Γ delta every this many commits (the epoch
-  /// length). Buffers also publish on quiesce (checkpoint/governor, in
-  /// worker-index order for deterministic merges) and at worker exit.
-  /// 0 means "only on full buffer / quiesce / exit".
-  std::uint64_t gamma_epoch_records = 64;
 };
 
 /// Contention totals for one parallel run. The RCT tallies are always-on
-/// (relaxed atomics inside the table); the queue, Γ-delta and CAS-retry
-/// tallies require an attached PerfStats sink (options.perf) and read 0 in
+/// (relaxed atomics inside the table); the queue and CAS-retry tallies
+/// require an attached PerfStats sink (options.perf) and read 0 in
 /// uninstrumented runs — the hot path stays zero-overhead when disabled.
 struct ContentionReport {
   std::uint64_t rct_shared_contended = 0;
@@ -154,9 +134,6 @@ struct ContentionReport {
   std::uint64_t queue_lock_acquires = 0;
   std::uint64_t queue_lock_wait_nanos = 0;
   std::uint64_t queue_lock_hold_nanos = 0;
-  std::uint64_t gamma_delta_publishes = 0;
-  std::uint64_t gamma_delta_cells = 0;
-  std::uint64_t gamma_delta_dropped = 0;
   std::uint64_t gamma_head_cas_retries = 0;
   std::uint64_t gamma_advance_contended = 0;
   std::uint64_t watermark_cas_retries = 0;

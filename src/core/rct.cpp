@@ -25,16 +25,12 @@ std::size_t next_pow2(std::size_t x) {
 
 }  // namespace
 
-/// RAII shard guard implementing the mode split (see rct.hpp). "Shared
-/// intent" (exclusive=false) acquires shared in kLockFree mode, exclusive in
-/// kStriped mode — so the striped baseline runs the identical call sites with
-/// every operation serialized, and exclusive_acquires() measures the
-/// difference deterministically. try_lock-first detects contention without a
-/// clock.
+/// RAII shard guard (see rct.hpp). try_lock-first detects contention
+/// without a clock.
 class Rct::Guard {
  public:
   Guard(const Rct& rct, const Shard& shard, bool exclusive)
-      : shard_(shard), exclusive_(exclusive || rct.mode_ == RctMode::kStriped) {
+      : shard_(shard), exclusive_(exclusive) {
     if (exclusive_) {
       rct.exclusive_acquires_.fetch_add(1, std::memory_order_relaxed);
       if (!shard_.mutex.try_lock()) {
@@ -57,22 +53,20 @@ class Rct::Guard {
     }
   }
 
-  bool exclusive() const { return exclusive_; }
-
   Guard(const Guard&) = delete;
   Guard& operator=(const Guard&) = delete;
 
  private:
   const Shard& shard_;
-  bool exclusive_;
+  const bool exclusive_;
 };
 
 std::uint32_t Rct::recommended_shards(unsigned num_threads) {
   return static_cast<std::uint32_t>(next_pow2(num_threads ? num_threads : 1));
 }
 
-Rct::Rct(std::size_t capacity, std::uint32_t num_shards, RctMode mode)
-    : capacity_(capacity ? capacity : 1), mode_(mode) {
+Rct::Rct(std::size_t capacity, std::uint32_t num_shards)
+    : capacity_(capacity ? capacity : 1) {
   const std::size_t shards = next_pow2(num_shards ? num_shards : 1);
   shard_mask_ = static_cast<std::uint32_t>(shards - 1);
   shard_capacity_ = (capacity_ + shards - 1) / shards;
@@ -184,15 +178,20 @@ void Rct::erase_locked(Shard& shard, std::size_t hole) {
 }
 
 bool Rct::register_exclusive(VertexId v) {
-  // Exclusive-path insert: used by the striped mode for every registration
-  // and by the lock-free claim when the shard needs growth. The global
-  // admission ticket is already held; refund on duplicate.
+  // Exclusive-path insert, used when the lock-free claim found the shard at
+  // its load limit. The global admission ticket is already held; refund on
+  // duplicate.
   Shard& shard = shard_of(v);
   Guard guard(*this, shard, /*exclusive=*/true);
   if (find_locked(shard, v) != shard.table_size) {
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
     return false;  // duplicate (not an overflow)
   }
+  // Double even if erasures made room meanwhile: the claim only diverts
+  // here while the table has fewer than 2·capacity slots, so every shard
+  // takes this path a bounded number of times instead of once per
+  // registration at the load limit.
+  grow_locked(shard);
   insert_locked(shard, v);
   return true;
 }
@@ -211,8 +210,6 @@ bool Rct::register_vertex(VertexId v) {
     untracked_overflow_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (mode_ == RctMode::kStriped) return register_exclusive(v);
-
   Shard& shard = shard_of(v);
   {
     Guard guard(*this, shard, /*exclusive=*/false);
@@ -307,8 +304,8 @@ bool Rct::park(OwnedVertexRecord&& record) {
     return false;
   }
   Shard& shard = shard_of(record.id);
-  // Exclusive in both modes: park mutates the parked flag and the parked
-  // vector, both of which shared holders rely on being writer-excluded.
+  // Exclusive: park mutates the parked flag and the parked vector, both of
+  // which shared holders rely on being writer-excluded.
   Guard guard(*this, shard, /*exclusive=*/true);
   const std::size_t i = find_locked(shard, record.id);
   if (i == shard.table_size || shard.table[i].parked) {
@@ -396,18 +393,10 @@ std::vector<OwnedVertexRecord> Rct::on_placed(VertexId v,
           nonzero_sum_.fetch_sub(1, std::memory_order_relaxed);
           if (c == 1) {
             nonzero_count_.fetch_sub(1, std::memory_order_relaxed);
-            if (guard.exclusive()) {
-              // Striped mode: already writer-excluded, unpark inline.
-              if (shard.table[i].parked) {
-                shard.table[i].parked = false;
-                unpark_locked(shard, u);
-              }
-            } else if (shard.table[i].parked) {
-              // Reading the flag under the shared lock is race-free (it is
-              // only written under exclusive), but clearing it is not:
-              // divert to the exclusive reacquisition below.
-              need_unpark = true;
-            }
+            // Reading the flag under the shared lock is race-free (it is
+            // only written under exclusive), but clearing it is not: divert
+            // to the exclusive reacquisition below.
+            need_unpark = shard.table[i].parked;
           }
           break;
         }

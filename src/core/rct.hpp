@@ -17,21 +17,16 @@
 // recommended_shards(M) = next_pow2(M) from the parallel driver). A vertex
 // lives in shard v mod S; each shard is a cache-line-aligned open-addressed
 // flat table (linear probing, backward-shift deletion) behind a
-// shared_mutex. Two hot-path disciplines, selected at construction:
+// shared_mutex. The per-record operations (register, bump, count,
+// should_delay, decrement) take the shard lock SHARED and mutate slots with
+// atomics: registration claims an empty slot with a CAS on the id, bumps are
+// fetch_adds, decrements are CAS loops that never go below zero. The
+// exclusive side is reserved for structural mutation (growth, erase +
+// backward-shift, park/unpark, snapshot), so shared-side probes are stable.
 //
-//  * RctMode::kLockFree (default) — the per-record operations (register,
-//    bump, count, should_delay, decrement) take the shard lock SHARED and
-//    mutate slots with atomics: registration claims an empty slot with a
-//    CAS on the id, bumps are fetch_adds, decrements are CAS loops that
-//    never go below zero. The exclusive side is reserved for structural
-//    mutation (growth, erase + backward-shift, park/unpark, snapshot), so
-//    shared-side probes are stable.
-//  * RctMode::kStriped — every operation takes the shard lock EXCLUSIVE;
-//    the original striping, kept as the baseline for the contention counters.
-//
-//  Untracked fast path (both modes): once the table is full most records
-//  are refused, and they must not pay for it. A full table refuses on a
-//  plain load of the entry count. Each shard keeps a presence filter —
+//  Untracked fast path: once the table is full most records are refused,
+//  and they must not pay for it. A full table refuses on a plain load of
+//  the entry count. Each shard keeps a presence filter —
 //  per-bucket entry counts, raised before an entry becomes findable and
 //  lowered after its erase — so a zero bucket proves an id untracked to
 //  any thread ordered after its registration (its registrant or an
@@ -39,10 +34,9 @@
 //  a racing registration linearizes after them. on_placed takes the
 //  exclusive lock only after a shared probe has found a real entry.
 //
-//  Counter-accounting exactness (both modes): a 0→nonzero transition is
-//  observed by exactly one fetch_add (the one whose previous value was 0)
-//  and a nonzero→0 transition by exactly one CAS (the one that installed
-//  0), so nonzero_sum_/nonzero_count_ stay exact under concurrency. Erase
+//  Counter-accounting exactness: a 0→nonzero transition is observed by
+//  exactly one fetch_add (the one whose previous value was 0) and a
+//  nonzero→0 transition by exactly one CAS (the one that installed 0), so nonzero_sum_/nonzero_count_ stay exact under concurrency. Erase
 //  runs under the exclusive lock, which excludes all shared-side bumps and
 //  decrements on that shard, so the residual counter it subtracts cannot
 //  change mid-erase.
@@ -81,12 +75,6 @@
 
 namespace spnl {
 
-/// Hot-path locking discipline for the RCT shards (see file header).
-enum class RctMode {
-  kLockFree,  ///< shared lock + atomic slots on the per-record path
-  kStriped,   ///< exclusive lock for every operation (PR 4 baseline)
-};
-
 class Rct {
  public:
   /// `capacity` bounds the total tracked entries (clamped to >= 1).
@@ -96,14 +84,11 @@ class Rct {
   /// nearly empty (the M=4 overflow spike documented in
   /// docs/performance.md). Shard tables grow on demand, so capacity only
   /// caps the count, not the distribution.
-  explicit Rct(std::size_t capacity, std::uint32_t num_shards = 1,
-               RctMode mode = RctMode::kLockFree);
+  explicit Rct(std::size_t capacity, std::uint32_t num_shards = 1);
 
   /// Shard count matched to the worker count: the smallest power of two
   /// >= num_threads, so the stripe mask is a single AND.
   static std::uint32_t recommended_shards(unsigned num_threads);
-
-  RctMode mode() const { return mode_; }
 
   /// Track v as in-flight. Returns false (vertex proceeds untracked) when
   /// the table is full or v is somehow already present.
@@ -182,10 +167,10 @@ class Rct {
   }
 
   /// Always-on contention tallies (relaxed atomics; exact totals after the
-  /// pipeline joins). exclusive_acquires in particular gives a DETERMINISTIC
-  /// lockfree-vs-striped comparison: striped mode pays one exclusive
-  /// acquisition per operation, lock-free mode only on structural slow
-  /// paths — regardless of how many cores actually contend.
+  /// pipeline joins). exclusive_acquires is deterministic for a given
+  /// operation sequence: only the structural slow paths (growth, erase,
+  /// park/unpark, snapshot) lock exclusively, regardless of how many cores
+  /// actually contend.
   std::uint64_t shared_contended() const {
     return shared_contended_.load(std::memory_order_relaxed);
   }
@@ -211,7 +196,7 @@ class Rct {
   std::size_t memory_footprint_bytes() const;
 
  private:
-  /// Slot fields are atomics so the lock-free mode can claim/bump/decrement
+  /// Slot fields are atomics so registration, bumps and decrements can run
   /// under the SHARED lock; `parked` is a plain bool because it is only
   /// written under the exclusive lock (shared holders may read it — writer
   /// exclusion makes that race-free). Invariant: an empty slot
@@ -239,9 +224,7 @@ class Rct {
     std::vector<OwnedVertexRecord> parked;  // tiny: linear search by id
   };
 
-  /// RAII shard guard implementing the mode split: "shared intent" acquires
-  /// the lock shared in kLockFree mode and exclusive in kStriped mode;
-  /// "exclusive intent" is always exclusive. Contended acquisitions are
+  /// RAII shard guard, shared or exclusive. Contended acquisitions are
   /// detected with a try_lock-first pattern and tallied.
   class Guard;
 
@@ -265,12 +248,11 @@ class Rct {
   static void grow_locked(Shard& shard);
   static void alloc_table(Shard& shard, std::size_t size);
 
-  /// Slow path of register_vertex: exclusive insert with growth, used by the
-  /// striped mode and by the lock-free claim when it runs out of room.
+  /// Slow path of register_vertex: exclusive insert with growth, used when
+  /// the lock-free claim runs out of room.
   bool register_exclusive(VertexId v);
 
   const std::size_t capacity_;
-  const RctMode mode_;
   std::size_t shard_capacity_ = 0;  // initial table-sizing hint only
   std::uint32_t shard_mask_ = 0;
   std::vector<Shard> shards_;

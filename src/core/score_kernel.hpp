@@ -1,19 +1,23 @@
-// Fused scoring kernel shared by the SPN/SPNL place() hot paths.
+// The one scoring kernel of SPN (Eq. 4/5) and SPNL (Eq. 6), shared by the
+// sequential partitioners and the parallel worker.
+//
+// score_record() reads the partitioner state through a read policy, so the
+// kernel does not depend on how that state is stored. There are two:
+//
+//  * PlainReads (below) reads a sequential partitioner's plain arrays and
+//    its GammaWindow; SpnPartitioner uses it as is, SpnlPartitioner adds
+//    the logical table and η (core/spnl.cpp).
+//  * SharedReads (core/parallel_driver.cpp) reads the parallel driver's
+//    relaxed atomics and its ConcurrentGammaWindow.
 //
 // The reference formulation (kept verbatim as the oracle in
 // tests/reference_partitioners.hpp and raced by bench_microkernel) walks the
-// out-list twice (once for the λ term, once for Γ rows / increments) and pays
-// a non-inlined load() call with a balance-mode switch per partition in both
-// the capacity weighting and the argmax. The kernel here:
-//
-//  * fuses Γ-window membership + row-offset computation into the single pass
-//    over the out-list (the modulo is the expensive bit — it is now computed
-//    once per neighbor and reused by both the kNeighborSum row reads and the
-//    post-commit increments);
-//  * hoists the balance-mode switch out of the per-partition loops
-//    (compute_loads) so the weight application and argmax are tight,
-//    branch-predictable runs over contiguous doubles;
-//  * reuses scratch buffers across place() calls.
+// out-list twice and pays a non-inlined load() call with a balance-mode
+// switch per partition. The kernel takes one snapshot of the partition
+// counters per record (compute_loads hoists the switch out of the loop),
+// stashes the Γ rows it reads, and fuses the capacity weight with the argmax
+// (weigh_and_pick). Its scratch buffers live in RecordScratch, reused across
+// records.
 //
 // Byte-identity contract: every floating-point operation is performed on the
 // same values in the same order as the reference (λ additions first, then Γ
@@ -22,21 +26,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/gamma_table.hpp"
 #include "graph/types.hpp"
 #include "partition/partitioning.hpp"
+#include "util/rng.hpp"
 
 namespace spnl {
-
-/// Per-partitioner scratch reused across place() calls. Not counted in the
-/// MC metric: loads is O(K); gamma_rows is bounded by the record's out-degree
-/// and shrinks to the high-water mark of a single adjacency list.
-struct ScoreKernelScratch {
-  std::vector<double> loads;             // per-partition load snapshot
-  std::vector<std::size_t> gamma_rows;   // Γ row offsets of in-window neighbors
-};
 
 // Best-effort cache prefetch hints (no-ops off GCC/Clang). At the paper's
 // recommended shard count the Γ table is tens of MB and the out-neighbors are
@@ -66,9 +65,8 @@ inline void prefetch_write(const void* p) {
 /// the mode switch hoisted out of the loop.
 inline void compute_loads(BalanceMode mode, std::span<const VertexId> vertex_counts,
                           std::span<const EdgeId> edge_counts, double capacity,
-                          double edge_capacity, std::vector<double>& loads) {
+                          double edge_capacity, std::span<double> loads) {
   const std::size_t k = vertex_counts.size();
-  loads.resize(k);
   switch (mode) {
     case BalanceMode::kVertex:
       for (std::size_t i = 0; i < k; ++i) {
@@ -119,16 +117,12 @@ inline PartitionId weigh_and_pick(std::span<double> scores,
   return best;
 }
 
-/// score_record reads the partitioner state through a policy `Reads`, so the
-/// kernel does not depend on how that state is stored: the parallel worker's
-/// policy (core/parallel_driver.cpp) reads relaxed atomics and overlays its
-/// unpublished Γ delta, a policy over plain arrays reads them. It provides
-/// num_partitions(), num_vertices(), route(u) (kUnassigned while unplaced),
-/// locality() and logical_of(u) (false: no logical term, i.e. SPN),
-/// prefetch(u), a Γ row handle `Row` with gamma_row(u, row) (false outside
-/// the window) and gamma(row, i) (its count for partition i), and
-/// snapshot(loads, eta): one read of the partition counters per record that
-/// yields both the balance load and η_i of Eq. 6.
+/// A read policy `Reads` provides num_partitions(), num_vertices(), route(u)
+/// (kUnassigned while unplaced), locality() and logical_of(u) (locality()
+/// false: no logical term, i.e. SPN), prefetch(u), a Γ row handle `Row` with
+/// gamma_row(u, row) (false outside the window) and gamma(row, i) (its count
+/// for partition i), and snapshot(loads, eta): one read of the partition
+/// counters per record that yields both the balance load and η_i of Eq. 6.
 template <class Row>
 struct RecordScratch {
   std::vector<double> scores, physical, logical, loads, eta;
@@ -141,9 +135,10 @@ struct RecordParams {
   bool neighbor_sum = false;  ///< InNeighborEstimator::kNeighborSum
 };
 
-/// Eq. 6 score of v and the capacity-weighted argmax. The floating-point
-/// sequence is SpnlPartitioner::place's — λ term per partition, then Γ rows
-/// in out-list order, then the weight — so equal reads give equal routes.
+/// Eq. 4 (locality() false) or Eq. 6 score of v and the capacity-weighted
+/// argmax. The floating-point sequence is the reference's — λ term per
+/// partition, then Γ rows in out-list order, then the weight — so equal
+/// reads give equal routes.
 template <class Reads>
 PartitionId score_record(const Reads& reads, const RecordParams& params, VertexId v,
                          std::span<const VertexId> out,
@@ -160,21 +155,32 @@ PartitionId score_record(const Reads& reads, const RecordParams& params, VertexI
   s.eta.resize(k);
   reads.snapshot(s.loads, s.eta);
 
-  s.physical.assign(k, 0.0);
-  s.logical.assign(k, 0.0);
-  for (VertexId u : out) {
-    if (u >= n) continue;
-    const PartitionId placed = reads.route(u);
-    if (placed != kUnassigned) {
-      s.physical[placed] += 1.0;
-    } else if (reads.locality()) {
-      s.logical[reads.logical_of(u)] += 1.0;
+  if (reads.locality()) {
+    s.physical.assign(k, 0.0);
+    s.logical.assign(k, 0.0);
+    for (VertexId u : out) {
+      if (u >= n) continue;
+      const PartitionId placed = reads.route(u);
+      if (placed != kUnassigned) {
+        s.physical[placed] += 1.0;
+      } else {
+        s.logical[reads.logical_of(u)] += 1.0;
+      }
     }
-  }
-  s.scores.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    s.scores[i] = params.lambda *
-                  ((1.0 - s.eta[i]) * s.physical[i] + s.eta[i] * s.logical[i]);
+    s.scores.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      s.scores[i] = params.lambda *
+                    ((1.0 - s.eta[i]) * s.physical[i] + s.eta[i] * s.logical[i]);
+    }
+  } else {
+    // SPN adds λ once per placed out-neighbor: λ·count rounds differently,
+    // and the reference adds.
+    s.scores.assign(k, 0.0);
+    for (VertexId u : out) {
+      if (u >= n) continue;
+      const PartitionId placed = reads.route(u);
+      if (placed != kUnassigned) s.scores[placed] += params.lambda;
+    }
   }
   if (!params.neighbor_sum && reads.gamma_row(v, row)) s.rows.push_back(row);
   for (const auto& r : s.rows) {  // Γ rows: v's own, or its out-neighbors'
@@ -184,5 +190,56 @@ PartitionId score_record(const Reads& reads, const RecordParams& params, VertexI
   }
   return weigh_and_pick(s.scores, s.loads, params.capacity);
 }
+
+/// The last degradation rung's placement: a deterministic hash vote for v
+/// run through the normal capacity weighting and tie-breaking, so balance
+/// survives even though the affinity heuristics are gone.
+template <class Reads>
+PartitionId hash_vote_pick(const Reads& reads, const RecordParams& params, VertexId v,
+                           RecordScratch<typename Reads::Row>& s) {
+  const std::size_t k = reads.num_partitions();
+  s.scores.assign(k, 0.0);
+  s.scores[mix64(kDegradedHashSeed ^ v) % k] = 1.0;
+  s.loads.resize(k);
+  s.eta.resize(k);
+  reads.snapshot(s.loads, s.eta);
+  return weigh_and_pick(s.scores, s.loads, params.capacity);
+}
+
+/// score_record's read policy over a sequential partitioner's plain arrays.
+/// Γ rows are pointers into the window, valid while it does not advance. No
+/// logical term (SPN); SpnlPartitioner's policy adds it. prefetch() is a
+/// no-op because place() prefetches before the window slide.
+struct PlainReads {
+  using Row = const std::uint32_t*;
+
+  PartitionId num_partitions() const {
+    return static_cast<PartitionId>(vertex_counts.size());
+  }
+  VertexId num_vertices() const { return static_cast<VertexId>(routes.size()); }
+  PartitionId route(VertexId u) const { return routes[u]; }
+  bool locality() const { return false; }
+  PartitionId logical_of(VertexId) const { return 0; }
+  void prefetch(VertexId) const {}
+
+  bool gamma_row(VertexId u, Row& row) const {
+    if (!window.contains(u)) return false;
+    row = window.data() + window.row_offset(u);
+    return true;
+  }
+  std::uint32_t gamma(Row row, std::size_t i) const { return row[i]; }
+
+  void snapshot(std::span<double> loads, std::span<double>) const {
+    compute_loads(balance, vertex_counts, edge_counts, capacity, edge_capacity, loads);
+  }
+
+  const GammaWindow& window;
+  std::span<const PartitionId> routes;
+  std::span<const VertexId> vertex_counts;
+  std::span<const EdgeId> edge_counts;
+  BalanceMode balance;
+  double capacity;
+  double edge_capacity;
+};
 
 }  // namespace spnl

@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/score_kernel.hpp"
-#include "util/rng.hpp"
-
 namespace spnl {
 
 namespace {
@@ -19,30 +16,24 @@ SpnPartitioner::SpnPartitioner(VertexId num_vertices, EdgeId num_edges,
       options_(options),
       gamma_(num_vertices, config.num_partitions,
              resolve_shards(options.num_shards, num_vertices, config.num_partitions),
-             options.slide) {
+             options.slide),
+      params_{options.lambda, capacity_,
+              options.estimator == InNeighborEstimator::kNeighborSum} {
   if (options_.lambda < 0.0 || options_.lambda > 1.0) {
     throw std::invalid_argument("SPN: lambda must be in [0,1]");
   }
 }
 
 PartitionId SpnPartitioner::place(VertexId v, std::span<const VertexId> out) {
-  const PartitionId k = num_partitions();
-  const double lambda = options_.lambda;
-
+  const PlainReads reads{gamma_, route_, vertex_counts_, edge_counts_,
+                         config_.balance, capacity_, edge_capacity_};
   if (hash_fallback_) {
-    // Last-rung degraded mode: a deterministic hash vote run through the
-    // normal capacity weighting/tie-breaking, so the balance guarantees
-    // survive even though the affinity heuristics are gone. Γ bookkeeping is
-    // skipped entirely (the window was shrunk to one row when the rung
-    // engaged).
+    // Last-rung degraded mode: Γ bookkeeping is skipped entirely (the
+    // window was shrunk to one row when the rung engaged).
     PartitionId pid;
     {
       PerfScope t(perf_, PerfStage::kScore);
-      scores_.assign(k, 0.0);
-      scores_[static_cast<PartitionId>(mix64(kDegradedHashSeed ^ v) % k)] = 1.0;
-      compute_loads(config_.balance, vertex_counts_, edge_counts_, capacity_,
-                    edge_capacity_, scratch_.loads);
-      pid = weigh_and_pick(scores_, scratch_.loads, capacity_);
+      pid = hash_vote_pick(reads, params_, v, scratch_);
     }
     PerfScope t(perf_, PerfStage::kCommit);
     commit(v, out, pid);
@@ -58,10 +49,8 @@ PartitionId SpnPartitioner::place(VertexId v, std::span<const VertexId> out) {
   // slide; a prefetch of a row that then retires (or a miss on one that just
   // entered) only costs a wasted hint.
   const std::uint32_t* gamma_data = gamma_.data();
-  const PartitionId* route = route_.data();
-  const std::size_t route_size = route_.size();
   for (VertexId u : out) {
-    if (u < route_size) prefetch_read(route + u);
+    if (u < route_.size()) prefetch_read(&route_[u]);
     if (gamma_.contains(u)) prefetch_write(gamma_data + gamma_.row_offset(u));
   }
 
@@ -73,48 +62,9 @@ PartitionId SpnPartitioner::place(VertexId v, std::span<const VertexId> out) {
   }
 
   PartitionId pid;
-  auto& gamma_rows = scratch_.gamma_rows;
   {
     PerfScope t(perf_, PerfStage::kScore);
-
-    // Stash pass over the out-list: each neighbor's post-slide Γ-window
-    // membership and row offset, computed once and reused by the
-    // kNeighborSum reads and the post-commit increments.
-    scores_.assign(k, 0.0);
-    gamma_rows.clear();
-    for (VertexId u : out) {
-      if (gamma_.contains(u)) gamma_rows.push_back(gamma_.row_offset(u));
-    }
-
-    // λ term: distribution of already placed out-neighbors. Per-bucket
-    // accumulation chains are unchanged from the reference, so the sums are
-    // bit-identical.
-    for (VertexId u : out) {
-      if (u < route_size && route[u] != kUnassigned) {
-        scores_[route[u]] += lambda;
-      }
-    }
-
-    // In-neighbor expectation term.
-    if (options_.estimator == InNeighborEstimator::kSelf) {
-      if (gamma_.contains(v)) {
-        const std::uint32_t* row = gamma_data + gamma_.row_offset(v);
-        for (PartitionId i = 0; i < k; ++i) {
-          scores_[i] += (1.0 - lambda) * row[i];
-        }
-      }
-    } else {
-      for (const std::size_t offset : gamma_rows) {
-        const std::uint32_t* row = gamma_data + offset;
-        for (PartitionId i = 0; i < k; ++i) {
-          scores_[i] += (1.0 - lambda) * row[i];
-        }
-      }
-    }
-
-    compute_loads(config_.balance, vertex_counts_, edge_counts_, capacity_,
-                  edge_capacity_, scratch_.loads);
-    pid = weigh_and_pick(scores_, scratch_.loads, capacity_);
+    pid = score_record(reads, params_, v, out, scratch_);
   }
 
   {
@@ -124,11 +74,11 @@ PartitionId SpnPartitioner::place(VertexId v, std::span<const VertexId> out) {
 
   {
     // Algorithm 1, lines 5-7: placing v raises P_pid's expectation for every
-    // out-neighbor of v. The window cannot have moved since the scoring
-    // pass, so the stashed row offsets are still the live slots (counts for
-    // retired/out-of-window ids were already dropped there).
+    // out-neighbor of v. Counts for out-of-window ids are dropped.
     PerfScope t(perf_, PerfStage::kGammaIncrement);
-    for (const std::size_t offset : gamma_rows) gamma_.increment_at(offset, pid);
+    for (VertexId u : out) {
+      if (gamma_.contains(u)) gamma_.increment_at(gamma_.row_offset(u), pid);
+    }
   }
   return pid;
 }
@@ -138,35 +88,35 @@ std::size_t SpnPartitioner::memory_footprint_bytes() const {
          gamma_.memory_footprint_bytes();
 }
 
-bool SpnPartitioner::apply_degradation(DegradationStage stage) {
-  const auto raise_to = [this](DegradationStage s) {
-    if (static_cast<int>(s) > static_cast<int>(stage_)) stage_ = s;
-  };
+bool apply_gamma_ladder(DegradationStage stage, GammaWindow& gamma,
+                        DegradationStage& deepest, bool& hash_fallback) {
   switch (stage) {
     case DegradationStage::kShrinkWindow: {
-      const VertexId w = gamma_.window_size();
+      const VertexId w = gamma.window_size();
       if (w <= 1) return false;
-      gamma_.shrink_to(w / 2);
-      raise_to(stage);
-      return true;
+      gamma.shrink_to(w / 2);
+      break;
     }
     case DegradationStage::kCoarseSlide:
-      if (gamma_.slide_mode() == SlideMode::kCoarse || gamma_.window_size() <= 1) {
+      if (gamma.slide_mode() == SlideMode::kCoarse || gamma.window_size() <= 1) {
         return false;
       }
-      gamma_.set_slide_mode(SlideMode::kCoarse);
-      raise_to(stage);
-      return true;
-    case DegradationStage::kHashFallback:
-      if (hash_fallback_) return false;
-      hash_fallback_ = true;
-      gamma_.shrink_to(1);
-      raise_to(stage);
-      return true;
-    case DegradationStage::kNone:
+      gamma.set_slide_mode(SlideMode::kCoarse);
       break;
+    case DegradationStage::kHashFallback:
+      if (hash_fallback) return false;
+      hash_fallback = true;
+      gamma.shrink_to(1);
+      break;
+    case DegradationStage::kNone:
+      return false;
   }
-  return false;
+  if (static_cast<int>(stage) > static_cast<int>(deepest)) deepest = stage;
+  return true;
+}
+
+bool SpnPartitioner::apply_degradation(DegradationStage stage) {
+  return apply_gamma_ladder(stage, gamma_, stage_, hash_fallback_);
 }
 
 void SpnPartitioner::save_state(StateWriter& out) const {

@@ -58,6 +58,13 @@ struct SpnOptions {
   SlideMode slide = SlideMode::kFine;
 };
 
+/// The Γ-window degradation ladder shared by SPN and SPNL (see
+/// SpnPartitioner::apply_degradation): applies `stage` to `gamma`, raising
+/// `deepest` to it, and sets `hash_fallback` at the last rung. Returns false
+/// when the rung no longer applies.
+bool apply_gamma_ladder(DegradationStage stage, GammaWindow& gamma,
+                        DegradationStage& deepest, bool& hash_fallback);
+
 class SpnPartitioner final : public GreedyStreamingBase {
  public:
   SpnPartitioner(VertexId num_vertices, EdgeId num_edges,
@@ -84,8 +91,8 @@ class SpnPartitioner final : public GreedyStreamingBase {
  private:
   SpnOptions options_;
   GammaWindow gamma_;
-  /// Fused-kernel scratch (loads snapshot + stashed Γ row offsets).
-  ScoreKernelScratch scratch_;
+  RecordParams params_;
+  RecordScratch<PlainReads::Row> scratch_;
   /// Deepest degradation rung applied (persisted across checkpoints).
   DegradationStage stage_ = DegradationStage::kNone;
   bool hash_fallback_ = false;

@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "core/score_kernel.hpp"
 #include "util/memory.hpp"
-#include "util/rng.hpp"
 
 namespace spnl {
 
@@ -12,6 +10,20 @@ namespace {
 std::uint32_t resolve_shards(std::uint32_t requested, VertexId n, PartitionId k) {
   return requested == 0 ? GammaWindow::recommended_shards(n, k) : requested;
 }
+
+/// PlainReads plus the logical table and η of Eq. 6.
+struct SpnlReads : PlainReads {
+  bool locality() const { return true; }
+  PartitionId logical_of(VertexId u) const { return spnl.logical_partition_of(u); }
+  void snapshot(std::span<double> loads, std::span<double> eta) const {
+    PlainReads::snapshot(loads, eta);
+    for (std::size_t i = 0; i < eta.size(); ++i) {
+      eta[i] = spnl.eta(static_cast<PartitionId>(i));
+    }
+  }
+
+  const SpnlPartitioner& spnl;
+};
 }  // namespace
 
 SpnlPartitioner::SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
@@ -22,7 +34,9 @@ SpnlPartitioner::SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
              resolve_shards(options.num_shards, num_vertices, config.num_partitions),
              options.slide),
       logical_(num_vertices, config.num_partitions),
-      logical_counts_(config.num_partitions, 0) {
+      logical_counts_(config.num_partitions, 0),
+      params_{options.lambda, capacity_,
+              options.estimator == InNeighborEstimator::kNeighborSum} {
   if (options_.lambda < 0.0 || options_.lambda > 1.0) {
     throw std::invalid_argument("SPNL: lambda must be in [0,1]");
   }
@@ -50,9 +64,9 @@ double SpnlPartitioner::eta(PartitionId i) const {
 }
 
 PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
-  const PartitionId k = num_partitions();
-  const double lambda = options_.lambda;
-
+  const SpnlReads reads{{gamma_, route_, vertex_counts_, edge_counts_, config_.balance,
+                         capacity_, edge_capacity_},
+                        *this};
   if (hash_fallback_) {
     // Last-rung degraded mode — see SpnPartitioner::place. The logical-table
     // bookkeeping below still runs so a later checkpoint stays coherent, but
@@ -60,11 +74,7 @@ PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
     PartitionId pid;
     {
       PerfScope t(perf_, PerfStage::kScore);
-      scores_.assign(k, 0.0);
-      scores_[static_cast<PartitionId>(mix64(kDegradedHashSeed ^ v) % k)] = 1.0;
-      compute_loads(config_.balance, vertex_counts_, edge_counts_, capacity_,
-                    edge_capacity_, scratch_.loads);
-      pid = weigh_and_pick(scores_, scratch_.loads, capacity_);
+      pid = hash_vote_pick(reads, params_, v, scratch_);
     }
     PerfScope t(perf_, PerfStage::kCommit);
     commit(v, out, pid);
@@ -78,10 +88,8 @@ PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
   // slide (a vertex's ring slot is u % W regardless of the window base), so
   // the misses overlap with the row-retirement clear and the scoring work.
   const std::uint32_t* gamma_data = gamma_.data();
-  const PartitionId* route = route_.data();
-  const std::size_t route_size = route_.size();
   for (VertexId u : out) {
-    if (u < route_size) prefetch_read(route + u);
+    if (u < route_.size()) prefetch_read(&route_[u]);
     if (gamma_.contains(u)) prefetch_write(gamma_data + gamma_.row_offset(u));
   }
 
@@ -91,58 +99,9 @@ PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
   }
 
   PartitionId pid;
-  auto& gamma_rows = scratch_.gamma_rows;
   {
     PerfScope t(perf_, PerfStage::kScore);
-
-    // Stash pass over the out-list: each neighbor's post-slide Γ-window
-    // membership and row offset, computed once and reused by the
-    // kNeighborSum reads and the post-commit increments.
-    scores_.assign(k, 0.0);
-    physical_.assign(k, 0.0);
-    logical_hits_.assign(k, 0.0);
-    gamma_rows.clear();
-    for (VertexId u : out) {
-      if (gamma_.contains(u)) gamma_rows.push_back(gamma_.row_offset(u));
-    }
-
-    // Out-neighbor term: the physical/logical tallies (Eq. 6 weights the two
-    // intersection sizes separately). Per-bucket accumulation chains are
-    // unchanged from the reference, so the sums are bit-identical.
-    for (VertexId u : out) {
-      if (u < route_size) {
-        if (route[u] != kUnassigned) {
-          physical_[route[u]] += 1.0;
-        } else {
-          logical_hits_[logical_partition_of(u)] += 1.0;
-        }
-      }
-    }
-    for (PartitionId i = 0; i < k; ++i) {
-      const double e = eta(i);
-      scores_[i] = lambda * ((1.0 - e) * physical_[i] + e * logical_hits_[i]);
-    }
-
-    // In-neighbor expectation term (see spn.hpp for the Eq. 5 fidelity note).
-    if (options_.estimator == InNeighborEstimator::kSelf) {
-      if (gamma_.contains(v)) {
-        const std::uint32_t* row = gamma_data + gamma_.row_offset(v);
-        for (PartitionId i = 0; i < k; ++i) {
-          scores_[i] += (1.0 - lambda) * row[i];
-        }
-      }
-    } else {
-      for (const std::size_t offset : gamma_rows) {
-        const std::uint32_t* row = gamma_data + offset;
-        for (PartitionId i = 0; i < k; ++i) {
-          scores_[i] += (1.0 - lambda) * row[i];
-        }
-      }
-    }
-
-    compute_loads(config_.balance, vertex_counts_, edge_counts_, capacity_,
-                  edge_capacity_, scratch_.loads);
-    pid = weigh_and_pick(scores_, scratch_.loads, capacity_);
+    pid = score_record(reads, params_, v, out, scratch_);
   }
 
   {
@@ -156,43 +115,16 @@ PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
   }
 
   {
-    // The window cannot have moved since the scoring pass, so the stashed
-    // row offsets are still the live slots.
     PerfScope t(perf_, PerfStage::kGammaIncrement);
-    for (const std::size_t offset : gamma_rows) gamma_.increment_at(offset, pid);
+    for (VertexId u : out) {
+      if (gamma_.contains(u)) gamma_.increment_at(gamma_.row_offset(u), pid);
+    }
   }
   return pid;
 }
 
 bool SpnlPartitioner::apply_degradation(DegradationStage stage) {
-  const auto raise_to = [this](DegradationStage s) {
-    if (static_cast<int>(s) > static_cast<int>(stage_)) stage_ = s;
-  };
-  switch (stage) {
-    case DegradationStage::kShrinkWindow: {
-      const VertexId w = gamma_.window_size();
-      if (w <= 1) return false;
-      gamma_.shrink_to(w / 2);
-      raise_to(stage);
-      return true;
-    }
-    case DegradationStage::kCoarseSlide:
-      if (gamma_.slide_mode() == SlideMode::kCoarse || gamma_.window_size() <= 1) {
-        return false;
-      }
-      gamma_.set_slide_mode(SlideMode::kCoarse);
-      raise_to(stage);
-      return true;
-    case DegradationStage::kHashFallback:
-      if (hash_fallback_) return false;
-      hash_fallback_ = true;
-      gamma_.shrink_to(1);
-      raise_to(stage);
-      return true;
-    case DegradationStage::kNone:
-      break;
-  }
-  return false;
+  return apply_gamma_ladder(stage, gamma_, stage_, hash_fallback_);
 }
 
 void SpnlPartitioner::save_state(StateWriter& out) const {

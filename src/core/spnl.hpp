@@ -114,12 +114,8 @@ class SpnlPartitioner final : public GreedyStreamingBase {
   /// |V_i^lt|: logical members not yet physically placed (anywhere).
   std::vector<VertexId> logical_counts_;
   VertexId placed_total_ = 0;
-  /// Fused-kernel scratch (loads snapshot + stashed Γ row offsets) and the
-  /// per-partition physical/logical out-neighbor tallies, reused across
-  /// place() calls (previously function-local thread_local buffers).
-  ScoreKernelScratch scratch_;
-  std::vector<double> physical_;
-  std::vector<double> logical_hits_;
+  RecordParams params_;
+  RecordScratch<PlainReads::Row> scratch_;
   /// Deepest degradation rung applied (persisted across checkpoints).
   DegradationStage stage_ = DegradationStage::kNone;
   bool hash_fallback_ = false;

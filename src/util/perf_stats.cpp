@@ -7,19 +7,16 @@ namespace spnl {
 namespace {
 
 constexpr PerfStage kAllStages[kPerfStageCount] = {
-    PerfStage::kQueueWait,     PerfStage::kWindowAdvance,
-    PerfStage::kScore,         PerfStage::kCommit,
-    PerfStage::kGammaIncrement, PerfStage::kGammaPublish,
-    PerfStage::kQueueLockWait, PerfStage::kQueueLockHold};
+    PerfStage::kQueueWait,      PerfStage::kWindowAdvance, PerfStage::kScore,
+    PerfStage::kCommit,         PerfStage::kGammaIncrement,
+    PerfStage::kQueueLockWait,  PerfStage::kQueueLockHold};
 
 constexpr PerfCounter kAllCounters[kPerfCounterCount] = {
-    PerfCounter::kWatermarkCasRetries,   PerfCounter::kGammaHeadCasRetries,
-    PerfCounter::kGammaAdvanceContended, PerfCounter::kGammaDeltaPublishes,
-    PerfCounter::kGammaDeltaCells,       PerfCounter::kGammaDeltaDropped,
-    PerfCounter::kRctSharedContended,    PerfCounter::kRctExclusiveContended,
-    PerfCounter::kRctExclusiveAcquires,  PerfCounter::kRctClaimCasRetries,
-    PerfCounter::kRctDecrementCasRetries, PerfCounter::kQueueLockContended,
-    PerfCounter::kQueueLockAcquires};
+    PerfCounter::kWatermarkCasRetries,    PerfCounter::kGammaHeadCasRetries,
+    PerfCounter::kGammaAdvanceContended,  PerfCounter::kRctSharedContended,
+    PerfCounter::kRctExclusiveContended,  PerfCounter::kRctExclusiveAcquires,
+    PerfCounter::kRctClaimCasRetries,     PerfCounter::kRctDecrementCasRetries,
+    PerfCounter::kQueueLockContended,     PerfCounter::kQueueLockAcquires};
 
 }  // namespace
 
@@ -35,8 +32,6 @@ const char* perf_stage_name(PerfStage stage) {
       return "commit";
     case PerfStage::kGammaIncrement:
       return "gamma_increment";
-    case PerfStage::kGammaPublish:
-      return "gamma_publish";
     case PerfStage::kQueueLockWait:
       return "queue_lock_wait";
     case PerfStage::kQueueLockHold:
@@ -53,12 +48,6 @@ const char* perf_counter_name(PerfCounter counter) {
       return "gamma_head_cas_retries";
     case PerfCounter::kGammaAdvanceContended:
       return "gamma_advance_contended";
-    case PerfCounter::kGammaDeltaPublishes:
-      return "gamma_delta_publishes";
-    case PerfCounter::kGammaDeltaCells:
-      return "gamma_delta_cells";
-    case PerfCounter::kGammaDeltaDropped:
-      return "gamma_delta_dropped";
     case PerfCounter::kRctSharedContended:
       return "rct_shared_contended";
     case PerfCounter::kRctExclusiveContended:

@@ -10,7 +10,7 @@
 //
 // Besides the timed stages, PerfStats carries a plane of untimed COUNTERS
 // for contention observability in the lock-free parallel hot path: CAS
-// retries, contended lock acquisitions, and Γ delta-buffer merge traffic.
+// retries and contended lock acquisitions.
 // Counters are plain adds (no clock), so the structures that maintain them
 // (Rct, WatermarkTracker, BoundedQueue) can count on their slow paths and the
 // driver folds the totals in after the pipeline joins.
@@ -37,21 +37,17 @@ enum class PerfStage : unsigned {
   kScore,            ///< Eq. 5/6 scoring + partition selection
   kCommit,           ///< route/load bookkeeping after the decision
   kGammaIncrement,   ///< Γ row bumps for the placed vertex's out-neighbors
-  kGammaPublish,     ///< epoch-local Γ delta merges into the shared window
   kQueueLockWait,    ///< time blocked acquiring the bounded queue's mutex
   kQueueLockHold,    ///< time holding the bounded queue's mutex
 };
 
-inline constexpr std::size_t kPerfStageCount = 8;
+inline constexpr std::size_t kPerfStageCount = 7;
 
 /// Untimed contention counters for the lock-free parallel hot path.
 enum class PerfCounter : unsigned {
   kWatermarkCasRetries = 0,  ///< failed CAS advances of the completion watermark
   kGammaHeadCasRetries,      ///< failed fetch-max CASes on the Γ pending head
   kGammaAdvanceContended,    ///< Γ slides ceded because another worker held the lock
-  kGammaDeltaPublishes,      ///< epoch-local delta buffers merged into the window
-  kGammaDeltaCells,          ///< non-zero delta cells published
-  kGammaDeltaDropped,        ///< delta cells dropped (row retired before publish)
   kRctSharedContended,       ///< contended shared (reader) shard acquisitions
   kRctExclusiveContended,    ///< contended exclusive (writer) shard acquisitions
   kRctExclusiveAcquires,     ///< total exclusive shard acquisitions (hot path)
@@ -61,7 +57,7 @@ enum class PerfCounter : unsigned {
   kQueueLockAcquires,        ///< total bounded-queue mutex acquisitions
 };
 
-inline constexpr std::size_t kPerfCounterCount = 13;
+inline constexpr std::size_t kPerfCounterCount = 10;
 
 /// Stable lower-case stage name (used by report() and to_json()).
 const char* perf_stage_name(PerfStage stage);

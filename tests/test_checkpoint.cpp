@@ -465,20 +465,16 @@ TEST_F(CheckpointTest, KillAndResumeParallelDriverIsByteIdentical) {
   }
 }
 
-TEST_F(CheckpointTest, KillAndResumeMidEpochDeltaIsByteIdentical) {
-  // Lock-free hot path with a deliberately awkward cadence: epoch length 10
-  // does not divide checkpoint_every=512 and the 8-row delta buffer also
-  // publishes on fullness, so every checkpoint quiesce lands MID-EPOCH with
-  // a part-full delta buffer. The quiesce drain must publish every worker's
-  // buffer (worker-index order) before the snapshot, or the resumed run
-  // starts from an under-counted Γ window and diverges.
+TEST_F(CheckpointTest, KillAndResumeParallelWindowedGammaIsByteIdentical) {
+  // A sliding Γ window (X = 4 shards) whose base has moved at every
+  // snapshot, at a cadence (300) that the kill points do not align with:
+  // the snapshot must carry the window base and its live rows, or the
+  // resumed run starts from a different Γ estimate and diverges.
   const Graph g = test_graph();
   const PartitionConfig config{.num_partitions = 8};
   ParallelOptions base;
   base.num_threads = 1;
-  base.hot_path = HotPathMode::kLockFree;
-  base.gamma_epoch_records = 10;
-  base.gamma_delta_rows = 8;
+  base.spnl.num_shards = 4;
 
   std::vector<PartitionId> reference;
   {
@@ -491,19 +487,22 @@ TEST_F(CheckpointTest, KillAndResumeMidEpochDeltaIsByteIdentical) {
                                       std::uint64_t{2700}}) {
     {
       ParallelOptions opts = base;
-      opts.checkpoint_path = path("par-epoch.ckpt");
-      opts.checkpoint_every = 512;
+      opts.checkpoint_path = path("par-window.ckpt");
+      opts.checkpoint_every = 300;
       InMemoryStream inner(g);
       TruncatedStream stream(inner, kill_at);
       const auto partial = run_parallel(stream, config, opts);
-      EXPECT_GE(partial.checkpoints_written, kill_at / 512);
+      EXPECT_GE(partial.checkpoints_written, kill_at / 300);
     }
     ParallelOptions opts = base;
-    opts.resume_from = path("par-epoch.ckpt");
+    opts.resume_from = path("par-window.ckpt");
     InMemoryStream stream(g);
     const auto resumed = run_parallel(stream, config, opts);
+    // Batches of 64 step over the multiples of 300; the snapshot lands on
+    // the first batch boundary past the last one.
+    EXPECT_GE(resumed.resumed_at, (kill_at / 300) * 300);
     EXPECT_EQ(resumed.route, reference)
-        << "mid-epoch resume diverged at kill point " << kill_at;
+        << "windowed resume diverged at kill point " << kill_at;
   }
 }
 

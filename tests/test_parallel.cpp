@@ -232,6 +232,40 @@ TEST(Parallel, SingleWorkerRouteMatchesSequentialSpnl) {
   EXPECT_EQ(configs, 32);
 }
 
+TEST(Parallel, SingleWorkerRouteMatchesSequentialSpn) {
+  // Parallel SPN (use_locality=false) scores through the kernel's SPN branch,
+  // which adds λ once per placed out-neighbor as SpnPartitioner does, so at
+  // M=1 the routes are equal byte for byte. λ = 0.3 and 0.9 are the values
+  // where λ·count and a repeated += λ round differently.
+  const Graph g = crawl(4000, 63);
+  const PartitionConfig config{.num_partitions = 8};
+  int configs = 0;
+  for (const double lambda : {0.5, 0.3, 0.9}) {
+    for (const auto estimator :
+         {InNeighborEstimator::kSelf, InNeighborEstimator::kNeighborSum}) {
+      for (const std::uint32_t shards : {1u, 4u}) {
+        ++configs;
+        SpnPartitioner sequential(
+            g.num_vertices(), g.num_edges(), config,
+            SpnOptions{.lambda = lambda, .num_shards = shards, .estimator = estimator});
+        InMemoryStream seq_stream(g);
+        const auto expected = run_streaming(seq_stream, sequential).route;
+        ASSERT_TRUE(is_complete_assignment(expected, 8));
+        InMemoryStream stream(g);
+        ParallelOptions options;
+        options.num_threads = 1;
+        options.use_locality = false;
+        options.spnl = SpnlOptions{
+            .lambda = lambda, .num_shards = shards, .estimator = estimator};
+        EXPECT_EQ(run_parallel(stream, config, options).route, expected)
+            << "lambda=" << lambda << " estimator=" << static_cast<int>(estimator)
+            << " shards=" << shards;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 12);
+}
+
 TEST(Parallel, UntrackedOverflowSurfacesInResult) {
   // Admission is global now, so a refusal means the whole table was full —
   // not just one stripe. A deliberately undersized RCT (ε = 0.25 with four
@@ -309,56 +343,11 @@ TEST(Parallel, BatchedFuzzRaceStaysValidBalancedAndNearOracle) {
   EXPECT_EQ(configs, 24);
 }
 
-TEST(Parallel, EpochDeltaM1ByteIdentityFuzz) {
-  // The tentpole proof for the epoch-local Γ delta path: at M=1 the
-  // buffered route must be BYTE-IDENTICAL to the eager striped baseline for
-  // every delta-buffer size, epoch cadence and batch size. The worker reads
-  // its own unpublished delta on top of the shared counters (summed in
-  // uint64 before the one double conversion), so publish timing is
-  // unobservable — any divergence here means the read-your-own-writes
-  // overlay or the retired-row drop rule is wrong.
-  const Graph g = crawl(4000, 51);
-  const PartitionConfig config{.num_partitions = 8};
-
-  std::vector<PartitionId> reference;
-  {
-    InMemoryStream stream(g);
-    ParallelOptions options;
-    options.num_threads = 1;
-    options.hot_path = HotPathMode::kStriped;
-    reference = run_parallel(stream, config, options).route;
-  }
-  ASSERT_TRUE(is_complete_assignment(reference, 8));
-
-  int configs = 0;
-  for (const std::size_t rows : {std::size_t{4}, std::size_t{64}, std::size_t{256}}) {
-    for (const std::uint64_t epoch : {std::uint64_t{0}, std::uint64_t{1},
-                                      std::uint64_t{7}, std::uint64_t{64}}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-        ++configs;
-        InMemoryStream stream(g);
-        ParallelOptions options;
-        options.num_threads = 1;
-        options.hot_path = HotPathMode::kLockFree;
-        options.gamma_delta_rows = rows;
-        options.gamma_epoch_records = epoch;
-        options.batch_size = batch;
-        const auto result = run_parallel(stream, config, options);
-        EXPECT_EQ(result.route, reference)
-            << "rows=" << rows << " epoch=" << epoch << " batch=" << batch;
-      }
-    }
-  }
-  EXPECT_EQ(configs, 24);
-}
-
-TEST(Parallel, EpochMergeMultiWorkerFuzzStaysValidAndNearOracle) {
-  // Satellite fuzz: M ∈ {2, 4, 8} with varied epoch cadences and delta
-  // buffer sizes (including a 4-row buffer that publishes on fullness
-  // constantly, and cadence 1 that publishes every commit). Routes are
-  // schedule-dependent at M > 1, so the contract is structural: complete
-  // in-range assignment, capacity balance, and edge-cut equivalence to the
-  // sequential oracle.
+TEST(Parallel, MultiWorkerFuzzStaysValidAndNearOracle) {
+  // M ∈ {2, 4, 8} × batch ∈ {5, 64}, every worker incrementing the shared Γ
+  // window eagerly. Routes are schedule-dependent at M > 1, so the contract
+  // is structural: complete in-range assignment, capacity balance, and
+  // edge-cut equivalence to the sequential oracle.
   const Graph g = crawl(4000, 53);
   const PartitionId k = 8;
   const PartitionConfig config{.num_partitions = k};
@@ -375,75 +364,63 @@ TEST(Parallel, EpochMergeMultiWorkerFuzzStaysValidAndNearOracle) {
 
   int configs = 0;
   for (const unsigned threads : {2u, 4u, 8u}) {
-    for (const std::uint64_t epoch : {std::uint64_t{1}, std::uint64_t{16}}) {
-      for (const std::size_t rows : {std::size_t{4}, std::size_t{128}}) {
-        for (const std::size_t batch : {std::size_t{5}, std::size_t{64}}) {
-          ++configs;
-          InMemoryStream stream(g);
-          ParallelOptions options;
-          options.num_threads = threads;
-          options.gamma_epoch_records = epoch;
-          options.gamma_delta_rows = rows;
-          options.batch_size = batch;
-          const auto result = run_parallel(stream, config, options);
-          const std::string label = "threads=" + std::to_string(threads) +
-                                    " epoch=" + std::to_string(epoch) +
-                                    " rows=" + std::to_string(rows) +
-                                    " batch=" + std::to_string(batch);
-          EXPECT_TRUE(is_complete_assignment(result.route, k)) << label;
-          const auto metrics = evaluate_partition(g, result.route, k);
-          EXPECT_LE(metrics.delta_v, 1.2) << label;
-          EXPECT_LE(metrics.ecr, oracle + std::max(0.05 * oracle, 0.04))
-              << label;
-        }
-      }
+    for (const std::size_t batch : {std::size_t{5}, std::size_t{64}}) {
+      ++configs;
+      InMemoryStream stream(g);
+      ParallelOptions options;
+      options.num_threads = threads;
+      options.batch_size = batch;
+      const auto result = run_parallel(stream, config, options);
+      const std::string label =
+          "threads=" + std::to_string(threads) + " batch=" + std::to_string(batch);
+      EXPECT_TRUE(is_complete_assignment(result.route, k)) << label;
+      const auto metrics = evaluate_partition(g, result.route, k);
+      EXPECT_LE(metrics.delta_v, 1.2) << label;
+      EXPECT_LE(metrics.ecr, oracle + std::max(0.05 * oracle, 0.04)) << label;
     }
   }
-  EXPECT_EQ(configs, 24);
+  EXPECT_EQ(configs, 6);
 }
 
-TEST(Parallel, ContentionReportDistinguishesHotPathModes) {
-  // The ContentionReport must show the structural difference between the
-  // disciplines: lock-free merges Γ deltas (publishes > 0) and takes far
-  // fewer exclusive RCT locks; striped never touches the delta path. The
-  // RCT tallies are always-on; queue/Γ tallies need the perf sink.
-  const Graph g = crawl(10000, 57);
+TEST(Parallel, ContentionReportBoundsRctAndQueueTraffic) {
+  // The RCT locks a shard exclusively only to erase a tracked entry (at most
+  // one per record), to park and unpark a delayed record, and a bounded
+  // number of times to grow or scan its tables — never per bump or
+  // registration. The queue tallies need the perf sink; every record
+  // crosses the queue, so the instrumented run counts its mutex.
+  const VertexId n = 10000;
+  const Graph g = crawl(n, 57);
   const PartitionConfig config{.num_partitions = 8};
 
-  auto run_mode = [&](HotPathMode mode) {
-    InMemoryStream stream(g);
-    PerfStats perf;
-    ParallelOptions options;
-    options.num_threads = 4;
-    options.hot_path = mode;
-    options.perf = &perf;
-    return run_parallel(stream, config, options).contention;
-  };
-  const ContentionReport lockfree = run_mode(HotPathMode::kLockFree);
-  const ContentionReport striped = run_mode(HotPathMode::kStriped);
+  InMemoryStream stream(g);
+  PerfStats perf;
+  ParallelOptions options;
+  options.num_threads = 4;
+  options.perf = &perf;
+  const auto result = run_parallel(stream, config, options);
+  const ContentionReport& c = result.contention;
 
-  EXPECT_GT(lockfree.gamma_delta_publishes, 0u);
-  EXPECT_GT(lockfree.gamma_delta_cells, 0u);
-  EXPECT_EQ(striped.gamma_delta_publishes, 0u);
-  EXPECT_GT(lockfree.rct_exclusive_acquires, 0u);
-  EXPECT_LT(lockfree.rct_exclusive_acquires, striped.rct_exclusive_acquires);
-  // Both modes cross the bounded queue; the instrumented run tallies every
-  // mutex acquisition.
-  EXPECT_GT(lockfree.queue_lock_acquires, 0u);
-  EXPECT_GT(striped.queue_lock_acquires, 0u);
+  EXPECT_GT(c.rct_exclusive_acquires, 0u);
+  EXPECT_LE(c.rct_exclusive_acquires, n + 2 * result.delayed_vertices + 64);
+  EXPECT_GT(c.queue_lock_acquires, 0u);
+  // One push and one pop per batch of at most 64 records, plus the wakeups.
+  EXPECT_LE(c.queue_lock_acquires, 2 * n + 64);
 }
 
 TEST(Parallel, ContentionReportRctTalliesAreAlwaysOn) {
   // Without a perf sink the instrumented tallies read zero but the RCT's
   // own relaxed-atomic counters still populate the report.
-  const Graph g = crawl(5000, 59);
+  const VertexId n = 5000;
+  const Graph g = crawl(n, 59);
   InMemoryStream stream(g);
   ParallelOptions options;
   options.num_threads = 2;
   const auto result = run_parallel(stream, {.num_partitions = 8}, options);
   EXPECT_GT(result.contention.rct_exclusive_acquires, 0u);
+  EXPECT_LE(result.contention.rct_exclusive_acquires,
+            n + 2 * result.delayed_vertices + 64);
   EXPECT_EQ(result.contention.queue_lock_acquires, 0u);
-  EXPECT_EQ(result.contention.gamma_delta_publishes, 0u);
+  EXPECT_EQ(result.contention.watermark_cas_retries, 0u);
 }
 
 }  // namespace

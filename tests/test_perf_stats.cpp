@@ -54,7 +54,6 @@ TEST(PerfStats, StageNamesAreStable) {
   EXPECT_STREQ(perf_stage_name(PerfStage::kScore), "score");
   EXPECT_STREQ(perf_stage_name(PerfStage::kCommit), "commit");
   EXPECT_STREQ(perf_stage_name(PerfStage::kGammaIncrement), "gamma_increment");
-  EXPECT_STREQ(perf_stage_name(PerfStage::kGammaPublish), "gamma_publish");
   EXPECT_STREQ(perf_stage_name(PerfStage::kQueueLockWait), "queue_lock_wait");
   EXPECT_STREQ(perf_stage_name(PerfStage::kQueueLockHold), "queue_lock_hold");
 }
@@ -66,12 +65,6 @@ TEST(PerfStats, CounterNamesAreStable) {
                "gamma_head_cas_retries");
   EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaAdvanceContended),
                "gamma_advance_contended");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaDeltaPublishes),
-               "gamma_delta_publishes");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaDeltaCells),
-               "gamma_delta_cells");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaDeltaDropped),
-               "gamma_delta_dropped");
   EXPECT_STREQ(perf_counter_name(PerfCounter::kRctSharedContended),
                "rct_shared_contended");
   EXPECT_STREQ(perf_counter_name(PerfCounter::kRctExclusiveContended),
@@ -115,17 +108,17 @@ TEST(PerfStats, JsonHasExpectedShape) {
       << json;
   // Every stage present, object properly closed.
   for (const char* name : {"queue_wait", "window_advance", "score", "commit",
-                           "gamma_increment", "gamma_publish",
-                           "queue_lock_wait", "queue_lock_hold"}) {
+                           "gamma_increment", "queue_lock_wait",
+                           "queue_lock_hold"}) {
     EXPECT_NE(json.find(std::string("\"stage\":\"") + name), std::string::npos)
         << json;
   }
   // The counter plane is always emitted in full (zeros included) so JSON
   // consumers never have to special-case missing keys.
-  stats.add_count(PerfCounter::kGammaDeltaPublishes, 6);
+  stats.add_count(PerfCounter::kRctClaimCasRetries, 6);
   const std::string with_counters = stats.to_json();
   EXPECT_NE(with_counters.find(
-                "\"counter\":\"gamma_delta_publishes\",\"value\":6"),
+                "\"counter\":\"rct_claim_cas_retries\",\"value\":6"),
             std::string::npos)
       << with_counters;
   EXPECT_NE(with_counters.find(
@@ -141,8 +134,8 @@ TEST(PerfStats, ReportMentionsEveryStage) {
   stats.add(PerfStage::kGammaIncrement, 1000, 10);
   const std::string report = stats.report();
   for (const char* name : {"queue_wait", "window_advance", "score", "commit",
-                           "gamma_increment", "gamma_publish",
-                           "queue_lock_wait", "queue_lock_hold"}) {
+                           "gamma_increment", "queue_lock_wait",
+                           "queue_lock_hold"}) {
     EXPECT_NE(report.find(name), std::string::npos) << report;
   }
   // A sequential run has structurally-zero contention counters; the human

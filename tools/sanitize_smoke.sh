@@ -139,28 +139,22 @@ mkdir -p "${smoke_dir}"
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.2 --memory-budget=64K \
   --perf-json="${smoke_dir}/perf_degraded.json" --quiet
-# Lock-free hot path under maximum merge pressure: a tiny queue and batch=1
-# force constant producer/worker lock handoff, epoch cadence 1 publishes a Γ
-# delta on every commit, and an 8-row buffer adds the buffer-full publish
-# path on top — so TSan sees the CAS claim/decrement loops, the wait-free
-# watermark advance, and delta merges interleaved as densely as possible.
-# The striped baseline run keeps PR 4's exclusive-stripe interleavings
-# covered now that lockfree is the default.
+# The parallel hot path under maximum handoff pressure: batch=1 forces
+# constant producer/worker lock handoff, so TSan sees the RCT's CAS
+# claim/decrement loops, the eager Γ fetch_adds and the wait-free watermark
+# advance interleaved as densely as possible.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --threads=4 --batch-size=1 --hot-path=lockfree \
+  --algo=spnl --threads=4 --batch-size=1 \
   --perf-json="${smoke_dir}/perf_lockfree.json" --quiet
-"${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --threads=4 --batch-size=16 --hot-path=striped --quiet
-# Mid-epoch checkpoint quiesce + resume under the sanitizer: the producer
-# drains every worker's delta buffer in worker-index order while workers are
-# parked at the pipeline lock.
+# Checkpoint quiesce + resume under the sanitizer: the producer snapshots
+# the shared state while workers are parked at the pipeline lock.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --checkpoint="${smoke_dir}/lf.ckpt" \
   --checkpoint-every=5000 --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --resume-from="${smoke_dir}/lf.ckpt" --quiet
-grep -q '"hot_path":"lockfree"' "${smoke_dir}/perf_lockfree.json"
-grep -q '"gamma_delta_publishes"' "${smoke_dir}/perf_lockfree.json"
+grep -q '"rct_exclusive_acquires"' "${smoke_dir}/perf_lockfree.json"
+grep -q '"watermark_cas_retries"' "${smoke_dir}/perf_lockfree.json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   "${smoke_dir}/perf_parallel.json" 2>/dev/null \
   || grep -q '"total_nanos"' "${smoke_dir}/perf_parallel.json"

@@ -118,8 +118,8 @@ int usage() {
                "[--out=route.txt]\n"
                "  [--lambda=0.5] [--shards=0] [--balance=vertex|edge] "
                "[--slack=1.1]\n"
-               "  [--threads=1] [--batch-size=64] [--hot-path=lockfree|striped]"
-               " [--passes=1] [--buffer=0] [--prepass=none|2ps] "
+               "  [--threads=1] [--batch-size=64] [--passes=1] [--buffer=0] "
+               "[--prepass=none|2ps] "
                "[--window=0] [--format=adj|edgelist|binary|sadj]\n"
                "  [--reader=buffered|mmap] [--stream] [--quiet]\n"
                "  [--checkpoint=ckpt.bin] [--checkpoint-every=N] "
@@ -297,10 +297,6 @@ int main(int argc, char** argv) {
     // Parsed eagerly (not just on the --threads>1 path) so a malformed
     // --batch-size fails fast in every mode.
     const auto batch_size = args.get_int("batch-size", 64);
-    const std::string hot_path = args.get("hot-path", "lockfree");
-    if (hot_path != "lockfree" && hot_path != "striped") {
-      throw std::runtime_error("--hot-path: want lockfree|striped");
-    }
     const int passes = static_cast<int>(args.get_int("passes", 1));
     const auto buffer = static_cast<VertexId>(args.get_int("buffer", 0));
     const auto window = static_cast<VertexId>(args.get_int("window", 0));
@@ -542,8 +538,6 @@ int main(int argc, char** argv) {
       // than a failure deep inside run_parallel.
       options.batch_size =
           validated_batch_size(batch_size, options.queue_capacity);
-      options.hot_path = hot_path == "striped" ? HotPathMode::kStriped
-                                               : HotPathMode::kLockFree;
       options.spnl.lambda = lambda;
       options.spnl.num_shards = shards;
       options.checkpoint_path = checkpoint_path;
@@ -732,7 +726,6 @@ int main(int argc, char** argv) {
         json += ",\"parallel\":{\"delayed\":" + std::to_string(delayed_vertices) +
                 ",\"forced\":" + std::to_string(forced_vertices) +
                 ",\"untracked_overflow\":" + std::to_string(untracked_overflow) +
-                ",\"hot_path\":\"" + hot_path + "\"" +
                 ",\"contention\":{" +
                 "\"rct_shared_contended\":" +
                 std::to_string(c.rct_shared_contended) +
@@ -752,12 +745,6 @@ int main(int argc, char** argv) {
                 std::to_string(c.queue_lock_wait_nanos) +
                 ",\"queue_lock_hold_nanos\":" +
                 std::to_string(c.queue_lock_hold_nanos) +
-                ",\"gamma_delta_publishes\":" +
-                std::to_string(c.gamma_delta_publishes) +
-                ",\"gamma_delta_cells\":" +
-                std::to_string(c.gamma_delta_cells) +
-                ",\"gamma_delta_dropped\":" +
-                std::to_string(c.gamma_delta_dropped) +
                 ",\"gamma_head_cas_retries\":" +
                 std::to_string(c.gamma_head_cas_retries) +
                 ",\"gamma_advance_contended\":" +
