@@ -191,10 +191,11 @@ int main(int argc, char** argv) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\":\"ingest\",\"n\":%u,\"k\":%u,\"reps\":%d,"
-                "\"text_bytes\":%llu,\"sadj_bytes\":%llu,\"readers\":[",
+                "\"text_bytes\":%llu,\"sadj_bytes\":%llu,",
                 n, k, reps, static_cast<unsigned long long>(text_bytes),
                 static_cast<unsigned long long>(sadj_bytes));
   json += buf;
+  json += "\"host\":" + host_stamp_json() + ",\"readers\":[";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ReaderPoint& point = points[i];
     std::snprintf(buf, sizeof(buf),

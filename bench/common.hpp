@@ -5,9 +5,13 @@
 #pragma once
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "core/spn.hpp"
@@ -100,6 +104,57 @@ inline std::string fmt_pt(double seconds) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", seconds);
   return buf;
+}
+
+/// First line of `command`'s stdout, "" when it fails.
+inline std::string command_line_output(const std::string& command) {
+  std::string out;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) out = buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out;
+}
+
+/// Where a bench figure came from, as a JSON object: hardware threads, CPU
+/// model, build type, compiler, and the git sha of the source tree the bench
+/// was built from ("-dirty" when tracked files differ from it).
+inline std::string host_stamp_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  // Only the source tree's own repository counts, not one it sits inside.
+  const std::string git = std::string("git -C '") + SPNL_SOURCE_DIR + "' ";
+  const std::string top = command_line_output(git + "rev-parse --show-toplevel 2>/dev/null");
+  std::error_code error;
+  std::string sha;
+  if (!top.empty() && std::filesystem::equivalent(top, SPNL_SOURCE_DIR, error)) {
+    sha = command_line_output(git + "rev-parse --short=12 HEAD 2>/dev/null");
+  }
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (!command_line_output(git + "status --porcelain --untracked-files=no "
+                                        "2>/dev/null").empty()) {
+    sha += "-dirty";
+  }
+  auto quoted = [](const std::string& text) {
+    std::string out = "\"";
+    for (char c : text) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  };
+  return "{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"cpu\":" + quoted(cpu) + ",\"build_type\":" + quoted(SPNL_BUILD_TYPE) +
+         ",\"compiler\":" + quoted(__VERSION__) + ",\"git_sha\":" + quoted(sha) + "}";
 }
 
 inline void print_header(const char* what) {

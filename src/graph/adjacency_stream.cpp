@@ -1,11 +1,20 @@
 #include "graph/adjacency_stream.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <charconv>
+#include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "graph/io.hpp"
 #include "util/checked_io.hpp"
+#include "util/ordered_prefetch.hpp"
 
 namespace spnl {
 
@@ -124,82 +133,282 @@ void BadRecordQuarantine::record(const std::string& line,
   }
 }
 
+// One parsed slice: the records whose lines start inside it, plus the
+// malformed lines and "# V <n> E <m>" headers among them, each placed before
+// the record that follows it in the file.
+struct FileAdjacencyStream::Slice {
+  struct Event {
+    std::size_t before = 0;  // index of the record after this line
+    bool header = false;
+    VertexId n = 0;          // header counts
+    EdgeId m = 0;
+    std::string line;        // malformed line, verbatim
+  };
+
+  std::vector<char> bytes;          // raw text, one byte of lookbehind
+  std::vector<VertexId> ids;
+  std::vector<std::size_t> ends;    // row r is targets[ends[r-1], ends[r])
+  std::vector<VertexId> targets;
+  std::vector<Event> events;
+  std::size_t accounted_bytes = 0;  // capacity last added to the footprint
+
+  std::size_t row_begin(std::size_t r) const { return r == 0 ? 0 : ends[r - 1]; }
+  std::size_t capacity_bytes() const {
+    return bytes.capacity() + ids.capacity() * sizeof(VertexId) +
+           ends.capacity() * sizeof(std::size_t) +
+           targets.capacity() * sizeof(VertexId);
+  }
+};
+
+// One pass over the file: its descriptor and the helpers parsing slices
+// ahead of the consumer.
+class FileAdjacencyStream::Pass {
+ public:
+  /// The pre-scan stops parsing a slice at its first header, the only line
+  /// it still needs.
+  Pass(const std::string& path, const char* open_error, bool prescan)
+      : path_(path), prescan_(prescan), fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    struct stat st {};
+    if (fd_.fd < 0 || ::fstat(fd_.fd, &st) != 0) {
+      throw std::runtime_error(std::string("FileAdjacencyStream: ") + open_error +
+                               " " + path);
+    }
+    size_ = static_cast<std::uint64_t>(st.st_size);
+    const std::size_t slices = (size_ + kSliceBytes - 1) / kSliceBytes;
+    slices_.emplace(slices, prefetch_helpers(),
+                    [this](std::size_t index, Slice& slice) { parse(index, slice); });
+  }
+
+  ~Pass() { stop_.store(true, std::memory_order_relaxed); }
+
+  /// The next slice in file order, nullptr at EOF. Throws IoError on a read
+  /// error in that slice.
+  const Slice* next_slice() { return slices_->next(); }
+
+  std::size_t footprint_bytes() const {
+    return footprint_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Fd {
+    int fd;
+    explicit Fd(int f) : fd(f) {}
+    Fd(const Fd&) = delete;
+    Fd& operator=(const Fd&) = delete;
+    ~Fd() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+
+  // Reads up to `size` bytes at `offset`; fewer only at EOF (a file that
+  // shrank mid-pass simply ends early, as a buffered read would).
+  std::size_t read_at(char* out, std::size_t size, std::uint64_t offset) const {
+    std::size_t done = 0;
+    while (done < size) {
+      const ssize_t n = ::pread(fd_.fd, out + done, size - done,
+                                static_cast<off_t>(offset + done));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw IoError("FileAdjacencyStream: read error: " + path_ + ": " +
+                      std::strerror(errno));
+      }
+      if (n == 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    return done;
+  }
+
+  // Fills slice.bytes with the lines that start in [begin, end) of the file,
+  // the last one read up to its newline past `end`, and returns the offset
+  // in slice.bytes of the first of them (bytes.size() when none starts
+  // here: a line longer than a slice belongs to the slice it starts in).
+  std::size_t read_slice(std::size_t index, Slice& slice) const {
+    const std::uint64_t begin = index * kSliceBytes;
+    const std::uint64_t end = std::min<std::uint64_t>(begin + kSliceBytes, size_);
+    const std::uint64_t from = begin == 0 ? 0 : begin - 1;
+    slice.bytes.resize(end - from);
+    slice.bytes.resize(read_at(slice.bytes.data(), slice.bytes.size(), from));
+    std::size_t first = 0;
+    if (begin > 0) {
+      // A line starts at o iff byte o-1 is '\n'; o must lie in [begin, end).
+      const std::size_t look = slice.bytes.empty() ? 0 : slice.bytes.size() - 1;
+      const void* nl = std::memchr(slice.bytes.data(), '\n', look);
+      if (nl == nullptr) return slice.bytes.size();
+      first = static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                       slice.bytes.data()) + 1;
+    }
+    if (slice.bytes.size() < end - from ||
+        (!slice.bytes.empty() && slice.bytes.back() == '\n')) {
+      return first;
+    }
+    // Finish the last line from the next slice's bytes.
+    constexpr std::size_t kTail = 64 * 1024;
+    std::uint64_t offset = from + slice.bytes.size();
+    for (;;) {
+      const std::size_t old = slice.bytes.size();
+      slice.bytes.resize(old + kTail);
+      const std::size_t got = read_at(slice.bytes.data() + old, kTail, offset);
+      const void* nl = std::memchr(slice.bytes.data() + old, '\n', got);
+      if (nl != nullptr) {
+        slice.bytes.resize(static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                                    slice.bytes.data()) + 1);
+        return first;
+      }
+      slice.bytes.resize(old + got);
+      if (got < kTail) return first;  // EOF
+      offset += got;
+    }
+  }
+
+  void parse(std::size_t index, Slice& slice) {
+    slice.ids.clear();
+    slice.ends.clear();
+    slice.targets.clear();
+    slice.events.clear();
+    const std::size_t first = read_slice(index, slice);
+    const char* p = slice.bytes.data() + first;
+    const char* const end = slice.bytes.data() + slice.bytes.size();
+    while (p < end && !stop_.load(std::memory_order_relaxed)) {
+      const char* nl = static_cast<const char*>(std::memchr(p, '\n', end - p));
+      const char* const line_end = nl == nullptr ? end : nl;
+      parse_line(p, line_end, slice);
+      if (prescan_ && !slice.events.empty() && slice.events.back().header) break;
+      p = nl == nullptr ? end : nl + 1;
+    }
+    const std::size_t capacity = slice.capacity_bytes();
+    footprint_.fetch_add(capacity - slice.accounted_bytes, std::memory_order_relaxed);
+    slice.accounted_bytes = capacity;
+  }
+
+  // Same grammar as parse_ids: ' ', '\t' and '\r' separate unsigned ids;
+  // a line of separators only is blank; anything else is malformed.
+  static void parse_line(const char* p, const char* end, Slice& slice) {
+    if (p == end) return;
+    if (*p == '#') {
+      unsigned long long n = 0, m = 0;
+      if (std::sscanf(std::string(p, end).c_str(), "# V %llu E %llu", &n, &m) == 2) {
+        slice.events.push_back({slice.ids.size(), true, static_cast<VertexId>(n), m, {}});
+      }
+      return;
+    }
+    const std::size_t mark = slice.targets.size();
+    const char* q = p;
+    bool have_id = false;
+    VertexId id = 0;
+    for (;;) {
+      while (q < end && (*q == ' ' || *q == '\t' || *q == '\r')) ++q;
+      if (q >= end) break;
+      VertexId value = 0;
+      const auto [next, ec] = std::from_chars(q, end, value);
+      if (ec != std::errc()) {
+        slice.targets.resize(mark);
+        slice.events.push_back({slice.ids.size(), false, 0, 0, std::string(p, end)});
+        return;
+      }
+      if (have_id) {
+        slice.targets.push_back(value);
+      } else {
+        id = value;
+        have_id = true;
+      }
+      q = next;
+    }
+    if (!have_id) return;  // blank
+    slice.ids.push_back(id);
+    slice.ends.push_back(slice.targets.size());
+  }
+
+  const std::string path_;
+  const bool prescan_;
+  const Fd fd_;
+  std::uint64_t size_ = 0;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> footprint_{0};
+  std::optional<OrderedPrefetch<Slice>> slices_;  // last: joined first
+};
+
 FileAdjacencyStream::FileAdjacencyStream(const std::string& path,
                                          StreamHardeningOptions hardening)
     : path_(path), quarantine_(std::move(hardening)) {
-  std::ifstream scan(path_);
-  if (!scan) throw std::runtime_error("FileAdjacencyStream: cannot open " + path_);
-
-  // Look for a "# V <n> E <m>" header on the first comment lines; otherwise
-  // pre-scan for counts. In quarantine mode malformed lines are skipped
-  // silently here — the streaming pass is the one that counts and logs them,
-  // so the counts stay consistent with what next() will emit.
-  bool have_header = false;
-  std::string line;
-  std::vector<VertexId> ids;
-  auto malformed = [&](const std::string& bad) {
-    if (quarantine_.enabled()) return;  // skip; next() quarantines it
-    throw std::runtime_error("FileAdjacencyStream: malformed line in " + path_ +
-                             ": " + bad);
-  };
-  while (std::getline(scan, line)) {
-    if (!line.empty() && line[0] == '#') {
-      unsigned long long n = 0, m = 0;
-      if (std::sscanf(line.c_str(), "# V %llu E %llu", &n, &m) == 2) {
-        num_vertices_ = static_cast<VertexId>(n);
-        num_edges_ = m;
-        have_header = true;
-        break;
+  // A "# V <n> E <m>" header comment ends the pre-scan and sets the counts;
+  // without one, every line is counted. In quarantine mode malformed lines
+  // are skipped silently here — the streaming pass is the one that counts
+  // and logs them, so the counts stay consistent with what next() will emit.
+  {
+    Pass scan(path_, "cannot open", /*prescan=*/true);
+    bool have_header = false;
+    while (const Slice* slice = have_header ? nullptr : scan.next_slice()) {
+      std::size_t r = 0;
+      auto count_records = [&](std::size_t upto) {
+        if (r == upto) return;
+        for (std::size_t i = r; i < upto; ++i) {
+          num_vertices_ = std::max(num_vertices_, slice->ids[i] + 1);
+        }
+        const std::size_t begin = slice->row_begin(r);
+        const std::size_t end = slice->ends[upto - 1];
+        for (std::size_t e = begin; e < end; ++e) {
+          num_vertices_ = std::max(num_vertices_, slice->targets[e] + 1);
+        }
+        num_edges_ += end - begin;
+        r = upto;
+      };
+      for (const Slice::Event& event : slice->events) {
+        count_records(event.before);
+        if (event.header) {
+          num_vertices_ = event.n;
+          num_edges_ = event.m;
+          have_header = true;
+          break;
+        }
+        if (!quarantine_.enabled()) {
+          throw std::runtime_error("FileAdjacencyStream: malformed line in " + path_ +
+                                   ": " + event.line);
+        }
       }
-      continue;
-    }
-    if (!parse_ids(line, ids) || ids.empty()) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      malformed(line);
-      continue;
-    }
-    num_vertices_ = std::max(num_vertices_, ids[0] + 1);
-    num_edges_ += ids.size() - 1;
-  }
-  if (!have_header) {
-    // finish the pre-scan
-    while (std::getline(scan, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      if (!parse_ids(line, ids) || ids.empty()) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        malformed(line);
-        continue;
-      }
-      num_vertices_ = std::max(num_vertices_, ids[0] + 1);
-      num_edges_ += ids.size() - 1;
+      if (!have_header) count_records(slice->ids.size());
     }
   }
   reset();
 }
 
+FileAdjacencyStream::~FileAdjacencyStream() = default;
+
 void FileAdjacencyStream::reset() {
-  in_ = std::ifstream(path_);
-  if (!in_) throw std::runtime_error("FileAdjacencyStream: cannot reopen " + path_);
+  slice_ = nullptr;
+  pass_.reset();
+  pass_ = std::make_unique<Pass>(path_, "cannot reopen", /*prescan=*/false);
   quarantine_.reset_count();
 }
 
+std::size_t FileAdjacencyStream::memory_footprint_bytes() const {
+  return pass_ ? pass_->footprint_bytes() : 0;
+}
+
 std::optional<VertexRecord> FileAdjacencyStream::next() {
-  while (std::getline(in_, line_)) {
-    if (line_.empty() || line_[0] == '#') continue;
-    if (line_.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!parse_ids(line_, buffer_) || buffer_.empty()) {
-      if (quarantine_.enabled()) {
-        quarantine_.record(line_, "FileAdjacencyStream: " + path_);
-        continue;
+  for (;;) {
+    if (slice_ != nullptr) {
+      while (event_ < slice_->events.size() &&
+             slice_->events[event_].before == record_) {
+        const Slice::Event& event = slice_->events[event_++];
+        if (event.header) continue;
+        if (!quarantine_.enabled()) {
+          throw std::runtime_error("FileAdjacencyStream: malformed line in " + path_);
+        }
+        quarantine_.record(event.line, "FileAdjacencyStream: " + path_);
       }
-      throw std::runtime_error("FileAdjacencyStream: malformed line in " + path_);
+      if (record_ < slice_->ids.size()) {
+        const std::size_t r = record_++;
+        const std::size_t begin = slice_->row_begin(r);
+        return VertexRecord{slice_->ids[r],
+                            std::span<const VertexId>(slice_->targets.data() + begin,
+                                                      slice_->ends[r] - begin)};
+      }
     }
-    VertexRecord record;
-    record.id = buffer_[0];
-    record.out = std::span<const VertexId>(buffer_.data() + 1, buffer_.size() - 1);
-    return record;
+    slice_ = pass_ ? pass_->next_slice() : nullptr;  // null after a failed reopen
+    record_ = 0;
+    event_ = 0;
+    if (slice_ == nullptr) return std::nullopt;
   }
-  return std::nullopt;
 }
 
 EdgeListAdjacencyStream::EdgeListAdjacencyStream(const std::string& path,
@@ -273,15 +482,55 @@ std::optional<VertexRecord> EdgeListAdjacencyStream::next() {
 }
 
 Graph materialize(AdjacencyStream& stream) {
-  GraphBuilder builder(stream.num_vertices());
-  std::vector<bool> seen(stream.num_vertices(), false);
-  while (auto record = stream.next()) {
-    if (record->id >= seen.size() || seen[record->id]) {
+  const VertexId n = stream.num_vertices();
+  auto check = [n](const VertexRecord& record, const std::vector<bool>& seen) {
+    if (record.id >= n || seen[record.id]) {
       throw std::runtime_error("materialize: duplicate or out-of-range vertex record");
     }
+    for (VertexId u : record.out) {
+      if (u >= n) {
+        throw std::runtime_error("materialize: neighbor " + std::to_string(u) +
+                                 " of vertex " + std::to_string(record.id) +
+                                 " out of range");
+      }
+    }
+  };
+  // A lying header must not turn the reservation into a huge allocation.
+  constexpr EdgeId kMaxReservedEdges = EdgeId{1} << 27;
+  std::vector<bool> seen(n, false);
+  std::vector<EdgeId> offsets;
+  offsets.reserve(static_cast<std::size_t>(n) + 1);
+  offsets.push_back(0);
+  std::vector<VertexId> targets;
+  targets.reserve(std::min(stream.num_edges(), kMaxReservedEdges));
+  // In place while ids ascend: rows 0..offsets.size()-2 are final.
+  std::optional<VertexRecord> record;
+  while ((record = stream.next())) {
+    check(*record, seen);
+    if (record->id + 1 < offsets.size()) break;  // id went back: rebuild below
+    seen[record->id] = true;
+    offsets.resize(static_cast<std::size_t>(record->id) + 1, targets.size());
+    targets.insert(targets.end(), record->out.begin(), record->out.end());
+    offsets.push_back(targets.size());
+  }
+  if (!record) {
+    offsets.resize(static_cast<std::size_t>(n) + 1, targets.size());
+    return Graph(std::move(offsets), std::move(targets));
+  }
+  GraphBuilder builder(n);
+  for (VertexId v = 0; v + 1 < offsets.size(); ++v) {
+    if (seen[v]) {
+      builder.add_vertex(v, std::span<const VertexId>(targets.data() + offsets[v],
+                                                      offsets[v + 1] - offsets[v]));
+    }
+  }
+  offsets = {};
+  targets = {};
+  do {
+    check(*record, seen);
     seen[record->id] = true;
     builder.add_vertex(record->id, record->out);
-  }
+  } while ((record = stream.next()));
   return builder.finish();
 }
 

@@ -4,6 +4,7 @@
 // id. Partitioners consume this interface; they never see the whole graph.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -164,20 +165,32 @@ class OrderedStream final : public AdjacencyStream {
 /// Streams a text adjacency-list file: one line per vertex,
 /// "<id> <out1> <out2> ...". Lines beginning with '#' are comments. A header
 /// comment "# V <n> E <m>" is honored; otherwise the file is pre-scanned once
-/// for counts (the partitioning pass itself stays single-scan, matching the
+/// for counts, taking |V| as one past the largest id on any line, neighbors
+/// included (the partitioning pass itself stays single-scan, matching the
 /// paper's PT definition which starts at the first adjacency-list load).
+///
+/// Each pass reads the file in kSliceBytes slices cut at line starts, with
+/// pread into owned buffers (a mapping's pages would count in the peak RSS).
+/// Helper threads, one per hardware thread, parse up to two slices each
+/// ahead of next(); next() hands the records out in file order. A file of one
+/// slice is parsed inline. Malformed lines are kept in the parsed slice and
+/// handled by the consumer when it reaches them, so a strict stream throws
+/// only after every earlier record, and quarantine counts and logs in file
+/// order.
 class FileAdjacencyStream final : public AdjacencyStream {
  public:
+  static constexpr std::size_t kSliceBytes = std::size_t{1} << 19;
+
   explicit FileAdjacencyStream(const std::string& path,
                                StreamHardeningOptions hardening = {});
+  ~FileAdjacencyStream() override;
 
   std::optional<VertexRecord> next() override;
   void reset() override;
   VertexId num_vertices() const override { return num_vertices_; }
   EdgeId num_edges() const override { return num_edges_; }
-  std::size_t memory_footprint_bytes() const override {
-    return line_.capacity() + buffer_.capacity() * sizeof(VertexId);
-  }
+  /// Raw and parsed slice buffers of the current pass.
+  std::size_t memory_footprint_bytes() const override;
 
   /// Malformed lines quarantined so far in the current pass.
   std::uint64_t bad_records() const override { return quarantine_.count(); }
@@ -186,10 +199,14 @@ class FileAdjacencyStream final : public AdjacencyStream {
   }
 
  private:
+  struct Slice;
+  class Pass;
+
   std::string path_;
-  std::ifstream in_;
-  std::string line_;
-  std::vector<VertexId> buffer_;
+  std::unique_ptr<Pass> pass_;
+  const Slice* slice_ = nullptr;  // slice next() is handing out
+  std::size_t record_ = 0;        // next record of slice_
+  std::size_t event_ = 0;         // next malformed-line/header event of slice_
   VertexId num_vertices_ = 0;
   EdgeId num_edges_ = 0;
   BadRecordQuarantine quarantine_;
@@ -237,8 +254,11 @@ class EdgeListAdjacencyStream final : public AdjacencyStream {
   BadRecordQuarantine quarantine_;
 };
 
-/// Drains a stream into a CSR graph (testing / examples). Requires records
-/// for every vertex id exactly once.
+/// Drains a stream into a CSR graph. Every record id must be below
+/// num_vertices() and appear at most once (ids with no record become empty
+/// rows), and every neighbor must be below num_vertices(). While ids ascend,
+/// rows are appended to the CSR in place; a stream that goes back to a
+/// lower id is rebuilt through GraphBuilder.
 Graph materialize(AdjacencyStream& stream);
 
 }  // namespace spnl

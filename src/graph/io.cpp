@@ -1,12 +1,15 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "util/checked_io.hpp"
+#include "util/ordered_prefetch.hpp"
 
 namespace spnl {
 
@@ -162,12 +165,34 @@ Graph read_binary(const std::string& path) {
 void write_route_table(const std::vector<PartitionId>& route, const std::string& path) {
   FdWriter out(path);
   out.append("# vertex partition\n");
-  for (std::size_t v = 0; v < route.size(); ++v) {
-    out.append_u64(v);
-    out.append_char(' ');
-    out.append_u64(route[v]);
-    out.append_char('\n');
-  }
+  // Chunks are formatted on the spare cores and written in order, through
+  // the one writer, so the bytes and every error path stay the same. Chunk
+  // buffers are left uninitialized, so only the bytes written become
+  // resident: the window of chunks is live at the end of a job, when RSS
+  // peaks.
+  struct ChunkText {
+    std::unique_ptr<char[]> bytes;
+    std::size_t size = 0;
+  };
+  constexpr std::size_t kLineBytes = 20 + 1 + 10 + 1;  // u64, ' ', u32, '\n'
+  const std::size_t chunks = (route.size() + kRouteChunkVertices - 1) / kRouteChunkVertices;
+  OrderedPrefetch<ChunkText> text(
+      chunks, prefetch_helpers(), [&](std::size_t c, ChunkText& chunk) {
+        if (!chunk.bytes) {
+          chunk.bytes = std::make_unique_for_overwrite<char[]>(kRouteChunkVertices * kLineBytes);
+        }
+        const std::size_t begin = c * kRouteChunkVertices;
+        const std::size_t end = std::min(route.size(), begin + kRouteChunkVertices);
+        char* p = chunk.bytes.get();
+        for (std::size_t v = begin; v < end; ++v) {
+          p = std::to_chars(p, p + 20, v).ptr;
+          *p++ = ' ';
+          p = std::to_chars(p, p + 10, route[v]).ptr;
+          *p++ = '\n';
+        }
+        chunk.size = static_cast<std::size_t>(p - chunk.bytes.get());
+      });
+  while (const ChunkText* chunk = text.next()) out.append(chunk->bytes.get(), chunk->size);
   out.close();
 }
 

@@ -18,6 +18,7 @@
 // tools/tests one hole-and-range check for complete route tables.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,6 +47,10 @@ void write_adjacency_list(const Graph& graph, const std::string& path);
 /// Binary CSR round-trip.
 void write_binary(const Graph& graph, const std::string& path);
 Graph read_binary(const std::string& path);
+
+/// Vertices per chunk write_route_table formats on one thread; routes of
+/// more than one chunk are formatted in parallel and written in order.
+inline constexpr std::size_t kRouteChunkVertices = std::size_t{1} << 11;
 
 /// Vertex -> partition assignments. Reading rejects malformed lines,
 /// duplicate vertices and partition ids that overflow PartitionId; unseen

@@ -75,6 +75,8 @@ MmapAdjacencyStream::MmapAdjacencyStream(const std::string& path,
   // Header or pre-scan, with the same quarantine rule as the buffered
   // reader: malformed lines are skipped silently here — next() is the pass
   // that counts and logs them, so counts stay in step with the stream.
+  // Without a header |V| is one past the largest id on any line, neighbors
+  // included, so a sink with no line of its own is still a vertex.
   const char* p = map_.begin();
   const char* end = map_.end();
   std::vector<VertexId> ids;
@@ -99,7 +101,7 @@ MmapAdjacencyStream::MmapAdjacencyStream(const std::string& path,
       throw std::runtime_error("MmapAdjacencyStream: malformed line in " +
                                map_.path() + ": " + std::string(line));
     }
-    num_vertices_ = std::max(num_vertices_, ids[0] + 1);
+    for (VertexId id : ids) num_vertices_ = std::max(num_vertices_, id + 1);
     num_edges_ += ids.size() - 1;
   }
   (void)have_header;

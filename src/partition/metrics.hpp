@@ -26,8 +26,12 @@ struct QualityMetrics {
   std::vector<EdgeId> edges_per_partition;
 };
 
+/// Graphs with at least this many edges are evaluated on several threads.
+inline constexpr EdgeId kParallelMetricsMinEdges = EdgeId{1} << 18;
+
 /// Evaluates a complete route table against the graph. Throws if any vertex
-/// is unassigned or any partition id >= k.
+/// is unassigned or any partition id >= k. From kParallelMetricsMinEdges
+/// edges on, vertex chunks are summed in parallel; the result is the same.
 QualityMetrics evaluate_partition(const Graph& graph,
                                   const std::vector<PartitionId>& route,
                                   PartitionId k);

@@ -220,6 +220,21 @@ TEST_F(FaultFsTest, RouteWriterSurfacesEnospc) {
   faultfs::disarm();
 }
 
+TEST_F(FaultFsTest, ChunkedRouteWriterSurfacesWriteFaults) {
+  // Many chunks formatted in parallel (over 2 MiB of text, so several
+  // writes), each fault on the one writer.
+  std::vector<PartitionId> route(300000, 7);
+  ASSERT_GT(route.size(), 10 * kRouteChunkVertices);
+  for (const char* plan : {"fail:write@1@enospc", "fail:write@2@eio", "enospc:4096"}) {
+    SCOPED_TRACE(plan);
+    faultfs::configure(plan);
+    EXPECT_THROW(write_route_table(route, path("route.txt")), IoError);
+    faultfs::disarm();
+  }
+  write_route_table(route, path("route.txt"));
+  EXPECT_EQ(read_route_table(path("route.txt")), route);
+}
+
 TEST_F(FaultFsTest, GraphWritersSurfaceWriteFailures) {
   const Graph g = generate_webcrawl(
       {.num_vertices = 2000, .avg_out_degree = 6.0, .seed = 3});

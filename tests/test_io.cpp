@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/generators.hpp"
@@ -92,6 +94,33 @@ TEST_F(IoTest, RouteTableRoundTrip) {
   const std::vector<PartitionId> route = {0, 3, 1, 2, 2, 0};
   write_route_table(route, path("route.txt"));
   EXPECT_EQ(read_route_table(path("route.txt")), route);
+}
+
+// The route text as the serial writer formatted it, line by line.
+std::string reference_route_text(const std::vector<PartitionId>& route) {
+  std::string text = "# vertex partition\n";
+  for (std::size_t v = 0; v < route.size(); ++v) {
+    text += std::to_string(v) + " " + std::to_string(route[v]) + "\n";
+  }
+  return text;
+}
+
+TEST_F(IoTest, RouteTableBytesMatchSerialFormattingAcrossChunks) {
+  const std::size_t chunk = kRouteChunkVertices;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, chunk - 1, chunk, chunk + 1,
+                              3 * chunk + 17}) {
+    SCOPED_TRACE(n);
+    std::vector<PartitionId> route(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      route[v] = static_cast<PartitionId>((v * 40503u) % 1000003u);
+    }
+    if (n > 0) route.back() = 4294967294u;  // widest id a route holds
+    write_route_table(route, path("route.txt"));
+    std::ifstream in(path("route.txt"), std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, reference_route_text(route));
+  }
 }
 
 TEST_F(IoTest, MissingFilesThrow) {

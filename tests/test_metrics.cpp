@@ -78,6 +78,51 @@ TEST(Metrics, EmptyGraph) {
   EXPECT_EQ(metrics.ecr, 0.0);
 }
 
+// The chunked Graph overload against the single-pass stream overload, on
+// graphs below and above the parallel cutoff.
+TEST(Metrics, GraphOverloadMatchesStreamAcrossParallelCutoff) {
+  for (const VertexId n : {VertexId{2000}, VertexId{120000}}) {
+    const Graph g =
+        generate_webcrawl({.num_vertices = n, .avg_out_degree = 6.0, .seed = 11});
+    SCOPED_TRACE(g.num_edges());
+    const PartitionId k = 7;
+    std::vector<PartitionId> route(n);
+    for (VertexId v = 0; v < n; ++v) route[v] = static_cast<PartitionId>((v * 2654435761u) % k);
+    InMemoryStream stream(g);
+    const QualityMetrics from_graph = evaluate_partition(g, route, k);
+    const QualityMetrics from_stream = evaluate_partition(stream, route, k);
+    EXPECT_EQ(from_graph.cut_edges, from_stream.cut_edges);
+    EXPECT_EQ(from_graph.vertices_per_partition, from_stream.vertices_per_partition);
+    EXPECT_EQ(from_graph.edges_per_partition, from_stream.edges_per_partition);
+    EXPECT_EQ(from_graph.ecr, from_stream.ecr);
+    EXPECT_EQ(from_graph.delta_v, from_stream.delta_v);
+    EXPECT_EQ(from_graph.delta_e, from_stream.delta_e);
+    EXPECT_EQ(communication_volume(g, route), from_graph.cut_edges);
+  }
+  EXPECT_LT(generate_webcrawl({.num_vertices = 2000, .avg_out_degree = 6.0, .seed = 11})
+                .num_edges(),
+            kParallelMetricsMinEdges);
+  EXPECT_GE(generate_webcrawl({.num_vertices = 120000, .avg_out_degree = 6.0, .seed = 11})
+                .num_edges(),
+            kParallelMetricsMinEdges);
+}
+
+TEST(Metrics, ParallelPathReportsFirstUnassignedVertex) {
+  const Graph g =
+      generate_webcrawl({.num_vertices = 120000, .avg_out_degree = 6.0, .seed = 2});
+  ASSERT_GE(g.num_edges(), kParallelMetricsMinEdges);
+  std::vector<PartitionId> route(g.num_vertices(), 1);
+  // Two chunks, each with a bad vertex: the first in id order is reported.
+  route[60001] = kUnassigned;
+  route[110000] = 9;
+  try {
+    evaluate_partition(g, route, 4);
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("vertex 60001 "), std::string::npos) << e.what();
+  }
+}
+
 TEST(PartitionCapacity, FollowsModeAndSlack) {
   PartitionConfig config{.num_partitions = 4, .balance = BalanceMode::kVertex,
                          .slack = 1.5};

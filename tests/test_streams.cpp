@@ -77,6 +77,103 @@ TEST(Materialize, RoundTripsGraph) {
   }
 }
 
+// Today's builder path, record by record: the reference for materialize.
+Graph build_reference(AdjacencyStream& stream) {
+  GraphBuilder builder(stream.num_vertices());
+  while (auto record = stream.next()) builder.add_vertex(record->id, record->out);
+  return builder.finish();
+}
+
+void expect_same_csr(const Graph& a, const Graph& b) {
+  EXPECT_EQ(a.offsets(), b.offsets());
+  EXPECT_EQ(a.targets(), b.targets());
+}
+
+// A fixed record list over n vertices, for orders no reader produces.
+class ScriptedStream final : public AdjacencyStream {
+ public:
+  ScriptedStream(VertexId n, std::vector<OwnedVertexRecord> records)
+      : n_(n), records_(std::move(records)) {}
+  std::optional<VertexRecord> next() override {
+    if (cursor_ >= records_.size()) return std::nullopt;
+    const OwnedVertexRecord& r = records_[cursor_++];
+    return VertexRecord{r.id, r.out};
+  }
+  void reset() override { cursor_ = 0; }
+  VertexId num_vertices() const override { return n_; }
+  EdgeId num_edges() const override {
+    EdgeId m = 0;
+    for (const auto& r : records_) m += r.out.size();
+    return m;
+  }
+
+ private:
+  VertexId n_;
+  std::vector<OwnedVertexRecord> records_;
+  std::size_t cursor_ = 0;
+};
+
+TEST(Materialize, InPlaceMatchesBuilderOnOrderedStreams) {
+  const Graph g = generate_webcrawl({.num_vertices = 3000, .avg_out_degree = 6.0, .seed = 8});
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> identity(n), reversed(n), evens_then_odds;
+  for (VertexId v = 0; v < n; ++v) {
+    identity[v] = v;
+    reversed[v] = n - 1 - v;
+  }
+  for (VertexId v = 0; v < n; v += 2) evens_then_odds.push_back(v);
+  for (VertexId v = 1; v < n; v += 2) evens_then_odds.push_back(v);
+  for (const auto& order : {identity, reversed, evens_then_odds}) {
+    OrderedStream stream(g, order);
+    const Graph built = materialize(stream);
+    stream.reset();
+    expect_same_csr(built, build_reference(stream));
+    expect_same_csr(built, g);
+  }
+}
+
+TEST(Materialize, IdGapsBecomeEmptyRows) {
+  ScriptedStream stream(7, {{0, {1}}, {2, {0, 5}}, {5, {}}, {6, {6, 2}}});
+  const Graph built = materialize(stream);
+  stream.reset();
+  expect_same_csr(built, build_reference(stream));
+  EXPECT_EQ(built.num_vertices(), 7u);
+  EXPECT_EQ(built.out_degree(1), 0u);
+  EXPECT_EQ(built.out_degree(4), 0u);
+  // Trailing ids without a record are empty rows too.
+  ScriptedStream tail(6, {{0, {1}}, {1, {0}}, {3, {5}}});
+  const Graph padded = materialize(tail);
+  tail.reset();
+  expect_same_csr(padded, build_reference(tail));
+  EXPECT_EQ(padded.num_vertices(), 6u);
+}
+
+TEST(Materialize, GapFilledLaterFallsBackToBuilder) {
+  ScriptedStream stream(5, {{0, {4}}, {3, {1, 2}}, {1, {3}}, {4, {}}, {2, {0}}});
+  const Graph built = materialize(stream);
+  stream.reset();
+  expect_same_csr(built, build_reference(stream));
+  EXPECT_EQ(built.out_neighbors(3)[1], 2u);
+}
+
+TEST(Materialize, DuplicateIdAfterInOrderPrefixThrows) {
+  ScriptedStream repeat_last(4, {{0, {1}}, {1, {2}}, {1, {3}}});
+  EXPECT_THROW(materialize(repeat_last), std::runtime_error);
+  ScriptedStream repeat_earlier(4, {{0, {1}}, {1, {2}}, {2, {}}, {1, {3}}});
+  EXPECT_THROW(materialize(repeat_earlier), std::runtime_error);
+  ScriptedStream repeat_after_fallback(4, {{0, {}}, {2, {}}, {1, {}}, {2, {}}});
+  EXPECT_THROW(materialize(repeat_after_fallback), std::runtime_error);
+}
+
+TEST(Materialize, OutOfRangeIdsThrow) {
+  ScriptedStream record_id(3, {{0, {1}}, {3, {0}}});
+  EXPECT_THROW(materialize(record_id), std::runtime_error);
+  ScriptedStream neighbor(3, {{0, {3}}});
+  EXPECT_THROW(materialize(neighbor), std::runtime_error);
+  ScriptedStream neighbor_after_fallback(3, {{1, {}}, {0, {7}}});
+  EXPECT_THROW(materialize(neighbor_after_fallback), std::runtime_error);
+}
+
 class FileStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -133,6 +230,21 @@ TEST_F(FileStreamTest, MalformedLineThrows) {
   EXPECT_THROW(stream.next(), std::runtime_error);
 }
 
+TEST_F(FileStreamTest, MaterializeWithQuarantinedGapsMatchesBuilder) {
+  std::ofstream out(path_);
+  out << "# V 6 E 5\n0 1 2\nbad x\n2 0\nzzz\n4 3 1\n";
+  out.close();
+  FileAdjacencyStream stream(path_.string(), {.max_bad_records = 5, .quarantine_log = {}});
+  const Graph built = materialize(stream);
+  EXPECT_EQ(stream.bad_records(), 2u);
+  stream.reset();
+  expect_same_csr(built, build_reference(stream));
+  EXPECT_EQ(built.num_vertices(), 6u);
+  EXPECT_EQ(built.out_degree(1), 0u);
+  EXPECT_EQ(built.out_degree(3), 0u);
+  EXPECT_EQ(built.out_degree(5), 0u);
+}
+
 TEST_F(FileStreamTest, MissingFileThrows) {
   EXPECT_THROW(FileAdjacencyStream("/nonexistent/file.adj"), std::runtime_error);
 }
@@ -180,6 +292,15 @@ TEST_F(EdgeListStreamTest, MaterializeMatchesDirectLoad) {
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 4u);
   EXPECT_EQ(g.out_degree(1), 2u);
+}
+
+TEST_F(EdgeListStreamTest, MaterializeInPlaceMatchesBuilder) {
+  write("# sorted\n0 3\n0 1\n2 0\n2 2\n5 4\n");
+  EdgeListAdjacencyStream stream(path_.string());
+  const Graph built = materialize(stream);
+  stream.reset();
+  expect_same_csr(built, build_reference(stream));
+  EXPECT_EQ(built.num_vertices(), 6u);
 }
 
 TEST_F(EdgeListStreamTest, ResetReplays) {
