@@ -1,25 +1,24 @@
-// bench_ingest — end-to-end ingestion throughput: the buffered text reader
-// vs the mmap text reader vs the sadj binary reader, on the same graph.
+// bench_ingest — end-to-end ingestion throughput: the text reader vs the
+// sadj binary reader, on the same graph.
 //
 // Two phases per reader, best-of-reps:
 //   ingest  — drain-only pass (parse every record, place nothing): isolates
 //             the parse path the PR optimizes.
 //   e2e     — full ingest -> SPNL route pass through run_streaming.
 //
-// The gate is on the ingest phase: the binary mmap reader must parse at
-// least --threshold x (default 3x) the records/sec of the buffered text
-// reader. The e2e ratio is reported but not gated — on a 1M-vertex graph
+// The gate is on the ingest phase: the binary reader must parse at least
+// --threshold x (default 3x) the records/sec of the text reader. The e2e ratio is reported but not gated — on a 1M-vertex graph
 // SPNL placement dominates end-to-end time, so gating it would measure the
-// partitioner, not the readers. Route identity IS gated in every mode: all
-// three readers must produce byte-identical SPNL routes, or the speed is
+// partitioner, not the readers. Route identity IS gated in every mode: both
+// readers must produce byte-identical SPNL routes, or the speed is
 // meaningless.
 //
 //   bench_ingest [--n=1000000] [--k=32] [--reps=3] [--threshold=3.0]
 //                [--dir=PATH] [--json=FILE] [--smoke] [--force-gate]
 //
-// --smoke shrinks the graph (n=20000) and skips the throughput gate (mmap
-// beats getline by a margin that only stabilizes on multi-second parses);
-// the route-identity gate stays on. The full-size run's JSON is committed
+// --smoke shrinks the graph (n=20000) and skips the throughput gate (the
+// margin only stabilizes on multi-second parses); the route-identity gate
+// stays on. The full-size run's JSON is committed
 // as BENCH_ingest.json.
 #include <chrono>
 #include <cstdio>
@@ -32,7 +31,6 @@
 #include "common.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/mmap_stream.hpp"
 #include "graph/stream_binary.hpp"
 
 using namespace spnl;
@@ -150,9 +148,7 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, StreamFactory>> readers = {
       {"text-buffered",
        [&] { return std::make_unique<FileAdjacencyStream>(text_path); }},
-      {"text-mmap",
-       [&] { return std::make_unique<MmapAdjacencyStream>(text_path); }},
-      {"binary-mmap",
+      {"binary-sadj",
        [&] { return std::make_unique<BinaryAdjacencyStream>(sadj_path); }},
   };
   std::vector<ReaderPoint> points = measure_all(readers, k, reps);
@@ -167,20 +163,15 @@ int main(int argc, char** argv) {
   table.print();
 
   const ReaderPoint& text = points[0];
-  const ReaderPoint& mmap_text = points[1];
-  const ReaderPoint& binary = points[2];
+  const ReaderPoint& binary = points[1];
   const double ratio_binary =
       text.ingest_rps > 0.0 ? binary.ingest_rps / text.ingest_rps : 0.0;
-  const double ratio_mmap =
-      text.ingest_rps > 0.0 ? mmap_text.ingest_rps / text.ingest_rps : 0.0;
   const double ratio_e2e =
       text.e2e_rps > 0.0 ? binary.e2e_rps / text.e2e_rps : 0.0;
-  const bool routes_identical =
-      mmap_text.route == text.route && binary.route == text.route;
-  std::printf("\ningest speedup vs text-buffered: mmap %.2fx, binary %.2fx "
-              "(e2e binary %.2fx); routes identical: %s\n",
-              ratio_mmap, ratio_binary, ratio_e2e,
-              routes_identical ? "yes" : "NO");
+  const bool routes_identical = binary.route == text.route;
+  std::printf("\ningest speedup vs text: binary %.2fx (e2e %.2fx); "
+              "routes identical: %s\n",
+              ratio_binary, ratio_e2e, routes_identical ? "yes" : "NO");
 
   const bool gate_speed = force_gate || !smoke;
   const std::string gate_skip_reason = gate_speed ? "" : "smoke mode";
@@ -208,11 +199,10 @@ int main(int argc, char** argv) {
   }
   std::snprintf(buf, sizeof(buf),
                 "],\"ingest_speedup_binary_vs_text\":%.3f,"
-                "\"ingest_speedup_mmap_vs_text\":%.3f,"
                 "\"e2e_speedup_binary_vs_text\":%.3f,\"threshold\":%.2f,"
                 "\"routes_identical\":%s,\"speed_gated\":%s,"
                 "\"gate_skip_reason\":\"%s\",\"pass\":%s}",
-                ratio_binary, ratio_mmap, ratio_e2e, threshold,
+                ratio_binary, ratio_e2e, threshold,
                 routes_identical ? "true" : "false",
                 gate_speed ? "true" : "false", gate_skip_reason.c_str(),
                 pass ? "true" : "false");

@@ -523,8 +523,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
 
   // The governor's MC sample: every byte the parallel partitioner itself
   // holds (Γ window, route, load counters, RCT) plus the input stream's own
-  // heap buffers (mmap-backed streams report only their decode buffers — the
-  // mapping is clean file-backed memory the kernel can reclaim).
+  // read and decode buffers.
   auto pipeline_bytes = [&]() -> std::size_t {
     return state.gamma.memory_footprint_bytes() +
            state.route.size() * sizeof(std::atomic<PartitionId>) +

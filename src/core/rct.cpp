@@ -308,8 +308,13 @@ bool Rct::park(OwnedVertexRecord&& record) {
   // which shared holders rely on being writer-excluded.
   Guard guard(*this, shard, /*exclusive=*/true);
   const std::size_t i = find_locked(shard, record.id);
-  if (i == shard.table_size || shard.table[i].parked) {
-    // Untracked vertices cannot park; a double-park would lose a record.
+  // Untracked vertices cannot park; a double-park would lose a record. A
+  // counter already at zero means the last in-neighbor's 1→0 decrement ran
+  // after the caller's should_delay and saw no parked flag to release:
+  // parking now would strand the record until drain_parked. Decrements take
+  // the shared lock, so under this exclusive one the counter cannot move.
+  if (i == shard.table_size || shard.table[i].parked ||
+      shard.table[i].counter.load(std::memory_order_relaxed) == 0) {
     parked_count_.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }

@@ -113,9 +113,10 @@ class Rct {
   bool should_delay(VertexId v) const;
 
   /// Park the (tracked) record until its counter drains. Returns false if
-  /// the parked set is at capacity (globally) or the vertex is untracked —
-  /// in that case the record is NOT consumed (only moved from on success)
-  /// and the caller must place it immediately.
+  /// the parked set is at capacity (globally), the vertex is untracked, or
+  /// its counter has already drained to zero — in that case the record is
+  /// NOT consumed (only moved from on success) and the caller must place it
+  /// immediately.
   bool park(OwnedVertexRecord&& record);
 
   /// Finalize v: untrack it and decrement in-flight out-neighbors' counters.

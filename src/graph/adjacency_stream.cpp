@@ -10,6 +10,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 
 #include "graph/io.hpp"
@@ -182,26 +183,18 @@ class FileAdjacencyStream::Pass {
   ~Pass() { stop_.store(true, std::memory_order_relaxed); }
 
   /// The next slice in file order, nullptr at EOF. Throws IoError on a read
-  /// error in that slice.
+  /// error in that slice, or when the file ends before its size at open.
   const Slice* next_slice() { return slices_->next(); }
+
+  std::uint64_t size() const { return size_; }
 
   std::size_t footprint_bytes() const {
     return footprint_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct Fd {
-    int fd;
-    explicit Fd(int f) : fd(f) {}
-    Fd(const Fd&) = delete;
-    Fd& operator=(const Fd&) = delete;
-    ~Fd() {
-      if (fd >= 0) ::close(fd);
-    }
-  };
-
-  // Reads up to `size` bytes at `offset`; fewer only at EOF (a file that
-  // shrank mid-pass simply ends early, as a buffered read would).
+  // Reads up to `size` bytes at `offset`; fewer only at EOF, which must not
+  // come before the size the file had when the pass opened it.
   std::size_t read_at(char* out, std::size_t size, std::uint64_t offset) const {
     std::size_t done = 0;
     while (done < size) {
@@ -212,7 +205,13 @@ class FileAdjacencyStream::Pass {
         throw IoError("FileAdjacencyStream: read error: " + path_ + ": " +
                       std::strerror(errno));
       }
-      if (n == 0) break;
+      if (n == 0) {
+        if (offset + done < size_) {
+          throw IoError("FileAdjacencyStream: " + path_ + ": truncated: read ended at byte " +
+                        std::to_string(offset + done) + " of " + std::to_string(size_));
+        }
+        break;
+      }
       done += static_cast<std::size_t>(n);
     }
     return done;
@@ -320,7 +319,7 @@ class FileAdjacencyStream::Pass {
 
   const std::string path_;
   const bool prescan_;
-  const Fd fd_;
+  const ScopedFd fd_;
   std::uint64_t size_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> footprint_{0};
@@ -336,6 +335,7 @@ FileAdjacencyStream::FileAdjacencyStream(const std::string& path,
   // and logs them, so the counts stay consistent with what next() will emit.
   {
     Pass scan(path_, "cannot open", /*prescan=*/true);
+    file_size_ = scan.size();
     bool have_header = false;
     while (const Slice* slice = have_header ? nullptr : scan.next_slice()) {
       std::size_t r = 0;
@@ -376,7 +376,13 @@ FileAdjacencyStream::~FileAdjacencyStream() = default;
 void FileAdjacencyStream::reset() {
   slice_ = nullptr;
   pass_.reset();
-  pass_ = std::make_unique<Pass>(path_, "cannot reopen", /*prescan=*/false);
+  auto pass = std::make_unique<Pass>(path_, "cannot reopen", /*prescan=*/false);
+  if (pass->size() < file_size_) {
+    throw IoError("FileAdjacencyStream: " + path_ + ": truncated: " +
+                  std::to_string(pass->size()) + " of " + std::to_string(file_size_) +
+                  " bytes remain");
+  }
+  pass_ = std::move(pass);
   quarantine_.reset_count();
 }
 
@@ -421,6 +427,7 @@ EdgeListAdjacencyStream::EdgeListAdjacencyStream(const std::string& path,
   VertexId last_from = 0;
   bool first = true;
   while (std::getline(scan, line)) {
+    file_size_ += line.size() + (scan.eof() ? 0 : 1);
     if (line.empty() || line[0] == '#') continue;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     if (!parse_ids(line, ids) || ids.size() != 2) {
@@ -443,7 +450,17 @@ EdgeListAdjacencyStream::EdgeListAdjacencyStream(const std::string& path,
 
 void EdgeListAdjacencyStream::reset() {
   in_ = std::ifstream(path_);
-  if (!in_) throw std::runtime_error("EdgeListAdjacencyStream: cannot reopen " + path_);
+  std::error_code error;
+  pass_size_ = std::filesystem::file_size(path_, error);
+  if (!in_ || error) {
+    throw std::runtime_error("EdgeListAdjacencyStream: cannot reopen " + path_);
+  }
+  if (pass_size_ < file_size_) {
+    throw IoError("EdgeListAdjacencyStream: " + path_ + ": truncated: " +
+                  std::to_string(pass_size_) + " of " + std::to_string(file_size_) +
+                  " bytes remain");
+  }
+  consumed_ = 0;
   cursor_ = 0;
   have_pending_ = false;
   quarantine_.reset_count();
@@ -452,6 +469,7 @@ void EdgeListAdjacencyStream::reset() {
 bool EdgeListAdjacencyStream::read_pair() {
   std::vector<VertexId> ids;
   while (std::getline(in_, line_)) {
+    consumed_ += line_.size() + (in_.eof() ? 0 : 1);
     if (line_.empty() || line_[0] == '#') continue;
     if (line_.find_first_not_of(" \t\r") == std::string::npos) continue;
     if (!parse_ids(line_, ids) || ids.size() != 2) {
@@ -464,6 +482,10 @@ bool EdgeListAdjacencyStream::read_pair() {
     pending_from_ = ids[0];
     pending_to_ = ids[1];
     return true;
+  }
+  if (consumed_ < pass_size_) {
+    throw IoError("EdgeListAdjacencyStream: " + path_ + ": truncated: read ended at byte " +
+                  std::to_string(consumed_) + " of " + std::to_string(pass_size_));
   }
   return false;
 }

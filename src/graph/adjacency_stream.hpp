@@ -111,11 +111,9 @@ class AdjacencyStream {
   /// Total edge count (for edge-balanced capacities).
   virtual EdgeId num_edges() const = 0;
 
-  /// Heap bytes the stream itself owns (line/decode buffers). Charged to the
-  /// resource governor's footprint alongside the partitioner's structures.
-  /// Mmap-backed streams do NOT count their mapping here: the pages are
-  /// file-backed and clean, so the kernel can reclaim them under pressure —
-  /// they are visible to RSS sampling but are not owned memory.
+  /// Heap bytes the stream itself owns (read windows, line and decode
+  /// buffers). Charged to the resource governor's footprint alongside the
+  /// partitioner's structures.
   virtual std::size_t memory_footprint_bytes() const { return 0; }
 
   /// Malformed records quarantined so far in the current pass (file-backed
@@ -176,7 +174,9 @@ class OrderedStream final : public AdjacencyStream {
 /// slice is parsed inline. Malformed lines are kept in the parsed slice and
 /// handled by the consumer when it reaches them, so a strict stream throws
 /// only after every earlier record, and quarantine counts and logs in file
-/// order.
+/// order. A read that ends before the size the file had when the pass began,
+/// or a reset() that finds the file shorter than the pre-scan saw, throws
+/// IoError ("truncated").
 class FileAdjacencyStream final : public AdjacencyStream {
  public:
   static constexpr std::size_t kSliceBytes = std::size_t{1} << 19;
@@ -207,6 +207,7 @@ class FileAdjacencyStream final : public AdjacencyStream {
   const Slice* slice_ = nullptr;  // slice next() is handing out
   std::size_t record_ = 0;        // next record of slice_
   std::size_t event_ = 0;         // next malformed-line/header event of slice_
+  std::uint64_t file_size_ = 0;   // bytes the pre-scan read
   VertexId num_vertices_ = 0;
   EdgeId num_edges_ = 0;
   BadRecordQuarantine quarantine_;
@@ -218,6 +219,7 @@ class FileAdjacencyStream final : public AdjacencyStream {
 /// assembled into one adjacency record; vertices with no out-edges are
 /// emitted as empty records so every id 0..max appears exactly once.
 /// Requires the grouping to be non-decreasing in the source id (validated).
+/// Truncation throws IoError as for FileAdjacencyStream.
 class EdgeListAdjacencyStream final : public AdjacencyStream {
  public:
   explicit EdgeListAdjacencyStream(const std::string& path,
@@ -243,6 +245,9 @@ class EdgeListAdjacencyStream final : public AdjacencyStream {
 
   std::string path_;
   std::ifstream in_;
+  std::uint64_t file_size_ = 0;  // bytes the pre-scan read
+  std::uint64_t pass_size_ = 0;  // file size when this pass opened it
+  std::uint64_t consumed_ = 0;   // bytes this pass has read
   std::string line_;
   std::vector<VertexId> buffer_;
   VertexId cursor_ = 0;  // next vertex id to emit

@@ -1,12 +1,17 @@
 #include "graph/stream_binary.hpp"
 
-#include <csetjmp>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <limits>
 
 #include "graph/io.hpp"
 #include "util/checked_io.hpp"
-#include "util/sigbus_guard.hpp"
+#include "util/fault_fs.hpp"
 
 namespace spnl {
 
@@ -82,7 +87,7 @@ namespace {
 // Hot-path varint decode for next(): the one- and two-byte encodings (the
 // overwhelming majority under delta compression — the benchmark crawl
 // averages ~1.3 bytes per varint) decode with a single branch each; anything
-// longer, and anything near the mapping's end, falls through to the fully
+// longer, and anything near the window's end, falls through to the fully
 // validated sadj::get_varint. Semantics are identical: the fast paths can
 // only accept encodings the slow path accepts too.
 inline bool read_varint(const std::uint8_t*& p, const std::uint8_t* end,
@@ -109,16 +114,6 @@ inline bool read_signed(const std::uint8_t*& p, const std::uint8_t* end,
   value = static_cast<std::int64_t>(zigzag >> 1) ^
           -static_cast<std::int64_t>(zigzag & 1);
   return true;
-}
-
-// Jump target for a SigbusGuard trip: the mapped file shrank under us and a
-// decode touched a page past the new EOF. Thrown (not returned to) via
-// siglongjmp, so keep it trivially [[noreturn]].
-[[noreturn]] void truncated_under_reader(const std::string& path,
-                                         const SigbusGuard& guard) {
-  throw IoError(path + ": mapping faulted (SIGBUS) at offset " +
-                std::to_string(guard.fault_offset()) +
-                " — file truncated while streamed");
 }
 
 }  // namespace
@@ -182,15 +177,19 @@ std::uint64_t write_sadj(AdjacencyStream& stream, const std::string& path) {
 }
 
 BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
-    : map_(path) {
-  if (map_.size() < sadj::kHeaderBytes) {
+    : path_(path), fd_(faultfs::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+  struct stat st {};
+  if (fd_.fd < 0 || ::fstat(fd_.fd, &st) != 0) {
+    const int err = errno;
+    corrupt(std::string("cannot open: ") + std::strerror(err));
+  }
+  if (!S_ISREG(st.st_mode)) corrupt("not a regular file");
+  file_size_ = static_cast<std::uint64_t>(st.st_size);
+  if (file_size_ < sadj::kHeaderBytes) {
     corrupt("file shorter than the 40-byte header");
   }
-  // The header reads below dereference the mapping: guard them so a file
-  // truncated between fstat and first touch is a typed error, not SIGBUS.
-  SigbusGuard guard(map_.data(), map_.size());
-  if (sigsetjmp(guard.env(), 0) != 0) truncated_under_reader(map_.path(), guard);
-  const std::uint8_t* base = reinterpret_cast<const std::uint8_t*>(map_.data());
+  std::uint8_t base[sadj::kHeaderBytes];
+  read_fully(base, sizeof base);
   if (std::memcmp(base, sadj::kMagic, 8) != 0) {
     corrupt("bad magic (not a .sadj file)");
   }
@@ -217,7 +216,7 @@ BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
   // least 1 — a header promising more than the body could hold is truncation.
   // (num_records_ <= v < 2^32 here, so the arithmetic cannot overflow once
   // num_edges_ is known to fit in the body.)
-  const std::uint64_t body = map_.size() - sadj::kHeaderBytes;
+  const std::uint64_t body = file_size_ - sadj::kHeaderBytes;
   if (num_edges_ > body || num_records_ * 2 + num_edges_ > body) {
     corrupt("truncated: body smaller than the header's counts imply");
   }
@@ -226,39 +225,81 @@ BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
 
 void BinaryAdjacencyStream::reset() {
   // A multi-pass caller restarting on a file that was truncated between
-  // passes gets a typed error here, before any page past EOF is touched.
-  map_.throw_if_shrunk();
-  cursor_ = reinterpret_cast<const std::uint8_t*>(map_.data()) +
-            sadj::kHeaderBytes;
+  // passes gets a typed error here rather than partway through the pass.
+  struct stat st {};
+  if (::fstat(fd_.fd, &st) != 0) {
+    corrupt(std::string("cannot stat: ") + std::strerror(errno));
+  }
+  if (static_cast<std::uint64_t>(st.st_size) < file_size_) {
+    corrupt("truncated: " + std::to_string(st.st_size) + " of " +
+            std::to_string(file_size_) + " bytes remain");
+  }
+  if (::lseek(fd_.fd, static_cast<off_t>(sadj::kHeaderBytes), SEEK_SET) < 0) {
+    corrupt(std::string("cannot seek: ") + std::strerror(errno));
+  }
+  window_offset_ = sadj::kHeaderBytes;
+  cursor_ = window_.data();
+  filled_ = window_.data();
   prev_id_ = -1;
   records_read_ = 0;
   edges_read_ = 0;
 }
 
 void BinaryAdjacencyStream::corrupt(const std::string& what) const {
-  throw IoError("BinaryAdjacencyStream: " + map_.path() + ": " + what);
+  throw IoError("BinaryAdjacencyStream: " + path_ + ": " + what);
+}
+
+void BinaryAdjacencyStream::read_fully(std::uint8_t* out, std::size_t count) {
+  std::size_t done = 0;
+  while (done < count) {
+    const ssize_t n = faultfs::read(fd_.fd, out + done, count - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      corrupt(std::string("read error: ") + std::strerror(errno));
+    }
+    if (n == 0) {
+      corrupt("truncated: the file ended before the " + std::to_string(file_size_) +
+              " bytes it had when opened");
+    }
+    done += static_cast<std::size_t>(n);
+  }
+}
+
+void BinaryAdjacencyStream::fill(std::uint64_t bytes) {
+  const std::uint64_t left = file_size_ - offset_of(cursor_);
+  bytes = std::min(bytes, left);
+  const std::size_t kept = static_cast<std::size_t>(filled_ - cursor_);
+  if (kept >= bytes) return;
+  window_offset_ = offset_of(cursor_);
+  if (kept > 0) std::memmove(window_.data(), cursor_, kept);
+  const std::size_t capacity = static_cast<std::size_t>(
+      std::max(bytes, std::min<std::uint64_t>(kWindowBytes, left)));
+  if (window_.size() < capacity) window_.resize(capacity);
+  const std::size_t want =
+      static_cast<std::size_t>(std::min<std::uint64_t>(window_.size(), left));
+  read_fully(window_.data() + kept, want - kept);
+  cursor_ = window_.data();
+  filled_ = window_.data() + want;
 }
 
 std::optional<VertexRecord> BinaryAdjacencyStream::next() {
-  const std::uint8_t* end =
-      reinterpret_cast<const std::uint8_t*>(map_.data()) + map_.size();
   if (records_read_ == num_records_) {
-    if (cursor_ != end) corrupt("trailing bytes after the last record");
+    if (offset_of(cursor_) != file_size_) {
+      corrupt("trailing bytes after the last record");
+    }
     return std::nullopt;
   }
-
-  // SIGBUS-safe decode: a file truncated while we stream it surfaces as a
-  // typed IoError instead of killing the process. Decode state lives in
-  // members and pre-declared locals, so the siglongjmp skipping destructors
-  // of post-setjmp objects cannot leak anything but a dead stream's buffer.
-  SigbusGuard guard(map_.data(), map_.size());
-  if (sigsetjmp(guard.env(), 0) != 0) truncated_under_reader(map_.path(), guard);
+  // The window holds each record whole, or the rest of the file: a record
+  // decodes from bytes in memory exactly as it would from the whole file.
+  if (static_cast<std::size_t>(filled_ - cursor_) < kMaxHeadBytes) {
+    fill(kMaxHeadBytes);
+  }
 
   // Decode through a local pointer so the compiler keeps it in a register
   // across the neighbor loop; committed back to cursor_ only on success.
   const std::uint8_t* p = cursor_;
   std::int64_t delta = 0;
-  if (!read_signed(p, end, delta)) corrupt("truncated record id");
+  if (!read_signed(p, filled_, delta)) corrupt("truncated record id");
   const std::int64_t id = prev_id_ + delta;
   if (id < 0 || id > std::numeric_limits<VertexId>::max()) {
     corrupt("record id out of range");
@@ -266,10 +307,18 @@ std::optional<VertexRecord> BinaryAdjacencyStream::next() {
   prev_id_ = id;
 
   std::uint64_t degree = 0;
-  if (!read_varint(p, end, degree)) corrupt("truncated degree");
+  if (!read_varint(p, filled_, degree)) corrupt("truncated degree");
   if (degree > num_edges_ - edges_read_) {
     corrupt("degree exceeds the header's remaining edge budget");
   }
+  // 10 * degree cannot overflow: the ctor bounds degree by num_edges_,
+  // which it bounds by the body size (< 2^60 for any real file).
+  const std::size_t head = static_cast<std::size_t>(p - cursor_);
+  if (static_cast<std::uint64_t>(filled_ - p) < 10 * degree) {
+    fill(head + 10 * degree);
+    p = cursor_ + head;
+  }
+  const std::uint8_t* const end = filled_;
 
   // The buffer only ever grows to the max degree seen; neighbors are written
   // by index to skip push_back's per-element capacity check.
@@ -277,13 +326,11 @@ std::optional<VertexRecord> BinaryAdjacencyStream::next() {
   VertexId* dst = buffer_.data();
   std::int64_t prev_nbr = id;
   constexpr std::uint64_t kMaxId = std::numeric_limits<VertexId>::max();
-  // A varint occupies at most 10 bytes, so when the remaining mapping holds
-  // 10 bytes per neighbor no decode in this record can run off the end —
-  // skip the per-byte bounds checks entirely. Only the file's tail (or a
-  // truncated body) takes the checked loop. The negative-id test folds into
-  // one unsigned compare: a negative nbr casts to > kMaxId.
-  // 10 * degree cannot overflow: the ctor bounds degree by num_edges_,
-  // which it bounds by the body size (< 2^60 for any real file).
+  // A varint occupies at most 10 bytes, so when the window holds 10 bytes
+  // per neighbor no decode in this record can run off the end — skip the
+  // per-byte bounds checks entirely. Only the file's tail (or a truncated
+  // body) takes the checked loop. The negative-id test folds into one
+  // unsigned compare: a negative nbr casts to > kMaxId.
   if (static_cast<std::uint64_t>(end - p) >= 10 * degree) {
     for (std::uint64_t i = 0; i < degree; ++i) {
       // Branchless 1-/2-byte decode: the delta mix makes "is this varint
@@ -328,7 +375,9 @@ std::optional<VertexRecord> BinaryAdjacencyStream::next() {
     if (edges_read_ != num_edges_) {
       corrupt("edge count disagrees with the header");
     }
-    if (cursor_ != end) corrupt("trailing bytes after the last record");
+    if (offset_of(cursor_) != file_size_) {
+      corrupt("trailing bytes after the last record");
+    }
   }
   return VertexRecord{static_cast<VertexId>(id),
                       std::span<const VertexId>(buffer_.data(), degree)};

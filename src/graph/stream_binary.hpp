@@ -1,4 +1,4 @@
-// The "sadj" delta-compressed binary adjacency format and its mmap reader.
+// The "sadj" delta-compressed binary adjacency format and its reader.
 //
 // Layout (all integers little-endian):
 //   offset  size  field
@@ -21,13 +21,13 @@
 //                  self-loops and order-sensitive float accumulation in the
 //                  scoring kernel all survive a round-trip bit-exactly.
 //
-// The reader maps the file and decodes lazily, one record per next() call, so
-// resident set stays at the decode buffer plus whatever clean file pages the
-// kernel keeps — graphs larger than RAM stream fine. Structural validation is
-// strict: bad magic, unknown version/flags, truncated varints, degree or
-// record counts disagreeing with the header, or trailing bytes all throw
-// IoError. A corrupt .sadj is a broken converter artifact, not line noise, so
-// it is never quarantined.
+// The reader reads the file through a fixed window it owns and decodes lazily,
+// one record per next() call, so resident set stays at the window plus the
+// decode buffer — graphs larger than RAM stream fine. Structural validation
+// is strict: bad magic, unknown version/flags, truncated varints, degree or
+// record counts disagreeing with the header, trailing bytes, or a file that
+// ends before the size it had when opened all throw IoError. A corrupt .sadj
+// is a broken converter artifact, not line noise, so it is never quarantined.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "graph/adjacency_stream.hpp"
-#include "graph/mmap_file.hpp"
+#include "util/checked_io.hpp"
 
 namespace spnl {
 
@@ -67,30 +67,50 @@ bool get_signed(const std::uint8_t*& p, const std::uint8_t* end,
 /// The V/E header fields are taken from the stream's metadata; R is counted.
 std::uint64_t write_sadj(AdjacencyStream& stream, const std::string& path);
 
-/// mmap-backed reader for .sadj files. Validates the header eagerly (bad
-/// magic / version / flags / impossible sizes throw IoError at construction)
-/// and the body incrementally as records decode.
+/// Windowed reader for .sadj files. Validates the header eagerly (bad magic /
+/// version / flags / impossible sizes throw IoError at construction) and the
+/// body incrementally as records decode.
 class BinaryAdjacencyStream final : public AdjacencyStream {
  public:
+  /// Window capacity. It grows past this only for a record whose worst-case
+  /// encoding (kMaxHeadBytes + 10 bytes per neighbor) does not fit.
+  static constexpr std::size_t kWindowBytes = std::size_t{1} << 20;
+  /// Worst-case bytes of a record's id delta and degree (two 10-byte varints).
+  static constexpr std::size_t kMaxHeadBytes = 20;
+
   explicit BinaryAdjacencyStream(const std::string& path);
 
   std::optional<VertexRecord> next() override;
+  /// Rewinds to the first record. Throws IoError when the file is now
+  /// shorter than it was when opened.
   void reset() override;
   VertexId num_vertices() const override { return num_vertices_; }
   EdgeId num_edges() const override { return num_edges_; }
+  /// The read window and the decode buffer.
   std::size_t memory_footprint_bytes() const override {
-    // The decode buffer is the only owned heap; mapped pages are clean and
-    // reclaimable (see MmapFile::owned_bytes).
-    return buffer_.capacity() * sizeof(VertexId);
+    return window_.capacity() + buffer_.capacity() * sizeof(VertexId);
   }
 
   std::uint64_t num_records() const { return num_records_; }
 
  private:
   [[noreturn]] void corrupt(const std::string& what) const;
+  /// Reads exactly `count` bytes at the descriptor's position.
+  void read_fully(std::uint8_t* out, std::size_t count);
+  /// Makes min(bytes, rest of the file) bytes from cursor_ available in the
+  /// window, moving the unread bytes to its front first.
+  void fill(std::uint64_t bytes);
+  std::uint64_t offset_of(const std::uint8_t* p) const {
+    return window_offset_ + static_cast<std::uint64_t>(p - window_.data());
+  }
 
-  MmapFile map_;
+  std::string path_;
+  ScopedFd fd_;
+  std::uint64_t file_size_ = 0;
+  std::vector<std::uint8_t> window_;
+  std::uint64_t window_offset_ = 0;  // file offset of window_[0]
   const std::uint8_t* cursor_ = nullptr;
+  const std::uint8_t* filled_ = nullptr;  // end of the bytes read into window_
   std::vector<VertexId> buffer_;
   std::int64_t prev_id_ = -1;
   std::uint64_t records_read_ = 0;

@@ -22,6 +22,10 @@ constexpr std::size_t kFlushBytes = 1u << 20;
 
 }  // namespace
 
+ScopedFd::~ScopedFd() {
+  if (fd >= 0) ::close(fd);
+}
+
 FdWriter::FdWriter(const std::string& path, bool append) : path_(path) {
   const int flags = O_WRONLY | O_CREAT | O_CLOEXEC | (append ? O_APPEND : O_TRUNC);
   fd_ = faultfs::open(path.c_str(), flags, 0644);

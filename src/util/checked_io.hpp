@@ -27,6 +27,15 @@
 
 namespace spnl {
 
+/// Owns a file descriptor (negative: none) and closes it on destruction.
+struct ScopedFd {
+  int fd;
+  explicit ScopedFd(int f) : fd(f) {}
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  ~ScopedFd();
+};
+
 /// Buffered append-only writer over a raw fd. All errors throw IoError
 /// (graph/io.hpp) with the path and strerror text. The destructor closes
 /// best-effort without throwing — call close() explicitly to observe

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <array>
@@ -77,7 +76,7 @@ Op parse_op(const std::string& name) {
     if (name == op_name(static_cast<Op>(i))) return static_cast<Op>(i);
   }
   grammar_error("unknown operation '" + name +
-                "' (want open|read|write|fsync|rename|mmap)");
+                "' (want open|read|write|fsync|rename)");
 }
 
 int parse_errno(const std::string& name) {
@@ -230,7 +229,6 @@ const char* op_name(Op op) {
     case Op::kWrite: return "write";
     case Op::kFsync: return "fsync";
     case Op::kRename: return "rename";
-    case Op::kMmap: return "mmap";
   }
   return "?";
 }
@@ -383,13 +381,6 @@ int rename(const char* from, const char* to) {
     if (!admit(Op::kRename, nullptr, 0, -1, nullptr)) return -1;
   }
   return ::rename(from, to);
-}
-
-void* mmap_file(std::size_t length, int prot, int flags, int fd) {
-  if (armed()) {
-    if (!admit(Op::kMmap, nullptr, length, fd, nullptr)) return MAP_FAILED;
-  }
-  return ::mmap(nullptr, length, prot, flags, fd, 0);
 }
 
 }  // namespace faultfs

@@ -1,7 +1,7 @@
 // Process-global, seeded storage-fault injector for the file I/O layer.
 //
 // Every durable write path in the tree (checkpoint writer, sadj writer,
-// route/graph writers, quarantine log) and the mmap open path routes its
+// route/graph writers, quarantine log) and the sadj reader route their
 // syscalls through the thin wrappers below. With no plan armed the wrappers
 // are the raw syscalls behind one relaxed atomic-bool test (the PerfStats
 // pattern: a disabled run pays a single predictable branch per call and the
@@ -32,7 +32,7 @@
 //   kill:OP@N         raise SIGKILL immediately before the Nth OP — the
 //                     crash-consistency harness's deterministic kill-9 sites
 //
-// OP is one of: open read write fsync rename mmap.
+// OP is one of: open read write fsync rename.
 //
 // Faults are injected at the wrapper, so callers exercise their REAL error
 // handling: retry loops see genuine EINTR returns, ENOSPC propagates through
@@ -56,9 +56,8 @@ enum class Op : unsigned {
   kWrite,
   kFsync,
   kRename,
-  kMmap,
 };
-inline constexpr std::size_t kOpCount = 6;
+inline constexpr std::size_t kOpCount = 5;
 
 /// Stable lower-case name ("open", "write", ...) used by the plan grammar
 /// and error messages.
@@ -104,9 +103,6 @@ ssize_t write(int fd, const void* buf, std::size_t count);
 ssize_t pwrite(int fd, const void* buf, std::size_t count, std::int64_t offset);
 int fsync(int fd);
 int rename(const char* from, const char* to);
-/// Whole-file read-only mapping (the MmapFile use case). Returns MAP_FAILED
-/// with errno set on failure, like ::mmap.
-void* mmap_file(std::size_t length, int prot, int flags, int fd);
 
 }  // namespace faultfs
 }  // namespace spnl

@@ -1,8 +1,9 @@
 // Storage-fault injection: the faultfs plan grammar, the hardened writers'
 // behavior under ENOSPC / EINTR storms / short writes / failed fsync+rename,
 // crash-atomic publish of checkpoints and sadj conversions, quarantine-log
-// drop counting, and SIGBUS-safe mmap readers (a file truncated under the
-// mapping surfaces as a typed IoError, never process death).
+// drop counting, and the input readers (a file truncated while streamed
+// surfaces as a typed IoError; injected open/read faults are typed errors or
+// absorbed retries).
 #include "util/fault_fs.hpp"
 
 #include <gtest/gtest.h>
@@ -17,10 +18,8 @@
 #include "graph/adjacency_stream.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/mmap_stream.hpp"
 #include "graph/stream_binary.hpp"
 #include "util/checked_io.hpp"
-#include "util/sigbus_guard.hpp"
 #include "test_dir.hpp"
 
 namespace spnl {
@@ -290,14 +289,14 @@ TEST_F(FaultFsTest, QuarantineLogHealthyPathCountsNoDrops) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGBUS-safe mmap readers. Each scenario maps a file that spans multiple
-// pages, truncates it to exactly one page mid-stream (the kernel zaps every
-// mapped page past the new EOF), and expects a typed IoError from the decode
-// loop — previously an uncatchable SIGBUS process death.
+// Input readers never map the file: one that shrinks while streamed ends a
+// read early, and the reader turns that short read into a typed IoError
+// naming the truncation instead of ending the stream quietly.
 
 constexpr std::size_t kPage = 4096;
 
-// Writes an adjacency text file guaranteed to span well past `kPage` bytes.
+// Writes an adjacency text file of one slice that spans well past `kPage`
+// bytes, so the stream parses it inline at the first next().
 std::string big_adj_file(const std::filesystem::path& dir) {
   const std::string p = (dir / "big.adj").string();
   FdWriter w(p);
@@ -312,48 +311,41 @@ std::string big_adj_file(const std::filesystem::path& dir) {
   return p;
 }
 
-TEST_F(FaultFsTest, TextMmapReaderSurvivesMidStreamTruncationAsIoError) {
-  const std::string p = big_adj_file(dir_);
-  ASSERT_GT(std::filesystem::file_size(p), 3 * kPage);
-  MmapAdjacencyStream stream(p);
-  ASSERT_TRUE(stream.next().has_value());
-  // Yank pages 2..n out from under the reader mid-pass.
-  ASSERT_EQ(::truncate(p.c_str(), static_cast<off_t>(kPage)), 0);
+void expect_truncation_error(AdjacencyStream& stream) {
   bool threw = false;
   try {
     while (stream.next()) {
     }
   } catch (const IoError& e) {
     threw = true;
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
   }
   EXPECT_TRUE(threw);
-  EXPECT_TRUE(sigbus_handler_installed());
-  // The process is alive and the stream is still safely rejectable.
-  EXPECT_THROW(stream.reset(), IoError);  // fstat check at the pass boundary
 }
 
-TEST_F(FaultFsTest, BinaryMmapReaderSurvivesMidStreamTruncationAsIoError) {
+TEST_F(FaultFsTest, TextMmapReaderSurvivesMidStreamTruncationAsIoError) {
+  const std::string p = big_adj_file(dir_);
+  ASSERT_GT(std::filesystem::file_size(p), 3 * kPage);
+  ASSERT_LT(std::filesystem::file_size(p), FileAdjacencyStream::kSliceBytes);
+  FileAdjacencyStream stream(p);
+  ASSERT_EQ(::truncate(p.c_str(), static_cast<off_t>(kPage)), 0);
+  expect_truncation_error(stream);
+}
+
+TEST_F(FaultFsTest, BinaryReaderSurvivesMidStreamTruncationAsIoError) {
   const Graph g = generate_webcrawl(
-      {.num_vertices = 4000, .avg_out_degree = 6.0, .seed = 11});
+      {.num_vertices = 300000, .avg_out_degree = 6.0, .seed = 11});
   const std::string p = path("big.sadj");
   {
     InMemoryStream s(g);
     write_sadj(s, p);
   }
-  ASSERT_GT(std::filesystem::file_size(p), 3 * kPage);
+  ASSERT_GT(std::filesystem::file_size(p), 2 * BinaryAdjacencyStream::kWindowBytes);
   BinaryAdjacencyStream stream(p);  // header validated while file is whole
   ASSERT_TRUE(stream.next().has_value());
   ASSERT_EQ(::truncate(p.c_str(), static_cast<off_t>(kPage)), 0);
-  bool threw = false;
-  try {
-    while (stream.next()) {
-    }
-  } catch (const IoError& e) {
-    threw = true;
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
-  }
-  EXPECT_TRUE(threw);
+  expect_truncation_error(stream);
+  EXPECT_THROW(stream.reset(), IoError);
 }
 
 TEST_F(FaultFsTest, EdgeListMmapReaderSurvivesMidStreamTruncationAsIoError) {
@@ -369,33 +361,27 @@ TEST_F(FaultFsTest, EdgeListMmapReaderSurvivesMidStreamTruncationAsIoError) {
     w.close();
   }
   ASSERT_GT(std::filesystem::file_size(p), 3 * kPage);
-  MmapEdgeListStream stream(p);
+  EdgeListAdjacencyStream stream(p);
   ASSERT_TRUE(stream.next().has_value());
   ASSERT_EQ(::truncate(p.c_str(), static_cast<off_t>(kPage)), 0);
-  bool threw = false;
-  try {
-    while (stream.next()) {
-    }
-  } catch (const IoError&) {
-    threw = true;
-  }
-  EXPECT_TRUE(threw);
+  expect_truncation_error(stream);
+  EXPECT_THROW(stream.reset(), IoError);
 }
 
 TEST_F(FaultFsTest, ResetOnShrunkFileFailsUpFrontWithoutTouchingPages) {
   const std::string p = big_adj_file(dir_);
-  MmapAdjacencyStream stream(p);
+  FileAdjacencyStream stream(p);
   ASSERT_EQ(::truncate(p.c_str(), static_cast<off_t>(kPage)), 0);
-  // The fstat-vs-mapping check fires before any page access.
+  // The size check against the pre-scan fires before any read.
   EXPECT_THROW(stream.reset(), IoError);
 }
 
 TEST_F(FaultFsTest, IntactFilesStreamIdenticallyWithGuardsInstalled) {
-  // The guard must be semantics-free on the happy path: a healthy file
-  // streams every record, twice (reset between passes exercises
-  // throw_if_shrunk on the un-shrunk file).
+  // The truncation checks must be semantics-free on the happy path: a
+  // healthy file streams every record, twice (reset between passes compares
+  // the unchanged size).
   const std::string p = big_adj_file(dir_);
-  MmapAdjacencyStream stream(p);
+  FileAdjacencyStream stream(p);
   std::uint64_t first_pass = 0, second_pass = 0;
   while (stream.next()) ++first_pass;
   stream.reset();
@@ -405,15 +391,44 @@ TEST_F(FaultFsTest, IntactFilesStreamIdenticallyWithGuardsInstalled) {
 }
 
 // ---------------------------------------------------------------------------
-// Injected mmap/open failures surface through MmapFile's typed errors.
+// Injected open/read faults on the sadj reader: failures are typed errors,
+// short reads and EINTR storms are absorbed without changing a record.
 
 TEST_F(FaultFsTest, InjectedOpenAndMmapFailuresAreTyped) {
-  const std::string p = big_adj_file(dir_);
-  faultfs::configure("fail:open@1@emfile");
-  EXPECT_THROW(MmapAdjacencyStream{p}, IoError);
-  faultfs::configure("fail:mmap@1@12");  // ENOMEM by number
-  EXPECT_THROW(MmapAdjacencyStream{p}, IoError);
-  faultfs::disarm();
+  const Graph g = generate_webcrawl(
+      {.num_vertices = 2000, .avg_out_degree = 6.0, .seed = 4});
+  const std::string p = path("g.sadj");
+  {
+    InMemoryStream s(g);
+    write_sadj(s, p);
+  }
+  auto drain = [&] {
+    BinaryAdjacencyStream stream(p);
+    std::vector<OwnedVertexRecord> records;
+    while (auto record = stream.next()) records.push_back(OwnedVertexRecord::from(*record));
+    return records;
+  };
+  const std::vector<OwnedVertexRecord> expected = drain();
+  ASSERT_EQ(expected.size(), g.num_vertices());
+  for (const char* plan : {"fail:open@1@emfile", "fail:read@1@eio"}) {
+    SCOPED_TRACE(plan);
+    faultfs::configure(plan);
+    EXPECT_THROW(drain(), IoError);
+  }
+  for (const char* plan : {"short:read@1", "eintr:read@1@5"}) {
+    SCOPED_TRACE(plan);
+    faultfs::configure(plan);
+    const std::vector<OwnedVertexRecord> records = drain();
+    EXPECT_GE(faultfs::injected_faults(), 1u);
+    faultfs::disarm();
+    ASSERT_EQ(records.size(), expected.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].id, expected[i].id) << "record " << i;
+      ASSERT_EQ(records[i].out, expected[i].out) << "record " << i;
+    }
+  }
+  // The plan grammar no longer knows a mapping operation.
+  EXPECT_THROW(faultfs::configure("fail:mmap@1"), std::runtime_error);
 }
 
 }  // namespace

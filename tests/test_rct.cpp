@@ -92,10 +92,28 @@ TEST(Rct, ParkFailsWhenUntracked) {
 TEST(Rct, ParkCapacityBound) {
   Rct rct(1);
   rct.register_vertex(1);
+  rct.bump_if_present(1);
   EXPECT_TRUE(rct.park(record(1)));
   // Parked set is at capacity 1 now.
   auto r2 = record(1);
   EXPECT_FALSE(rct.park(std::move(r2)));
+}
+
+TEST(Rct, ParkRefusesACounterThatDrainedAfterShouldDelay) {
+  // The lost-wakeup interleaving, scripted on one thread: the worker saw a
+  // non-zero counter, then the last in-neighbor's placement drained it
+  // before park ran. Nobody is left to release a parked record, so park
+  // must refuse and leave the record with the caller.
+  Rct rct(8);
+  ASSERT_TRUE(rct.register_vertex(1));
+  ASSERT_TRUE(rct.register_vertex(2));
+  rct.bump_if_present(2);
+  ASSERT_TRUE(rct.should_delay(2));
+  EXPECT_TRUE(rct.on_placed(1, std::vector<VertexId>{2}).empty());
+  auto r = record(2, {5});
+  EXPECT_FALSE(rct.park(std::move(r)));
+  EXPECT_EQ(rct.parked_size(), 0u);
+  EXPECT_EQ(r.out, (std::vector<VertexId>{5}));
 }
 
 TEST(Rct, DrainParkedSortedById) {
@@ -250,6 +268,7 @@ TEST(Rct, ParkCapacityIsGlobalNotPerStripe) {
   Rct rct(8, 4);
   for (VertexId v : {0u, 4u, 8u, 12u}) {
     ASSERT_TRUE(rct.register_vertex(v));
+    rct.bump_if_present(v);
     ASSERT_TRUE(rct.park(record(v))) << "v=" << v;
   }
   EXPECT_EQ(rct.parked_size(), 4u);

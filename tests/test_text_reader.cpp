@@ -1,12 +1,13 @@
-// The parse-ahead text reader (FileAdjacencyStream) against the serial
-// mmap reader on files that span many slices: comments, blank lines, CRLF,
-// an unterminated last line, lines longer than a slice, malformed lines
-// placed exactly at a slice boundary (strict and quarantined), reset() and
-// destruction mid-pass. The helpers run on real threads here, so the
-// ThreadSanitizer smoke covers them. Also |V| agreement between the
-// pre-scans, materialize and the stream metrics.
+// The parse-ahead text reader (FileAdjacencyStream) against the records and
+// malformed lines each test wrote, on files that span many slices: comments,
+// blank lines, CRLF, an unterminated last line, lines longer than a slice,
+// malformed lines placed exactly at a slice boundary (strict and
+// quarantined), reset() and destruction mid-pass. The helpers run on real
+// threads here, so the ThreadSanitizer smoke covers them. Also |V|
+// agreement between the pre-scan, materialize and the stream metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "graph/adjacency_stream.hpp"
-#include "graph/mmap_stream.hpp"
 #include "partition/metrics.hpp"
 #include "util/rng.hpp"
 #include "test_dir.hpp"
@@ -69,22 +69,58 @@ std::string read_file(const std::string& p) {
   return buffer.str();
 }
 
+// What a generated file holds: its records in file order, and its malformed
+// lines, each with the index of the record that follows it.
+struct Written {
+  std::vector<OwnedVertexRecord> records;
+  std::vector<std::string> bad_lines;
+  std::vector<std::size_t> bad_before;
+
+  void add_bad(std::string& text, const std::string& line) {
+    text += line + "\n";
+    bad_lines.push_back(line);
+    bad_before.push_back(records.size());
+  }
+  std::vector<OwnedVertexRecord> records_before(std::size_t bad) const {
+    return {records.begin(), records.begin() + bad_before[bad]};
+  }
+  // The counts a header-less pre-scan infers: |V| one past the largest id
+  // or neighbor, |E| the sum of the degrees.
+  VertexId num_vertices() const {
+    VertexId n = 0;
+    for (const OwnedVertexRecord& record : records) {
+      n = std::max(n, record.id + 1);
+      for (VertexId u : record.out) n = std::max(n, u + 1);
+    }
+    return n;
+  }
+  EdgeId num_edges() const {
+    EdgeId m = 0;
+    for (const OwnedVertexRecord& record : records) m += record.out.size();
+    return m;
+  }
+};
+
 // Adjacency lines for ids [first, first+count) with mixed separators, CRLF
-// endings, comments and blank lines sprinkled in.
+// endings, comments and blank lines sprinkled in; appends the records to
+// `written`.
 void append_lines(std::string& text, VertexId first, VertexId count, VertexId n,
-                  SplitMix64& rng) {
+                  SplitMix64& rng, Written& written) {
   for (VertexId v = first; v < first + count; ++v) {
     const std::uint64_t pick = rng.next() % 64;
     if (pick == 0) text += "# comment line " + std::to_string(v) + "\n";
     if (pick == 1) text += "\n";
     if (pick == 2) text += " \t \r\n";
     text += std::to_string(v);
+    OwnedVertexRecord record{v, {}};
     const std::uint64_t degree = rng.next() % 12;
     for (std::uint64_t d = 0; d < degree; ++d) {
       text += (d % 5 == 4) ? '\t' : ' ';
-      text += std::to_string(rng.next() % n);
+      record.out.push_back(static_cast<VertexId>(rng.next() % n));
+      text += std::to_string(record.out.back());
     }
     text += (pick == 3) ? "\r\n" : "\n";
+    written.records.push_back(std::move(record));
   }
 }
 
@@ -106,142 +142,130 @@ void pad_to(std::string& text, std::size_t offset) {
 
 // A header file whose line at `offset` (a slice boundary) is `bad`, with
 // other malformed lines inside slices.
-std::string boundary_file(std::size_t offset, const std::string& bad) {
+std::string boundary_file(std::size_t offset, const std::string& bad, Written& written) {
   const VertexId n = 300000;
   SplitMix64 rng(17);
   std::string text = "# V " + std::to_string(n) + " E 0\n";
   VertexId v = 0;
-  while (text.size() + 200 < offset) append_lines(text, v++, 1, n, rng);
-  text += "mid-slice junk\n";
+  while (text.size() + 200 < offset) append_lines(text, v++, 1, n, rng, written);
+  written.add_bad(text, "mid-slice junk");
   pad_to(text, offset);
-  text += bad + "\n";
-  while (text.size() < offset + 2 * kSlice) append_lines(text, v++, 1, n, rng);
-  text += "7 8 nine\n";
-  append_lines(text, v, 5, n, rng);
+  written.add_bad(text, bad);
+  while (text.size() < offset + 2 * kSlice) append_lines(text, v++, 1, n, rng, written);
+  written.add_bad(text, "7 8 nine");
+  append_lines(text, v, 5, n, rng, written);
   return text;
 }
 
 TEST_F(TextReader, MatchesMmapReaderAcrossManySlices) {
   const VertexId n = 400000;
   SplitMix64 rng(5);
+  Written written;
   std::string text = "# generated\n# V " + std::to_string(n) + " E 123\n";
-  append_lines(text, 0, n, n, rng);
+  append_lines(text, 0, n, n, rng, written);
   text += "400000 1 2";  // unterminated last line
+  written.records.push_back({400000, {1, 2}});
   write_text(path("g.adj"), text, 4);
   FileAdjacencyStream file(path("g.adj"));
-  MmapAdjacencyStream mapped(path("g.adj"));
   EXPECT_EQ(file.num_vertices(), n);
   EXPECT_EQ(file.num_edges(), 123u);
-  const auto records = drain(file);
-  expect_same(records, drain(mapped));
-  EXPECT_EQ(records.size(), n + 1);
-  EXPECT_EQ(records.back().out, (std::vector<VertexId>{1, 2}));
+  expect_same(drain(file), written.records);
   EXPECT_TRUE(file.next() == std::nullopt);  // stays at end
 }
 
 TEST_F(TextReader, HeaderlessCountsMatchMmapReader) {
   const VertexId n = 300000;
   SplitMix64 rng(9);
+  Written written;
   std::string text;
-  append_lines(text, 0, n, n + 50, rng);  // neighbors past the last line id
+  append_lines(text, 0, n, n + 50, rng, written);  // neighbors past the last line id
   write_text(path("nh.adj"), text, 3);
   FileAdjacencyStream file(path("nh.adj"));
-  MmapAdjacencyStream mapped(path("nh.adj"));
-  EXPECT_EQ(file.num_vertices(), mapped.num_vertices());
-  EXPECT_EQ(file.num_edges(), mapped.num_edges());
+  EXPECT_EQ(file.num_vertices(), written.num_vertices());
+  EXPECT_EQ(file.num_edges(), written.num_edges());
   EXPECT_GE(file.num_vertices(), n);
-  expect_same(drain(file), drain(mapped));
+  expect_same(drain(file), written.records);
 }
 
 TEST_F(TextReader, LineLongerThanASlice) {
+  std::vector<OwnedVertexRecord> expected{{0, {1}}, {1, {}}, {2, {0}}, {3, {}}, {4, {3}}};
   std::string text = "0 1\n1";
-  for (std::size_t i = 0; text.size() < 3 * kSlice; ++i) text += " " + std::to_string(i % 7);
+  for (std::size_t i = 0; text.size() < 3 * kSlice; ++i) {
+    text += " " + std::to_string(i % 7);
+    expected[1].out.push_back(static_cast<VertexId>(i % 7));
+  }
   text += "\n2 0\n3\n4 3";
   write_text(path("long.adj"), text, 3);
   FileAdjacencyStream file(path("long.adj"));
-  MmapAdjacencyStream mapped(path("long.adj"));
   EXPECT_EQ(file.num_vertices(), 7u);  // neighbor 6 has no line of its own
-  EXPECT_EQ(file.num_vertices(), mapped.num_vertices());
-  EXPECT_EQ(file.num_edges(), mapped.num_edges());
+  EXPECT_EQ(file.num_edges(), expected[1].out.size() + 3);
   const auto records = drain(file);
-  ASSERT_EQ(records.size(), 5u);
   EXPECT_GT(records[1].out.size(), kSlice / 2);
-  expect_same(records, drain(mapped));
+  expect_same(records, expected);
 }
 
 TEST_F(TextReader, MalformedLineAtSliceBoundaryThrowsAfterEveryEarlierRecord) {
   for (const std::size_t offset : {kSlice, 2 * kSlice, kSlice - 1, kSlice + 1}) {
     SCOPED_TRACE(offset);
-    write_text(path("b.adj"), boundary_file(offset, "12 x13"), 2);
+    Written written;
+    write_text(path("b.adj"), boundary_file(offset, "12 x13", written), 2);
     FileAdjacencyStream file(path("b.adj"));
-    MmapAdjacencyStream mapped(path("b.adj"));
-    bool file_threw = false;
-    bool mapped_threw = false;
-    const auto file_records = drain_until_throw(file, file_threw);
-    const auto mapped_records = drain_until_throw(mapped, mapped_threw);
-    EXPECT_TRUE(file_threw);
-    EXPECT_TRUE(mapped_threw);
+    bool threw = false;
     // The mid-slice junk line before the boundary is the first bad line.
-    expect_same(file_records, mapped_records);
+    expect_same(drain_until_throw(file, threw), written.records_before(0));
+    EXPECT_TRUE(threw);
     // The stream resumes after the bad line, like a buffered reader.
-    const auto more = drain_until_throw(file, file_threw);
-    const auto more_mapped = drain_until_throw(mapped, mapped_threw);
-    EXPECT_TRUE(file_threw);
-    expect_same(more, more_mapped);
+    const auto more = drain_until_throw(file, threw);
+    EXPECT_TRUE(threw);
+    expect_same(more, {written.records.begin() + written.bad_before[0],
+                       written.records.begin() + written.bad_before[1]});
   }
 }
 
 TEST_F(TextReader, QuarantineAtSliceBoundaryCountsAndLogsInOrder) {
   for (const std::size_t offset : {kSlice, 2 * kSlice}) {
     SCOPED_TRACE(offset);
-    write_text(path("q.adj"), boundary_file(offset, "bad\tline @ boundary"), 2);
-    const StreamHardeningOptions file_opts{.max_bad_records = 10,
-                                           .quarantine_log = path("file.log")};
-    const StreamHardeningOptions mapped_opts{.max_bad_records = 10,
-                                             .quarantine_log = path("mapped.log")};
-    FileAdjacencyStream file(path("q.adj"), file_opts);
-    MmapAdjacencyStream mapped(path("q.adj"), mapped_opts);
-    expect_same(drain(file), drain(mapped));
+    Written written;
+    write_text(path("q.adj"), boundary_file(offset, "bad\tline @ boundary", written), 2);
+    FileAdjacencyStream file(path("q.adj"),
+                             {.max_bad_records = 10, .quarantine_log = path("file.log")});
+    expect_same(drain(file), written.records);
     EXPECT_EQ(file.bad_records(), 3u);
-    EXPECT_EQ(mapped.bad_records(), 3u);
-    EXPECT_EQ(read_file(path("file.log")), read_file(path("mapped.log")));
     EXPECT_EQ(read_file(path("file.log")),
               "mid-slice junk\nbad\tline @ boundary\n7 8 nine\n");
   }
 }
 
 TEST_F(TextReader, QuarantineBoundThrowsAtTheSameRecordAsMmap) {
-  write_text(path("qb.adj"), boundary_file(kSlice, "boundary junk"), 2);
+  Written written;
+  write_text(path("qb.adj"), boundary_file(kSlice, "boundary junk", written), 2);
   FileAdjacencyStream file(path("qb.adj"), {.max_bad_records = 1, .quarantine_log = {}});
-  MmapAdjacencyStream mapped(path("qb.adj"), {.max_bad_records = 1, .quarantine_log = {}});
-  bool file_threw = false;
-  bool mapped_threw = false;
-  expect_same(drain_until_throw(file, file_threw), drain_until_throw(mapped, mapped_threw));
-  EXPECT_TRUE(file_threw);
-  EXPECT_TRUE(mapped_threw);
+  bool threw = false;
+  // The first bad line is quarantined; the second one is past the bound.
+  expect_same(drain_until_throw(file, threw), written.records_before(1));
+  EXPECT_TRUE(threw);
   EXPECT_EQ(file.bad_records(), 2u);
 }
 
 TEST_F(TextReader, HeaderlessStrictPrescanThrowsOnBoundaryLine) {
-  std::string text = boundary_file(kSlice, "zz");
+  Written written;
+  std::string text = boundary_file(kSlice, "zz", written);
   text.erase(0, text.find('\n') + 1);  // drop the header
   write_text(path("h.adj"), text, 2);
   EXPECT_THROW(FileAdjacencyStream(path("h.adj")), std::runtime_error);
-  EXPECT_THROW(MmapAdjacencyStream(path("h.adj")), std::runtime_error);
   FileAdjacencyStream quarantined(path("h.adj"), {.max_bad_records = 5, .quarantine_log = {}});
-  MmapAdjacencyStream mapped(path("h.adj"), {.max_bad_records = 5, .quarantine_log = {}});
-  EXPECT_EQ(quarantined.num_vertices(), mapped.num_vertices());
-  EXPECT_EQ(quarantined.num_edges(), mapped.num_edges());
-  expect_same(drain(quarantined), drain(mapped));
+  EXPECT_EQ(quarantined.num_vertices(), written.num_vertices());
+  EXPECT_EQ(quarantined.num_edges(), written.num_edges());
+  expect_same(drain(quarantined), written.records);
   EXPECT_EQ(quarantined.bad_records(), 3u);
 }
 
 TEST_F(TextReader, ResetMidPassRestartsFromTheTop) {
-  write_text(path("r.adj"), boundary_file(kSlice, "reset junk"), 2);
+  Written written;
+  write_text(path("r.adj"), boundary_file(kSlice, "reset junk", written), 2);
   const StreamHardeningOptions opts{.max_bad_records = 10, .quarantine_log = path("r.log")};
   FileAdjacencyStream file(path("r.adj"), opts);
-  MmapAdjacencyStream mapped(path("r.adj"), {.max_bad_records = 10, .quarantine_log = {}});
-  const auto full = drain(mapped);
+  const auto& full = written.records;
   for (std::size_t stop : {std::size_t{1}, std::size_t{5000}, full.size() / 2}) {
     for (std::size_t i = 0; i < stop; ++i) ASSERT_TRUE(file.next().has_value());
     file.reset();
@@ -257,8 +281,9 @@ TEST_F(TextReader, ResetMidPassRestartsFromTheTop) {
 TEST_F(TextReader, DestructionMidPassJoinsCleanly) {
   const VertexId n = 300000;
   SplitMix64 rng(3);
+  Written written;
   std::string text = "# V " + std::to_string(n) + " E 0\n";
-  append_lines(text, 0, n, n, rng);
+  append_lines(text, 0, n, n, rng, written);
   write_text(path("d.adj"), text, 3);
   for (std::size_t stop : {std::size_t{0}, std::size_t{1}, std::size_t{70000},
                            std::size_t{n - 1}}) {
@@ -270,27 +295,23 @@ TEST_F(TextReader, DestructionMidPassJoinsCleanly) {
   }
 }
 
-// |V| from the pre-scans, materialize and the stream metrics agree on sinks
-// that have no line of their own, on both readers, with and without header.
+// |V| from the pre-scan, materialize and the stream metrics agree on sinks
+// that have no line of their own, without a header.
 TEST_F(TextReader, SinkWithoutLineCountsAsVertexWithoutHeader) {
   {
     std::ofstream out(path("s.adj"));
     out << "0 5\n1 0\n";
   }
-  FileAdjacencyStream file(path("s.adj"));
-  MmapAdjacencyStream mapped(path("s.adj"));
-  for (AdjacencyStream* stream : {static_cast<AdjacencyStream*>(&file),
-                                  static_cast<AdjacencyStream*>(&mapped)}) {
-    EXPECT_EQ(stream->num_vertices(), 6u);
-    EXPECT_EQ(stream->num_edges(), 2u);
-    const Graph graph = materialize(*stream);
-    EXPECT_EQ(graph.num_vertices(), 6u);
-    stream->reset();
-    const std::vector<PartitionId> route{0, 1, 0, 1, 0, 1};
-    const QualityMetrics from_stream = evaluate_partition(*stream, route, 2);
-    EXPECT_EQ(from_stream.cut_edges, evaluate_partition(graph, route, 2).cut_edges);
-    EXPECT_EQ(from_stream.cut_edges, 2u);
-  }
+  FileAdjacencyStream stream(path("s.adj"));
+  EXPECT_EQ(stream.num_vertices(), 6u);
+  EXPECT_EQ(stream.num_edges(), 2u);
+  const Graph graph = materialize(stream);
+  EXPECT_EQ(graph.num_vertices(), 6u);
+  stream.reset();
+  const std::vector<PartitionId> route{0, 1, 0, 1, 0, 1};
+  const QualityMetrics from_stream = evaluate_partition(stream, route, 2);
+  EXPECT_EQ(from_stream.cut_edges, evaluate_partition(graph, route, 2).cut_edges);
+  EXPECT_EQ(from_stream.cut_edges, 2u);
 }
 
 TEST_F(TextReader, NeighborPastHeaderCountIsRejected) {
@@ -298,15 +319,11 @@ TEST_F(TextReader, NeighborPastHeaderCountIsRejected) {
     std::ofstream out(path("h.adj"));
     out << "# V 3 E 2\n0 5\n1 0\n";
   }
-  FileAdjacencyStream file(path("h.adj"));
-  MmapAdjacencyStream mapped(path("h.adj"));
-  for (AdjacencyStream* stream : {static_cast<AdjacencyStream*>(&file),
-                                  static_cast<AdjacencyStream*>(&mapped)}) {
-    EXPECT_EQ(stream->num_vertices(), 3u);
-    EXPECT_THROW(materialize(*stream), std::runtime_error);
-    stream->reset();
-    EXPECT_THROW(evaluate_partition(*stream, {0, 1, 0}, 2), std::invalid_argument);
-  }
+  FileAdjacencyStream stream(path("h.adj"));
+  EXPECT_EQ(stream.num_vertices(), 3u);
+  EXPECT_THROW(materialize(stream), std::runtime_error);
+  stream.reset();
+  EXPECT_THROW(evaluate_partition(stream, {0, 1, 0}, 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -164,16 +164,12 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
 grep -q '"degradations"' "${smoke_dir}/perf_degraded.json"
 grep -q '"untracked_overflow"' "${smoke_dir}/perf_parallel.json"
 
-# Zero-copy ingestion under the sanitizers: the mmap text reader's pointer
-# walk (off-by-one past the mapping is exactly what ASan's shadow won't see
-# inside the map, but the strict end-pointer checks are UB-prone arithmetic),
-# the sadj writer/reader round trip, and the streaming (--stream) front-end.
-# Every route must be byte-identical to the buffered text baseline.
+# Ingestion under the sanitizers: the sadj writer/reader round trip (the
+# reader's read window and its end-pointer checks), the streaming (--stream)
+# front-end, and a sadj run whose first read comes back short. Every route
+# must be byte-identical to the text baseline.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --out="${smoke_dir}/route_text.txt" --quiet
-"${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --reader=mmap --out="${smoke_dir}/route_mmap.txt" --quiet
-cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_mmap.txt"
 "${build_dir}/tools/spnl_convert" "${smoke_dir}/graph.adj" \
   --out="${smoke_dir}/graph.sadj" --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.sadj" --k=8 \
@@ -183,11 +179,15 @@ cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_sadj.txt"
   --algo=spnl --format=sadj --stream \
   --out="${smoke_dir}/route_stream.txt" --quiet
 cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_stream.txt"
+"${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.sadj" --k=8 \
+  --algo=spnl --format=sadj --inject-io-faults=short:read@1 \
+  --out="${smoke_dir}/route_short.txt" --quiet
+cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_short.txt"
 # sadj -> adj round trip reproduces the original text stream.
 "${build_dir}/tools/spnl_convert" "${smoke_dir}/graph.sadj" \
   --format=sadj --to=adj --out="${smoke_dir}/graph_rt.adj" --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph_rt.adj" --k=8 \
-  --algo=spnl --reader=mmap --out="${smoke_dir}/route_rt.txt" --quiet
+  --algo=spnl --out="${smoke_dir}/route_rt.txt" --quiet
 cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_rt.txt"
 # Typed CLI error: malformed numerics must exit 2, not parse as 0.
 if "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \

@@ -3,8 +3,7 @@
 // connections via retry/backoff + token resume (docs/server.md).
 //
 //   spnl_client <graph-file> --connect=unix:/tmp/spnl.sock --k=4
-//               [--algo=spnl] [--format=adj|edges|sadj]
-//               [--reader=buffered|mmap] [--lambda=0.5]
+//               [--algo=spnl] [--format=adj|edges|sadj] [--lambda=0.5]
 //               [--shards=N] [--balance=vertex|edge] [--slack=1.1]
 //               [--out=route.txt] [--deadline=SEC] [--max-attempts=N]
 //               [--batch=RECORDS] [--inject-disconnect-after=N] [--quiet]
@@ -14,7 +13,6 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/io.hpp"
-#include "graph/mmap_stream.hpp"
 #include "graph/stream_binary.hpp"
 #include "server/client.hpp"
 #include "util/cli.hpp"
@@ -31,8 +29,6 @@ void usage() {
       "  --format=adj|edges|sadj input format (adj = adjacency lines,\n"
       "                          edges = source-grouped edge list,\n"
       "                          sadj = binary from spnl_convert; adj)\n"
-      "  --reader=buffered|mmap  text reader implementation (buffered);\n"
-      "                          sadj is always mmap-backed\n"
       "  --lambda=F --shards=N   SPNL scoring knobs\n"
       "  --balance=vertex|edge --slack=F   capacity model\n"
       "  --out=PATH              write the route, one partition per line\n"
@@ -79,24 +75,10 @@ int main(int argc, char** argv) {
 
     const std::string path = args.positional()[0];
     const std::string format = args.get("format", "adj");
-    const std::string reader = args.get("reader", "buffered");
-    const bool use_mmap = reader == "mmap";
-    if (!use_mmap && reader != "buffered") {
-      std::fprintf(stderr, "error: unknown --reader=%s\n", reader.c_str());
-      return 2;
-    }
     if (format == "adj") {
-      if (use_mmap) {
-        stream = std::make_unique<spnl::MmapAdjacencyStream>(path);
-      } else {
-        stream = std::make_unique<spnl::FileAdjacencyStream>(path);
-      }
+      stream = std::make_unique<spnl::FileAdjacencyStream>(path);
     } else if (format == "edges") {
-      if (use_mmap) {
-        stream = std::make_unique<spnl::MmapEdgeListStream>(path);
-      } else {
-        stream = std::make_unique<spnl::EdgeListAdjacencyStream>(path);
-      }
+      stream = std::make_unique<spnl::EdgeListAdjacencyStream>(path);
     } else if (format == "sadj") {
       stream = std::make_unique<spnl::BinaryAdjacencyStream>(path);
     } else {

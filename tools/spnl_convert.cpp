@@ -2,8 +2,8 @@
 // sadj streaming format (docs/ingestion.md) and back.
 //
 //   spnl_convert <input> --out=graph.sadj [--format=adj|edges|sadj]
-//                [--reader=buffered|mmap] [--to=sadj|adj]
-//                [--max-bad-records=N] [--quarantine-log=bad.txt] [--quiet]
+//                [--to=sadj|adj] [--max-bad-records=N]
+//                [--quarantine-log=bad.txt] [--quiet]
 //
 // --format names the INPUT format (adj = adjacency lines, edges =
 // source-grouped edge list, sadj = binary); --to names the output (default
@@ -18,7 +18,6 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/io.hpp"
-#include "graph/mmap_stream.hpp"
 #include "graph/stream_binary.hpp"
 #include "util/checked_io.hpp"
 #include "util/cli.hpp"
@@ -32,7 +31,6 @@ void usage() {
       "usage: spnl_convert <input> --out=PATH [options]\n"
       "  --format=adj|edges|sadj  input format (adj)\n"
       "  --to=sadj|adj            output format (sadj)\n"
-      "  --reader=buffered|mmap   text reader implementation (mmap)\n"
       "  --max-bad-records=N      quarantine up to N malformed text lines\n"
       "  --quarantine-log=PATH    append quarantined lines to PATH\n"
       "  --inject-io-faults=PLAN  storage-fault plan (docs/fault_tolerance.md)\n"
@@ -88,7 +86,6 @@ int main(int argc, char** argv) {
     const std::string out_path = args.get("out", "");
     const std::string format = args.get("format", "adj");
     const std::string to = args.get("to", "sadj");
-    const std::string reader = args.get("reader", "mmap");
     const bool quiet = args.get_bool("quiet", false);
 
     spnl::StreamHardeningOptions hardening;
@@ -98,22 +95,9 @@ int main(int argc, char** argv) {
 
     std::unique_ptr<spnl::AdjacencyStream> stream;
     if (format == "adj") {
-      if (reader == "mmap") {
-        stream = std::make_unique<spnl::MmapAdjacencyStream>(input, hardening);
-      } else if (reader == "buffered") {
-        stream = std::make_unique<spnl::FileAdjacencyStream>(input, hardening);
-      } else {
-        throw std::runtime_error("--reader: want buffered|mmap");
-      }
+      stream = std::make_unique<spnl::FileAdjacencyStream>(input, hardening);
     } else if (format == "edges") {
-      if (reader == "mmap") {
-        stream = std::make_unique<spnl::MmapEdgeListStream>(input, hardening);
-      } else if (reader == "buffered") {
-        stream =
-            std::make_unique<spnl::EdgeListAdjacencyStream>(input, hardening);
-      } else {
-        throw std::runtime_error("--reader: want buffered|mmap");
-      }
+      stream = std::make_unique<spnl::EdgeListAdjacencyStream>(input, hardening);
     } else if (format == "sadj") {
       stream = std::make_unique<spnl::BinaryAdjacencyStream>(input);
     } else {

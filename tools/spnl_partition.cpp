@@ -5,8 +5,8 @@
 //                  [--lambda=0.5] [--shards=0] [--balance=vertex|edge]
 //                  [--slack=1.1] [--threads=1] [--batch-size=64] [--passes=1]
 //                  [--buffer=0] [--prepass=none|2ps]
-//                  [--format=adj|edgelist|binary|sadj] [--reader=buffered|mmap]
-//                  [--stream] [--window=0] [--quiet]
+//                  [--format=adj|edgelist|binary|sadj] [--stream] [--window=0]
+//                  [--quiet]
 //                  [--checkpoint=ckpt.bin] [--checkpoint-every=N]
 //                  [--resume-from=ckpt.bin]
 //                  [--workers=W] [--sync-interval=N] [--recover=reassign|none]
@@ -32,9 +32,8 @@
 // prepass (cluster budget overflow) falls back to plain SPNL.
 //
 // Ingestion: --format=sadj reads the delta-compressed binary adjacency
-// format written by spnl_convert (always mmap-backed); --reader=mmap swaps
-// the buffered getline reader for the zero-copy mmap pointer-walk reader on
-// --format=adj (identical records, identical routes). --stream skips graph
+// format written by spnl_convert (identical records, identical routes to the
+// adj text it came from). --stream skips graph
 // materialization entirely and feeds the file stream straight to the
 // partitioner — the memory profile the paper's streaming model assumes —
 // for the streaming algorithm paths (greedy sequential, --threads, --passes,
@@ -85,7 +84,6 @@
 #include "core/spnl.hpp"
 #include "graph/adjacency_stream.hpp"
 #include "graph/io.hpp"
-#include "graph/mmap_stream.hpp"
 #include "graph/stats.hpp"
 #include "graph/stream_binary.hpp"
 #include "offline/label_prop.hpp"
@@ -121,7 +119,7 @@ int usage() {
                "  [--threads=1] [--batch-size=64] [--passes=1] [--buffer=0] "
                "[--prepass=none|2ps] "
                "[--window=0] [--format=adj|edgelist|binary|sadj]\n"
-               "  [--reader=buffered|mmap] [--stream] [--quiet]\n"
+               "  [--stream] [--quiet]\n"
                "  [--checkpoint=ckpt.bin] [--checkpoint-every=N] "
                "[--resume-from=ckpt.bin]\n"
                "  [--workers=W] [--sync-interval=N] [--recover=reassign|none]\n"
@@ -234,18 +232,13 @@ ParsedFaults parse_fault_plan(const std::string& spec) {
 }
 
 // File-backed stream for the formats that have a streaming reader: adj text
-// (buffered getline or zero-copy mmap) and the sadj binary format (always
-// mmap). Returns nullptr for materialize-only formats (edgelist, binary CSR).
+// and the sadj binary format. Returns nullptr for materialize-only formats
+// (edgelist, binary CSR).
 std::unique_ptr<AdjacencyStream> open_stream(
     const std::string& path, const std::string& format,
-    const std::string& reader, const StreamHardeningOptions& hardening) {
+    const StreamHardeningOptions& hardening) {
   if (format == "sadj") return std::make_unique<BinaryAdjacencyStream>(path);
-  if (format == "adj") {
-    if (reader == "mmap") {
-      return std::make_unique<MmapAdjacencyStream>(path, hardening);
-    }
-    return std::make_unique<FileAdjacencyStream>(path, hardening);
-  }
+  if (format == "adj") return std::make_unique<FileAdjacencyStream>(path, hardening);
   return nullptr;
 }
 
@@ -281,7 +274,6 @@ int main(int argc, char** argv) {
     if (k == 0) return usage();
     const std::string algo = args.get("algo", "spnl");
     const std::string format = args.get("format", "adj");
-    const std::string reader = args.get("reader", "buffered");
     const bool stream_direct = args.get_bool("stream", false);
     const bool quiet = args.get_bool("quiet", false);
 
@@ -365,17 +357,10 @@ int main(int argc, char** argv) {
         format != "sadj") {
       throw std::runtime_error("unknown --format " + format);
     }
-    if (reader != "buffered" && reader != "mmap") {
-      throw std::runtime_error("--reader: want buffered|mmap");
-    }
-    if (reader == "mmap" && format != "adj" && format != "sadj") {
-      throw std::runtime_error(
-          "--reader=mmap needs --format=adj (sadj is always mmap-backed)");
-    }
 
     std::uint64_t bad_records = 0;
     std::unique_ptr<AdjacencyStream> file_stream =
-        open_stream(input_path, format, reader, hardening);
+        open_stream(input_path, format, hardening);
     if (stream_direct && file_stream == nullptr) {
       throw std::runtime_error(
           "--stream requires --format=adj or --format=sadj");
@@ -405,7 +390,7 @@ int main(int argc, char** argv) {
         std::printf("%s: V=%u E=%llu (direct streaming via %s)\n",
                     input_path.c_str(), stream.num_vertices(),
                     static_cast<unsigned long long>(stream.num_edges()),
-                    format == "sadj" ? "sadj" : reader.c_str());
+                    format.c_str());
       }
     }
     if (!quiet && bad_records > 0) {
