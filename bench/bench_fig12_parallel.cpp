@@ -8,10 +8,11 @@
 // run and vs M=1), edge-cut delta vs the sequential run, and the RCT
 // delay/overflow counters. After the timed reps each M runs ONE extra
 // instrumented rep (PerfStats attached) whose per-stage time breakdown and
-// contention counters land in the JSON — the instrumented rep never feeds
-// the gate timing, so observability cannot perturb the gated numbers. The
-// whole result is emitted as one JSON object (stdout line "bench-json: ..."
-// and optionally --json=FILE) — the payload behind BENCH_parallel.json.
+// exclusive RCT lock counts land in the JSON — the instrumented rep never
+// feeds the gate timing, so observability cannot perturb the gated numbers.
+// The whole result is emitted as one JSON object (stdout line
+// "bench-json: ..." and optionally --json=FILE) — the payload behind
+// BENCH_parallel.json.
 //
 //   bench_fig12_parallel [--n=1000000] [--k=32] [--batch=64] [--reps=3]
 //                        [--threshold=2.0] [--quality-threshold=0.05]
@@ -72,24 +73,6 @@ struct ScalingPoint {
   PerfStats perf;
   ContentionReport contention;
 };
-
-std::string contention_json(const ContentionReport& c) {
-  auto field = [](const char* name, std::uint64_t v) {
-    return "\"" + std::string(name) + "\":" + std::to_string(v);
-  };
-  return "{" + field("rct_shared_contended", c.rct_shared_contended) + "," +
-         field("rct_exclusive_contended", c.rct_exclusive_contended) + "," +
-         field("rct_exclusive_acquires", c.rct_exclusive_acquires) + "," +
-         field("rct_claim_cas_retries", c.rct_claim_cas_retries) + "," +
-         field("rct_decrement_cas_retries", c.rct_decrement_cas_retries) + "," +
-         field("queue_lock_contended", c.queue_lock_contended) + "," +
-         field("queue_lock_acquires", c.queue_lock_acquires) + "," +
-         field("queue_lock_wait_nanos", c.queue_lock_wait_nanos) + "," +
-         field("queue_lock_hold_nanos", c.queue_lock_hold_nanos) + "," +
-         field("gamma_head_cas_retries", c.gamma_head_cas_retries) + "," +
-         field("gamma_advance_contended", c.gamma_advance_contended) + "," +
-         field("watermark_cas_retries", c.watermark_cas_retries) + "}";
-}
 
 // Per-stage nanos/calls from the instrumented rep, stage name -> [nanos,
 // calls]. Every stage is always present so trajectory diffs line up.
@@ -212,7 +195,7 @@ int main(int argc, char** argv) {
       point.untracked_overflow = result.untracked_overflow;
     }
     // One extra instrumented rep per M: per-stage time breakdown plus the
-    // contention counters. Kept out of best_seconds so the clock reads in
+    // exclusive RCT lock counts. Kept out of best_seconds so the clock reads in
     // PerfScope cannot perturb the gated timing.
     {
       InMemoryStream stream(graph);
@@ -314,7 +297,8 @@ int main(int argc, char** argv) {
                   "\"speedup_vs_seq\":%.3f,\"speedup_vs_m1\":%.3f,"
                   "\"ecr\":%.6f,\"ecr_delta\":%.6f,\"delta_v\":%.4f,"
                   "\"delayed\":%llu,\"forced\":%llu,\"untracked_overflow\":%llu,"
-                  "\"instrumented_seconds\":%.6f,\"rct_exclusive_bound\":%llu,",
+                  "\"instrumented_seconds\":%.6f,\"rct_exclusive_bound\":%llu,"
+                  "\"rct_exclusive_acquires\":%llu,\"rct_exclusive_contended\":%llu,",
                   i == 0 ? "" : ",", point.threads, effective,
                   point.best_seconds, point.records_per_sec,
                   point.best_seconds > 0.0 ? seq_seconds / point.best_seconds
@@ -327,10 +311,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(point.forced),
                   static_cast<unsigned long long>(point.untracked_overflow),
                   point.instrumented_seconds,
-                  static_cast<unsigned long long>(point.rct_exclusive_bound));
+                  static_cast<unsigned long long>(point.rct_exclusive_bound),
+                  static_cast<unsigned long long>(point.contention.rct_exclusive_acquires),
+                  static_cast<unsigned long long>(point.contention.rct_exclusive_contended));
     json += buf;
-    json += "\"stages\":" + stages_json(point.perf) +
-            ",\"contention\":" + contention_json(point.contention) + "}";
+    json += "\"stages\":" + stages_json(point.perf) + "}";
   }
   std::snprintf(buf, sizeof(buf),
                 "],\"speedup_m8_vs_m1\":%.3f,\"quality_delta\":%.6f,"

@@ -26,7 +26,7 @@ ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
   }
 }
 
-void ConcurrentGammaWindow::advance_to(VertexId head, PerfStats* perf) {
+void ConcurrentGammaWindow::advance_to(VertexId head) {
   // Fast path: the slide (or a pending request) already covers this head.
   if (head <= base_.load(std::memory_order_relaxed)) return;
 
@@ -40,7 +40,6 @@ void ConcurrentGammaWindow::advance_to(VertexId head, PerfStats* perf) {
       break;
     }
     // cur was reloaded by the failed CAS; loop re-tests cur < head.
-    if (perf != nullptr) perf->add_count(PerfCounter::kGammaHeadCasRetries, 1);
   }
 
   // Only one worker slides at a time; everyone else cedes without blocking.
@@ -48,10 +47,7 @@ void ConcurrentGammaWindow::advance_to(VertexId head, PerfStats* perf) {
   // below or by the next advance_to() call — bounded staleness, and only of
   // the heuristic Γ estimate (termination never waits on the slide).
   std::unique_lock lock(advance_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    if (perf != nullptr) perf->add_count(PerfCounter::kGammaAdvanceContended, 1);
-    return;
-  }
+  if (!lock.owns_lock()) return;
 
   auto clear_rows = [this](VertexId first_slot, VertexId rows) {
     auto* begin = counters_.get() +

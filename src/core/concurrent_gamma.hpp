@@ -24,7 +24,6 @@
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
-#include "util/perf_stats.hpp"
 
 namespace spnl {
 
@@ -35,8 +34,8 @@ class ConcurrentGammaWindow {
 
   /// Monotone forward slide; thread-safe and non-blocking: publishes the
   /// head wait-free, then slides only if the serializing try_lock is won
-  /// (contended cedes are counted, never waited on).
-  void advance_to(VertexId head, PerfStats* perf = nullptr);
+  /// (a contended caller cedes, never waits).
+  void advance_to(VertexId head);
 
   void increment(PartitionId p, VertexId u) { increment_many(p, {&u, 1}); }
 

@@ -48,7 +48,7 @@ class WatermarkTracker {
   }
 
   /// Mark id placed; returns the new watermark (first unplaced id).
-  VertexId mark_done(VertexId id, PerfStats* perf = nullptr) {
+  VertexId mark_done(VertexId id) {
     // release pairs with the acquire flag loads below: whichever thread
     // advances the watermark past `id` has observed this store.
     flags_[id & mask_].store(1, std::memory_order_release);
@@ -60,10 +60,8 @@ class WatermarkTracker {
         // at least w + span, which sizing guarantees is not yet in flight.
         flags_[w & mask_].store(0, std::memory_order_relaxed);
         ++w;
-      } else if (perf != nullptr) {
-        // w was reloaded by the failed CAS; loop re-tests its flag.
-        perf->add_count(PerfCounter::kWatermarkCasRetries, 1);
       }
+      // On failure w was reloaded by the CAS; the loop re-tests its flag.
     }
     return w;
   }
@@ -218,7 +216,7 @@ class Worker {
     }
     {
       PerfScope t(perf_, PerfStage::kWindowAdvance);
-      state_.gamma.advance_to(watermark_.mark_done(record.id, perf_), perf_);
+      state_.gamma.advance_to(watermark_.mark_done(record.id));
     }
     // The liveness signal the monitor watches: any commit proves progress,
     // including mid-chain commits of RCT-released records.
@@ -433,15 +431,6 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   WatermarkTracker watermark(options.queue_capacity + rct_capacity +
                              options.num_threads * batch_size + 16);
   BoundedQueue<OwnedVertexRecord> queue(options.queue_capacity);
-  // Queue-lock contention accounting rides the same opt-in as the rest of
-  // the instrumentation: no sink, no clock reads on the queue path.
-  QueueStats queue_stats;
-  if (options.perf != nullptr) queue.set_stats(&queue_stats);
-  // Everything workers record lands here first (merged under a mutex after
-  // each worker's loop); options.perf receives one copy at the end. Keeping
-  // an internal sink lets the driver surface the contention counters in the
-  // result without double-counting a caller-reused sink.
-  PerfStats internal_perf;
 
   Checkpointer checkpointer(options.checkpoint_path, options.checkpoint_every);
   std::uint64_t resumed_at = 0;
@@ -489,8 +478,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   if (options.watchdog_timeout_seconds > 0.0) {
     watchdog.emplace(
         options.num_threads,
-        PipelineWatchdog::Options{options.watchdog_timeout_seconds,
-                                  options.watchdog_poll_seconds},
+        PipelineWatchdog::Options{options.watchdog_timeout_seconds},
         [&](unsigned, OwnedVertexRecord record) {
           std::shared_lock lock(pipeline_mutex);
           const PartitionId pid = rescuer.choose(record);
@@ -558,58 +546,12 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     return false;
   };
 
-  auto step_ladder = [&](const ResourceGovernor::Breach& breach,
-                         const char* reason, bool repeat_current) -> bool {
-    DegradationStage stage = governor->stage();
-    if (stage == DegradationStage::kNone || !repeat_current) {
-      stage = ResourceGovernor::next_stage(stage);
-      if (stage == DegradationStage::kNone) {
-        governor->mark_exhausted();
-        return false;
-      }
-    }
-    bool applied = apply_stage(stage);
-    while (!applied) {
-      stage = ResourceGovernor::next_stage(stage);
-      if (stage == DegradationStage::kNone) {
-        governor->mark_exhausted();
-        return false;
-      }
-      applied = apply_stage(stage);
-    }
-    DegradationEvent event;
-    event.stage = stage;
-    event.at_placement = produced;
-    event.partitioner_bytes = breach.partitioner_bytes;
-    event.post_bytes = pipeline_bytes();
-    event.rss_bytes = breach.rss_bytes;
-    event.budget_bytes = governor->options().memory_budget_bytes;
-    event.elapsed_seconds = breach.elapsed_seconds;
-    event.reason = reason;
-    governor->record_event(std::move(event));
-    return true;
-  };
-
-  // Producer-side budget enforcement; mirrors the sequential driver's
-  // policy (memory: step within this sample until back under budget;
-  // deadline: one rung per sample).
+  // Producer-side budget enforcement: the governor's breach response, run
+  // against the quiesced pipeline.
   auto govern = [&] {
     const auto breach = governor->sample(pipeline_bytes());
-    if (!breach || governor->options().policy != DegradePolicy::kLadder ||
-        governor->exhausted()) {
-      return;
-    }
-    quiesce([&] {
-      if (breach->over_memory) {
-        ResourceGovernor::Breach current = *breach;
-        while (governor->over_memory_budget(current.partitioner_bytes)) {
-          if (!step_ladder(current, "memory", /*repeat_current=*/true)) break;
-          current.partitioner_bytes = pipeline_bytes();
-        }
-      } else if (breach->over_deadline) {
-        step_ladder(*breach, "deadline", /*repeat_current=*/false);
-      }
-    });
+    if (!breach || !governor->ladder_open()) return;
+    quiesce([&] { governor->respond(*breach, produced, apply_stage, pipeline_bytes); });
   };
 
   Timer timer;
@@ -738,7 +680,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
       }
       if (perf != nullptr) {
         std::lock_guard lock(perf_merge_mutex);
-        internal_perf.merge(local_perf);
+        options.perf->merge(local_perf);
       }
     });
   }
@@ -748,23 +690,17 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   if (producer_error) std::rethrow_exception(producer_error);
 
   // Cyclically-parked leftovers: force-place in id order. Single-threaded by
-  // now (every worker has exited), so the internal sink can be used
+  // now (every worker has exited), so the caller's sink can be used
   // directly. Runs on the abort path too — parked records
   // should not punch extra holes in the partial route.
   if (options.use_rct) {
-    Worker finisher(state, rct_ptr, watermark,
-                    options.perf != nullptr ? &internal_perf : nullptr);
+    Worker finisher(state, rct_ptr, watermark, options.perf);
     auto rest = rct.drain_parked();
     state.forced.fetch_add(rest.size(), std::memory_order_relaxed);
     for (auto& record : rest) {
       finisher.commit(record, finisher.choose(record));
     }
   }
-
-  // Fold the side tallies together and hand the caller one merged view.
-  if (options.perf != nullptr) queue_stats.merge_into(internal_perf);
-  rct.merge_contention_into(internal_perf);
-  if (options.perf != nullptr) options.perf->merge(internal_perf);
 
   ParallelRunResult result;
   result.partition_seconds = timer.seconds();
@@ -787,22 +723,8 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     result.abort_reason = wd->abort_reason();
   }
   if (governor != nullptr) result.degradations = governor->events();
-  {
-    ContentionReport& c = result.contention;
-    c.rct_shared_contended = rct.shared_contended();
-    c.rct_exclusive_contended = rct.exclusive_contended();
-    c.rct_exclusive_acquires = rct.exclusive_acquires();
-    c.rct_claim_cas_retries = rct.claim_cas_retries();
-    c.rct_decrement_cas_retries = rct.decrement_cas_retries();
-    c.queue_lock_contended = internal_perf.count(PerfCounter::kQueueLockContended);
-    c.queue_lock_acquires = internal_perf.count(PerfCounter::kQueueLockAcquires);
-    c.queue_lock_wait_nanos = internal_perf.nanos(PerfStage::kQueueLockWait);
-    c.queue_lock_hold_nanos = internal_perf.nanos(PerfStage::kQueueLockHold);
-    c.gamma_head_cas_retries = internal_perf.count(PerfCounter::kGammaHeadCasRetries);
-    c.gamma_advance_contended =
-        internal_perf.count(PerfCounter::kGammaAdvanceContended);
-    c.watermark_cas_retries = internal_perf.count(PerfCounter::kWatermarkCasRetries);
-  }
+  result.contention.rct_exclusive_contended = rct.exclusive_contended();
+  result.contention.rct_exclusive_acquires = rct.exclusive_acquires();
   if (result.aborted) {
     const std::string reason = result.abort_reason;
     throw StreamAborted("run_parallel aborted: " + reason, std::move(result));

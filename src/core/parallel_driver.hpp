@@ -107,8 +107,6 @@ struct ParallelOptions {
   /// thread; when every worker is wedged mid-placement the run aborts with
   /// StreamAborted instead of hanging. <= 0 disables (the seed behavior).
   double watchdog_timeout_seconds = 0.0;
-  /// Monitor poll cadence; 0 = timeout/4.
-  double watchdog_poll_seconds = 0.0;
   /// Resource governor (not owned; nullptr = off). The producer samples the
   /// pipeline footprint (Γ window + route + counts + RCT) every
   /// sample_interval records and, on breach, quiesces the pipeline and steps
@@ -120,23 +118,13 @@ struct ParallelOptions {
   ParallelFaultPlan faults;
 };
 
-/// Contention totals for one parallel run. The RCT tallies are always-on
-/// (relaxed atomics inside the table); the queue and CAS-retry tallies
-/// require an attached PerfStats sink (options.perf) and read 0 in
-/// uninstrumented runs — the hot path stays zero-overhead when disabled.
+/// Exclusive RCT shard acquisitions for one parallel run (always-on relaxed
+/// atomics inside the table). Only the structural slow paths lock
+/// exclusively, so rct_exclusive_acquires is a function of the operation
+/// sequence, not of how many cores contend.
 struct ContentionReport {
-  std::uint64_t rct_shared_contended = 0;
   std::uint64_t rct_exclusive_contended = 0;
   std::uint64_t rct_exclusive_acquires = 0;
-  std::uint64_t rct_claim_cas_retries = 0;
-  std::uint64_t rct_decrement_cas_retries = 0;
-  std::uint64_t queue_lock_contended = 0;
-  std::uint64_t queue_lock_acquires = 0;
-  std::uint64_t queue_lock_wait_nanos = 0;
-  std::uint64_t queue_lock_hold_nanos = 0;
-  std::uint64_t gamma_head_cas_retries = 0;
-  std::uint64_t gamma_advance_contended = 0;
-  std::uint64_t watermark_cas_retries = 0;
 };
 
 struct ParallelRunResult {
@@ -166,8 +154,7 @@ struct ParallelRunResult {
   std::string abort_reason;
   /// Ladder transitions the resource governor applied.
   std::vector<DegradationEvent> degradations;
-  /// Lock-contention / CAS-retry totals (see ContentionReport for which
-  /// fields need an attached PerfStats to be non-zero).
+  /// Exclusive RCT lock totals (always filled).
   ContentionReport contention;
 };
 

@@ -25,8 +25,8 @@ std::size_t next_pow2(std::size_t x) {
 
 }  // namespace
 
-/// RAII shard guard (see rct.hpp). try_lock-first detects contention
-/// without a clock.
+/// RAII shard guard (see rct.hpp). try_lock-first detects exclusive
+/// contention without a clock; the shared side acquires the same way.
 class Rct::Guard {
  public:
   Guard(const Rct& rct, const Shard& shard, bool exclusive)
@@ -38,10 +38,7 @@ class Rct::Guard {
         shard_.mutex.lock();
       }
     } else {
-      if (!shard_.mutex.try_lock_shared()) {
-        rct.shared_contended_.fetch_add(1, std::memory_order_relaxed);
-        shard_.mutex.lock_shared();
-      }
+      if (!shard_.mutex.try_lock_shared()) shard_.mutex.lock_shared();
     }
   }
 
@@ -240,7 +237,6 @@ bool Rct::register_vertex(VertexId v) {
           return true;
         }
         filter_of(shard, v).fetch_sub(1, std::memory_order_relaxed);
-        claim_cas_retries_.fetch_add(1, std::memory_order_relaxed);
         if (expected == v) {
           entry_count_.fetch_sub(1, std::memory_order_relaxed);
           return false;  // lost the claim to a duplicate of v
@@ -405,7 +401,6 @@ std::vector<OwnedVertexRecord> Rct::on_placed(VertexId v,
           }
           break;
         }
-        decrement_cas_retries_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (need_unpark) {
@@ -485,14 +480,6 @@ void Rct::restore_parked(std::vector<ParkedState> parked) {
     shard.parked.push_back(OwnedVertexRecord{p.id, std::move(p.out)});
     parked_count_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void Rct::merge_contention_into(PerfStats& perf) const {
-  perf.add_count(PerfCounter::kRctSharedContended, shared_contended());
-  perf.add_count(PerfCounter::kRctExclusiveContended, exclusive_contended());
-  perf.add_count(PerfCounter::kRctExclusiveAcquires, exclusive_acquires());
-  perf.add_count(PerfCounter::kRctClaimCasRetries, claim_cas_retries());
-  perf.add_count(PerfCounter::kRctDecrementCasRetries, decrement_cas_retries());
 }
 
 std::size_t Rct::memory_footprint_bytes() const {

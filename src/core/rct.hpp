@@ -54,10 +54,8 @@
 //
 // The delay threshold is maintained as relaxed atomics of the global
 // non-zero counter sum and count, so mean_nonzero_count() is O(1) and
-// lock-free. Contention is counted in always-on relaxed atomics
-// (contended/total exclusive acquisitions, contended shared acquisitions,
-// claim/decrement CAS retries); merge_contention_into() folds them into a
-// PerfStats after the pipeline joins.
+// lock-free. Exclusive shard acquisitions (total and contended) are counted
+// in always-on relaxed atomics.
 #pragma once
 
 #include <array>
@@ -71,7 +69,6 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "graph/types.hpp"
-#include "util/perf_stats.hpp"
 
 namespace spnl {
 
@@ -172,25 +169,12 @@ class Rct {
   /// operation sequence: only the structural slow paths (growth, erase,
   /// park/unpark, snapshot) lock exclusively, regardless of how many cores
   /// actually contend.
-  std::uint64_t shared_contended() const {
-    return shared_contended_.load(std::memory_order_relaxed);
-  }
   std::uint64_t exclusive_contended() const {
     return exclusive_contended_.load(std::memory_order_relaxed);
   }
   std::uint64_t exclusive_acquires() const {
     return exclusive_acquires_.load(std::memory_order_relaxed);
   }
-  std::uint64_t claim_cas_retries() const {
-    return claim_cas_retries_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t decrement_cas_retries() const {
-    return decrement_cas_retries_.load(std::memory_order_relaxed);
-  }
-
-  /// Fold the contention tallies into a PerfStats (caller synchronizes —
-  /// the driver does this once, after join).
-  void merge_contention_into(PerfStats& perf) const;
 
   /// Approximate bytes held by the tables and parked records — part of the
   /// parallel driver's governor-sampled footprint.
@@ -263,13 +247,10 @@ class Rct {
   std::atomic<std::size_t> parked_count_{0};
   // Own line: every refusal writes it, every registration reads entry_count_.
   alignas(64) std::atomic<std::uint64_t> untracked_overflow_{0};
-  // mutable: const operations (count, should_delay, snapshot) still acquire
-  // shard locks and must tally their contention.
-  alignas(64) mutable std::atomic<std::uint64_t> shared_contended_{0};
-  mutable std::atomic<std::uint64_t> exclusive_contended_{0};
+  // mutable: const operations (snapshot, footprint) lock shards
+  // exclusively and must tally those acquisitions.
+  alignas(64) mutable std::atomic<std::uint64_t> exclusive_contended_{0};
   mutable std::atomic<std::uint64_t> exclusive_acquires_{0};
-  mutable std::atomic<std::uint64_t> claim_cas_retries_{0};
-  mutable std::atomic<std::uint64_t> decrement_cas_retries_{0};
 };
 
 }  // namespace spnl

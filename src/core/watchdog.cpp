@@ -123,9 +123,7 @@ void PipelineWatchdog::mark_stalled(Slot& slot) {
 }
 
 void PipelineWatchdog::monitor_loop() {
-  double poll = options_.poll_seconds > 0.0 ? options_.poll_seconds
-                                            : options_.timeout_seconds / 4.0;
-  poll = std::clamp(poll, 0.001, 0.25);
+  const double poll = std::clamp(options_.timeout_seconds / 4.0, 0.001, 0.25);
   const auto poll_interval =
       std::chrono::nanoseconds(static_cast<std::int64_t>(poll * 1e9));
   const double timeout = options_.timeout_seconds;

@@ -42,9 +42,8 @@ class PipelineWatchdog {
   struct Options {
     /// A slot whose heartbeat is older than this is stalled. <= 0 disables
     /// monitoring entirely (publish/claim/complete become cheap bookkeeping).
+    /// The monitor polls every timeout/4, clamped to [1 ms, 250 ms].
     double timeout_seconds = 5.0;
-    /// Monitor poll cadence; 0 picks timeout/4 (clamped to [1ms, 250ms]).
-    double poll_seconds = 0.0;
   };
 
   /// Called from the monitor thread with a stolen record; must place it

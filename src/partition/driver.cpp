@@ -22,74 +22,21 @@ StateWriter snapshot_sequential(const StreamingPartitioner& partitioner,
   return out;
 }
 
-/// Applies exactly one successful ladder step (retrying the current rung
-/// first when `repeat_current` — the kShrinkWindow rung halves repeatedly)
-/// and records it on the governor. Returns false with the governor marked
-/// exhausted when no rung has anything left to give.
-bool step_ladder(ResourceGovernor& governor, StreamingPartitioner& partitioner,
-                 const ResourceGovernor::Breach& breach, std::uint64_t placed,
-                 const char* reason, bool repeat_current) {
-  DegradationStage stage = governor.stage();
-  if (stage == DegradationStage::kNone || !repeat_current) {
-    stage = ResourceGovernor::next_stage(stage);
-    if (stage == DegradationStage::kNone) {
-      governor.mark_exhausted();
-      return false;
-    }
-  }
-  bool applied = partitioner.apply_degradation(stage);
-  while (!applied) {
-    stage = ResourceGovernor::next_stage(stage);
-    if (stage == DegradationStage::kNone) {
-      governor.mark_exhausted();
-      return false;
-    }
-    applied = partitioner.apply_degradation(stage);
-  }
-  DegradationEvent event;
-  event.stage = stage;
-  event.at_placement = placed;
-  event.partitioner_bytes = breach.partitioner_bytes;
-  event.post_bytes = partitioner.memory_footprint_bytes();
-  event.rss_bytes = breach.rss_bytes;
-  event.budget_bytes = governor.options().memory_budget_bytes;
-  event.elapsed_seconds = breach.elapsed_seconds;
-  event.reason = reason;
-  governor.record_event(std::move(event));
-  return true;
-}
-
-/// Breach response under DegradePolicy::kLadder. A memory breach keeps
-/// stepping within this one sample until the footprint is back under budget
-/// (or the ladder runs dry), so the budget is honoured at every sample
-/// point; a deadline breach steps one rung per sample — speed, not space, is
-/// the problem, so the escalation is paced instead of immediate.
+/// Samples the footprint the budget is charged against and, on a breach,
+/// lets the governor step the partitioner down the ladder. The stream's own
+/// heap (read/decode buffers) counts alongside the partitioner's structures;
+/// it cannot degrade, so the ladder only ever shrinks the partitioner side.
 void enforce_budget(ResourceGovernor& governor, StreamingPartitioner& partitioner,
                     const AdjacencyStream& stream, std::uint64_t placed) {
-  // The stream's own heap (line/decode buffers) counts against the budget
-  // alongside the partitioner's structures; it cannot degrade, so the ladder
-  // only ever shrinks the partitioner side of the sum.
-  const std::size_t stream_bytes = stream.memory_footprint_bytes();
-  const auto breach =
-      governor.sample(partitioner.memory_footprint_bytes() + stream_bytes);
-  if (!breach || governor.options().policy != DegradePolicy::kLadder ||
-      governor.exhausted()) {
-    return;
-  }
-  if (breach->over_memory) {
-    ResourceGovernor::Breach current = *breach;
-    while (governor.over_memory_budget(current.partitioner_bytes)) {
-      if (!step_ladder(governor, partitioner, current, placed, "memory",
-                       /*repeat_current=*/true)) {
-        break;
-      }
-      current.partitioner_bytes =
-          partitioner.memory_footprint_bytes() + stream_bytes;
-    }
-  } else if (breach->over_deadline) {
-    step_ladder(governor, partitioner, *breach, placed, "deadline",
-                /*repeat_current=*/false);
-  }
+  const auto bytes = [&] {
+    return partitioner.memory_footprint_bytes() + stream.memory_footprint_bytes();
+  };
+  const auto breach = governor.sample(bytes());
+  if (!breach || !governor.ladder_open()) return;
+  governor.respond(
+      *breach, placed,
+      [&](DegradationStage stage) { return partitioner.apply_degradation(stage); },
+      bytes);
 }
 
 /// Pumps records from the stream, checkpointing on cadence. `placed` carries

@@ -4,11 +4,11 @@
 // thread pushes adjacency-list records in vertex-id order; M worker threads
 // pop and compute placement scores. close() signals end-of-stream; pop()
 // returns nullopt once the queue is both closed and drained.
-// The timed variants (push_for / try_pop_for) and abort() exist for the
-// pipeline watchdog: with them no thread ever blocks on the queue
-// unboundedly — a wedged peer surfaces as a timeout the caller can act on,
-// and abort() tears the whole pipeline down, waking every waiter and
-// discarding undelivered items (unlike close(), which drains them).
+// The timed push_batch_for and abort() exist for the pipeline watchdog: with
+// them the producer never blocks on the queue unboundedly — a wedged peer
+// surfaces as a timeout the caller can act on — and abort() tears the whole
+// pipeline down, waking every waiter and discarding undelivered items
+// (unlike close(), which drains them).
 //
 // Micro-batched handoff: push_batch / pop_batch move whole record batches
 // under one lock acquisition, amortizing the mutex + condvar traffic by the
@@ -26,22 +26,12 @@
 //    or lost wakeups under multiple producers/consumers.
 //  * notify_all is reserved for close() and abort(), the only transitions
 //    that must wake EVERY waiter on both condvars.
-//
-// Contention accounting: attach a QueueStats (set_stats) and every push/pop
-// path records mutex wait time (blocked acquisitions only), mutex hold time
-// (condvar-wait spans excluded — the mutex is released inside cv.wait), and
-// contended/total acquisition counts. With no sink attached each operation
-// pays exactly one null-pointer branch and touches no clock — the same
-// zero-overhead-when-disabled discipline as PerfStats. QueueStats cells are
-// relaxed atomics (producers and consumers record concurrently);
-// merge_into() folds the totals into a PerfStats after the pipeline joins.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -50,32 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/perf_stats.hpp"
-
 namespace spnl {
-
-/// Shared contention tally for one BoundedQueue. Thread-safe (relaxed
-/// atomics); lives outside the queue so the driver can keep it on its own
-/// cache line and fold it into the run's PerfStats after join.
-struct QueueStats {
-  std::atomic<std::uint64_t> lock_wait_nanos{0};
-  std::atomic<std::uint64_t> lock_hold_nanos{0};
-  std::atomic<std::uint64_t> contended_acquires{0};
-  std::atomic<std::uint64_t> acquires{0};
-
-  void merge_into(PerfStats& perf) const {
-    perf.add(PerfStage::kQueueLockWait,
-             lock_wait_nanos.load(std::memory_order_relaxed),
-             contended_acquires.load(std::memory_order_relaxed));
-    perf.add(PerfStage::kQueueLockHold,
-             lock_hold_nanos.load(std::memory_order_relaxed),
-             acquires.load(std::memory_order_relaxed));
-    perf.add_count(PerfCounter::kQueueLockContended,
-                   contended_acquires.load(std::memory_order_relaxed));
-    perf.add_count(PerfCounter::kQueueLockAcquires,
-                   acquires.load(std::memory_order_relaxed));
-  }
-};
 
 template <typename T>
 class BoundedQueue {
@@ -84,10 +49,6 @@ class BoundedQueue {
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Attach (or detach with nullptr) the contention tally. Not synchronized
-  /// against concurrent queue operations — set it before the pipeline starts.
-  void set_stats(QueueStats* stats) { stats_ = stats; }
 
   /// Blocks while the queue is full. Returns false if the queue was closed
   /// (the item is dropped — pushing after close is a caller bug but must not
@@ -104,27 +65,6 @@ class BoundedQueue {
     not_empty_.notify_one();
     // Baton for a second waiting producer (multi-producer case): free space
     // remains, so the slot this push did not consume is advertised too.
-    if (chain) not_full_.notify_one();
-    return true;
-  }
-
-  /// Timed push. Moves from `item` and returns true only on success; on
-  /// timeout, close or abort the item is left intact so the caller can retry
-  /// (after checking aborted()/closed()) or dispose of it.
-  template <typename Rep, typename Period>
-  bool push_for(T& item, std::chrono::duration<Rep, Period> timeout) {
-    bool chain;
-    {
-      Guard g(*this);
-      if (!g.wait_for(not_full_, timeout,
-                      [&] { return items_.size() < capacity_ || done_(); })) {
-        return false;  // timed out while full
-      }
-      if (done_()) return false;
-      items_.push_back(std::move(item));
-      chain = items_.size() < capacity_;
-    }
-    not_empty_.notify_one();
     if (chain) not_full_.notify_one();
     return true;
   }
@@ -249,26 +189,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Timed pop: nullopt on timeout, abort, or closed-and-drained — callers
-  /// distinguish "retry" from "stop" via finished().
-  template <typename Rep, typename Period>
-  std::optional<T> try_pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::optional<T> item;
-    bool chain;
-    {
-      Guard g(*this);
-      g.wait_for(not_empty_, timeout,
-                 [&] { return !items_.empty() || closed_ || aborted_; });
-      if (aborted_ || items_.empty()) return std::nullopt;
-      item = std::move(items_.front());
-      items_.pop_front();
-      chain = !items_.empty();
-    }
-    not_full_.notify_one();
-    if (chain) not_empty_.notify_one();
-    return item;
-  }
-
   /// Ends the stream: blocked consumers wake up and drain remaining items;
   /// subsequent pops return nullopt once empty.
   void close() {
@@ -317,8 +237,6 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// Yields for a while as long as `busy()` before a batched call blocks.
   /// A parked thread must be woken by the other side's notify, and on the
   /// 4-vCPU VM this was measured on each such wake cost the waking thread
@@ -332,73 +250,30 @@ class BoundedQueue {
     for (int i = 0; i < 512 && busy(); ++i) std::this_thread::yield();
   }
 
-  /// Instrumented unique_lock: records acquisition wait (blocked mutex
-  /// acquisitions only — condvar blocking is the caller-visible kQueueWait,
-  /// not lock contention) and hold time with the cv-wait spans excluded
-  /// (cv.wait releases the mutex, so counting them as "held" would be a
-  /// lie). With no stats attached every path collapses to plain lock/wait.
+  /// Holds the queue's mutex; on release publishes items_.size() to
+  /// size_hint_ for spin_while.
   class Guard {
    public:
-    explicit Guard(BoundedQueue& q)
-        : q_(q), lock_(q.mutex_, std::defer_lock) {
-      if (q_.stats_ == nullptr) {
-        lock_.lock();
-        return;
-      }
-      q_.stats_->acquires.fetch_add(1, std::memory_order_relaxed);
-      if (!lock_.try_lock()) {
-        q_.stats_->contended_acquires.fetch_add(1, std::memory_order_relaxed);
-        const auto t0 = Clock::now();
-        lock_.lock();
-        q_.stats_->lock_wait_nanos.fetch_add(nanos_since(t0),
-                                             std::memory_order_relaxed);
-      }
-      held_since_ = Clock::now();
-    }
-
-    ~Guard() {
-      q_.size_hint_.store(q_.items_.size(), std::memory_order_relaxed);
-      if (q_.stats_ != nullptr) flush_hold();
-    }
+    explicit Guard(BoundedQueue& q) : q_(q), lock_(q.mutex_) {}
+    ~Guard() { q_.size_hint_.store(q_.items_.size(), std::memory_order_relaxed); }
 
     template <typename Pred>
     void wait(std::condition_variable& cv, Pred pred) {
-      if (q_.stats_ == nullptr) {
-        cv.wait(lock_, pred);
-        return;
-      }
-      flush_hold();
       cv.wait(lock_, pred);
-      held_since_ = Clock::now();
     }
 
     template <typename Rep, typename Period, typename Pred>
     bool wait_for(std::condition_variable& cv,
                   std::chrono::duration<Rep, Period> timeout, Pred pred) {
-      if (q_.stats_ == nullptr) return cv.wait_for(lock_, timeout, pred);
-      flush_hold();
-      const bool satisfied = cv.wait_for(lock_, timeout, pred);
-      held_since_ = Clock::now();
-      return satisfied;
+      return cv.wait_for(lock_, timeout, pred);
     }
 
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    static std::uint64_t nanos_since(Clock::time_point t0) {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-              .count());
-    }
-    void flush_hold() {
-      q_.stats_->lock_hold_nanos.fetch_add(nanos_since(held_since_),
-                                           std::memory_order_relaxed);
-    }
-
     BoundedQueue& q_;
     std::unique_lock<std::mutex> lock_;
-    Clock::time_point held_since_{};
   };
 
   bool done_() const { return closed_ || aborted_; }
@@ -411,7 +286,6 @@ class BoundedQueue {
   /// items_.size() as of the last Guard release; read without the lock by
   /// spin_while only.
   std::atomic<std::size_t> size_hint_{0};
-  QueueStats* stats_ = nullptr;
   bool closed_ = false;
   bool aborted_ = false;
 };

@@ -7,16 +7,8 @@ namespace spnl {
 namespace {
 
 constexpr PerfStage kAllStages[kPerfStageCount] = {
-    PerfStage::kQueueWait,      PerfStage::kWindowAdvance, PerfStage::kScore,
-    PerfStage::kCommit,         PerfStage::kGammaIncrement,
-    PerfStage::kQueueLockWait,  PerfStage::kQueueLockHold};
-
-constexpr PerfCounter kAllCounters[kPerfCounterCount] = {
-    PerfCounter::kWatermarkCasRetries,    PerfCounter::kGammaHeadCasRetries,
-    PerfCounter::kGammaAdvanceContended,  PerfCounter::kRctSharedContended,
-    PerfCounter::kRctExclusiveContended,  PerfCounter::kRctExclusiveAcquires,
-    PerfCounter::kRctClaimCasRetries,     PerfCounter::kRctDecrementCasRetries,
-    PerfCounter::kQueueLockContended,     PerfCounter::kQueueLockAcquires};
+    PerfStage::kQueueWait, PerfStage::kWindowAdvance, PerfStage::kScore,
+    PerfStage::kCommit, PerfStage::kGammaIncrement};
 
 }  // namespace
 
@@ -32,36 +24,6 @@ const char* perf_stage_name(PerfStage stage) {
       return "commit";
     case PerfStage::kGammaIncrement:
       return "gamma_increment";
-    case PerfStage::kQueueLockWait:
-      return "queue_lock_wait";
-    case PerfStage::kQueueLockHold:
-      return "queue_lock_hold";
-  }
-  return "unknown";
-}
-
-const char* perf_counter_name(PerfCounter counter) {
-  switch (counter) {
-    case PerfCounter::kWatermarkCasRetries:
-      return "watermark_cas_retries";
-    case PerfCounter::kGammaHeadCasRetries:
-      return "gamma_head_cas_retries";
-    case PerfCounter::kGammaAdvanceContended:
-      return "gamma_advance_contended";
-    case PerfCounter::kRctSharedContended:
-      return "rct_shared_contended";
-    case PerfCounter::kRctExclusiveContended:
-      return "rct_exclusive_contended";
-    case PerfCounter::kRctExclusiveAcquires:
-      return "rct_exclusive_acquires";
-    case PerfCounter::kRctClaimCasRetries:
-      return "rct_claim_cas_retries";
-    case PerfCounter::kRctDecrementCasRetries:
-      return "rct_decrement_cas_retries";
-    case PerfCounter::kQueueLockContended:
-      return "queue_lock_contended";
-    case PerfCounter::kQueueLockAcquires:
-      return "queue_lock_acquires";
   }
   return "unknown";
 }
@@ -77,14 +39,10 @@ void PerfStats::merge(const PerfStats& other) {
     cells_[i].nanos += other.cells_[i].nanos;
     cells_[i].calls += other.cells_[i].calls;
   }
-  for (std::size_t i = 0; i < kPerfCounterCount; ++i) {
-    counters_[i] += other.counters_[i];
-  }
 }
 
 void PerfStats::reset() {
   cells_ = {};
-  counters_ = {};
 }
 
 std::string PerfStats::report() const {
@@ -106,21 +64,6 @@ std::string PerfStats::report() const {
   std::snprintf(line, sizeof(line), "perf: total instrumented %.3f ms\n",
                 total / 1e6);
   out += line;
-  // Contention counters: only the non-zero ones, to keep the sequential
-  // report (where every counter is structurally zero) free of noise.
-  bool header = false;
-  for (const PerfCounter counter : kAllCounters) {
-    const std::uint64_t value = count(counter);
-    if (value == 0) continue;
-    if (!header) {
-      out += "perf: counter                         value\n";
-      header = true;
-    }
-    std::snprintf(line, sizeof(line), "perf: %-27s %11llu\n",
-                  perf_counter_name(counter),
-                  static_cast<unsigned long long>(value));
-    out += line;
-  }
   return out;
 }
 
@@ -140,15 +83,6 @@ std::string PerfStats::to_json() const {
                   static_cast<unsigned long long>(n),
                   static_cast<unsigned long long>(ns),
                   n == 0 ? 0.0 : static_cast<double>(ns) / static_cast<double>(n));
-    out += buf;
-    first = false;
-  }
-  out += "],\"counters\":[";
-  first = true;
-  for (const PerfCounter counter : kAllCounters) {
-    std::snprintf(buf, sizeof(buf), "%s{\"counter\":\"%s\",\"value\":%llu}",
-                  first ? "" : ",", perf_counter_name(counter),
-                  static_cast<unsigned long long>(count(counter)));
     out += buf;
     first = false;
   }

@@ -8,13 +8,6 @@
 // null-pointer test per stage and touches no clock — the scoring kernel
 // itself is unchanged either way.
 //
-// Besides the timed stages, PerfStats carries a plane of untimed COUNTERS
-// for contention observability in the lock-free parallel hot path: CAS
-// retries and contended lock acquisitions.
-// Counters are plain adds (no clock), so the structures that maintain them
-// (Rct, WatermarkTracker, BoundedQueue) can count on their slow paths and the
-// driver folds the totals in after the pipeline joins.
-//
 // PerfStats is deliberately NOT thread-safe: single-threaded call sites use
 // one instance directly, and the parallel driver gives each worker a private
 // instance and merge()s them after join (no atomics or shared cache lines on
@@ -37,33 +30,12 @@ enum class PerfStage : unsigned {
   kScore,            ///< Eq. 5/6 scoring + partition selection
   kCommit,           ///< route/load bookkeeping after the decision
   kGammaIncrement,   ///< Γ row bumps for the placed vertex's out-neighbors
-  kQueueLockWait,    ///< time blocked acquiring the bounded queue's mutex
-  kQueueLockHold,    ///< time holding the bounded queue's mutex
 };
 
-inline constexpr std::size_t kPerfStageCount = 7;
-
-/// Untimed contention counters for the lock-free parallel hot path.
-enum class PerfCounter : unsigned {
-  kWatermarkCasRetries = 0,  ///< failed CAS advances of the completion watermark
-  kGammaHeadCasRetries,      ///< failed fetch-max CASes on the Γ pending head
-  kGammaAdvanceContended,    ///< Γ slides ceded because another worker held the lock
-  kRctSharedContended,       ///< contended shared (reader) shard acquisitions
-  kRctExclusiveContended,    ///< contended exclusive (writer) shard acquisitions
-  kRctExclusiveAcquires,     ///< total exclusive shard acquisitions (hot path)
-  kRctClaimCasRetries,       ///< lock-free slot-claim CASes that lost the race
-  kRctDecrementCasRetries,   ///< counter-decrement CASes that lost the race
-  kQueueLockContended,       ///< bounded-queue mutex acquisitions that blocked
-  kQueueLockAcquires,        ///< total bounded-queue mutex acquisitions
-};
-
-inline constexpr std::size_t kPerfCounterCount = 10;
+inline constexpr std::size_t kPerfStageCount = 5;
 
 /// Stable lower-case stage name (used by report() and to_json()).
 const char* perf_stage_name(PerfStage stage);
-
-/// Stable lower-case counter name (used by report() and to_json()).
-const char* perf_counter_name(PerfCounter counter);
 
 class PerfStats {
  public:
@@ -73,18 +45,11 @@ class PerfStats {
     cell.calls += calls;
   }
 
-  void add_count(PerfCounter counter, std::uint64_t value) {
-    counters_[static_cast<std::size_t>(counter)] += value;
-  }
-
   std::uint64_t nanos(PerfStage stage) const {
     return cells_[static_cast<std::size_t>(stage)].nanos;
   }
   std::uint64_t calls(PerfStage stage) const {
     return cells_[static_cast<std::size_t>(stage)].calls;
-  }
-  std::uint64_t count(PerfCounter counter) const {
-    return counters_[static_cast<std::size_t>(counter)];
   }
 
   /// Sum of all stage times (the instrumented fraction of the run).
@@ -96,13 +61,12 @@ class PerfStats {
 
   void reset();
 
-  /// Human-readable per-stage table (time, calls, mean ns/call, share),
-  /// followed by the non-zero contention counters.
+  /// Human-readable per-stage table (time, calls, mean ns/call, share).
   std::string report() const;
 
   /// One-line JSON object:
   ///   {"total_nanos":N,"stages":[{"stage":"score","calls":C,"nanos":N,
-  ///    "mean_nanos":M},...],"counters":[{"counter":"...","value":V},...]}
+  ///    "mean_nanos":M},...]}
   std::string to_json() const;
 
  private:
@@ -111,7 +75,6 @@ class PerfStats {
     std::uint64_t calls = 0;
   };
   std::array<Cell, kPerfStageCount> cells_{};
-  std::array<std::uint64_t, kPerfCounterCount> counters_{};
 };
 
 /// RAII stage timer. With stats == nullptr the constructor and destructor

@@ -120,6 +120,49 @@ DegradationStage ResourceGovernor::next_stage(DegradationStage after) {
   return DegradationStage::kNone;
 }
 
+void ResourceGovernor::respond(
+    const Breach& breach, std::uint64_t at_placement,
+    const std::function<bool(DegradationStage)>& apply_rung,
+    const std::function<std::size_t()>& bytes) {
+  Breach current = breach;
+  if (breach.over_memory) {
+    while (over_memory_budget(current.partitioner_bytes) &&
+           step_ladder(current, at_placement, "memory", /*repeat_current=*/true,
+                       apply_rung, bytes)) {
+    }
+  } else if (breach.over_deadline) {
+    step_ladder(current, at_placement, "deadline", /*repeat_current=*/false,
+                apply_rung, bytes);
+  }
+}
+
+bool ResourceGovernor::step_ladder(
+    Breach& breach, std::uint64_t at_placement, const char* reason,
+    bool repeat_current, const std::function<bool(DegradationStage)>& apply_rung,
+    const std::function<std::size_t()>& bytes) {
+  DegradationStage stage = this->stage();
+  if (stage == DegradationStage::kNone || !repeat_current) stage = next_stage(stage);
+  while (stage != DegradationStage::kNone && !apply_rung(stage)) {
+    stage = next_stage(stage);
+  }
+  if (stage == DegradationStage::kNone) {
+    mark_exhausted();
+    return false;
+  }
+  DegradationEvent event;
+  event.stage = stage;
+  event.at_placement = at_placement;
+  event.partitioner_bytes = breach.partitioner_bytes;
+  breach.partitioner_bytes = bytes();
+  event.post_bytes = breach.partitioner_bytes;
+  event.rss_bytes = breach.rss_bytes;
+  event.budget_bytes = options_.memory_budget_bytes;
+  event.elapsed_seconds = breach.elapsed_seconds;
+  event.reason = reason;
+  record_event(std::move(event));
+  return true;
+}
+
 DegradationStage ResourceGovernor::stage() const {
   std::lock_guard lock(mutex_);
   return stage_;

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -101,8 +102,8 @@ class ResourceGovernor {
     std::uint64_t sample_interval = 256;
   };
 
-  /// One breach observation handed back to the driver, which owns applying
-  /// ladder steps (only it can reach into the partitioner).
+  /// One breach observation handed back to the driver, which passes it to
+  /// respond() with callbacks into its partitioner.
   struct Breach {
     bool over_memory = false;
     bool over_deadline = false;
@@ -139,6 +140,24 @@ class ResourceGovernor {
            partitioner_bytes > options_.memory_budget_bytes;
   }
 
+  /// A breach should step the ladder: policy kLadder and rungs left to try.
+  bool ladder_open() const {
+    return options_.policy == DegradePolicy::kLadder && !exhausted();
+  }
+
+  /// Breach response under DegradePolicy::kLadder, for both drivers. A
+  /// memory breach keeps stepping within this one sample until `bytes()` is
+  /// back under budget (or the ladder runs dry), so the budget is honoured
+  /// at every sample point; a deadline breach steps one rung per sample —
+  /// speed, not space, is the problem, so the escalation is paced.
+  /// `apply_rung` applies one rung to the partitioner (false = nothing left
+  /// to give there, try the next); `bytes` measures the same footprint the
+  /// sample was charged (it becomes each event's post_bytes). Callers check
+  /// ladder_open() first.
+  void respond(const Breach& breach, std::uint64_t at_placement,
+               const std::function<bool(DegradationStage)>& apply_rung,
+               const std::function<std::size_t()>& bytes);
+
   /// Ladder cursor: the harshest stage applied so far / the rung to try
   /// next. next_stage(kNone) == kShrinkWindow; next_stage(kHashFallback) ==
   /// kNone (exhausted).
@@ -160,6 +179,16 @@ class ResourceGovernor {
   double elapsed_seconds() const { return timer_.seconds(); }
 
  private:
+  /// Applies exactly one successful ladder step (retrying the current rung
+  /// first when `repeat_current` — kShrinkWindow halves repeatedly), records
+  /// it, and advances breach.partitioner_bytes to the post-step footprint.
+  /// Returns false with the ladder marked exhausted when no rung has
+  /// anything left to give.
+  bool step_ladder(Breach& breach, std::uint64_t at_placement, const char* reason,
+                   bool repeat_current,
+                   const std::function<bool(DegradationStage)>& apply_rung,
+                   const std::function<std::size_t()>& bytes);
+
   Options options_;
   Timer timer_;
   mutable std::mutex mutex_;

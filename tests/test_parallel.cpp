@@ -10,6 +10,7 @@
 #include "partition/driver.hpp"
 #include "partition/metrics.hpp"
 #include "reference_partitioners.hpp"
+#include "util/perf_stats.hpp"
 
 namespace spnl {
 namespace {
@@ -386,8 +387,9 @@ TEST(Parallel, ContentionReportBoundsRctAndQueueTraffic) {
   // The RCT locks a shard exclusively only to erase a tracked entry (at most
   // one per record), to park and unpark a delayed record, and a bounded
   // number of times to grow or scan its tables — never per bump or
-  // registration. The queue tallies need the perf sink; every record
-  // crosses the queue, so the instrumented run counts its mutex.
+  // registration. With a perf sink attached, every worker pop is one
+  // kQueueWait call: at least one per 64-record batch, at most one per
+  // record plus each worker's final empty pop.
   const VertexId n = 10000;
   const Graph g = crawl(n, 57);
   const PartitionConfig config{.num_partitions = 8};
@@ -402,14 +404,13 @@ TEST(Parallel, ContentionReportBoundsRctAndQueueTraffic) {
 
   EXPECT_GT(c.rct_exclusive_acquires, 0u);
   EXPECT_LE(c.rct_exclusive_acquires, n + 2 * result.delayed_vertices + 64);
-  EXPECT_GT(c.queue_lock_acquires, 0u);
-  // One push and one pop per batch of at most 64 records, plus the wakeups.
-  EXPECT_LE(c.queue_lock_acquires, 2 * n + 64);
+  EXPECT_GE(perf.calls(PerfStage::kQueueWait), n / 64);
+  EXPECT_LE(perf.calls(PerfStage::kQueueWait), n + options.num_threads);
 }
 
 TEST(Parallel, ContentionReportRctTalliesAreAlwaysOn) {
-  // Without a perf sink the instrumented tallies read zero but the RCT's
-  // own relaxed-atomic counters still populate the report.
+  // Without a perf sink the RCT's own relaxed-atomic counters still
+  // populate the report.
   const VertexId n = 5000;
   const Graph g = crawl(n, 59);
   InMemoryStream stream(g);
@@ -419,8 +420,32 @@ TEST(Parallel, ContentionReportRctTalliesAreAlwaysOn) {
   EXPECT_GT(result.contention.rct_exclusive_acquires, 0u);
   EXPECT_LE(result.contention.rct_exclusive_acquires,
             n + 2 * result.delayed_vertices + 64);
-  EXPECT_EQ(result.contention.queue_lock_acquires, 0u);
-  EXPECT_EQ(result.contention.watermark_cas_retries, 0u);
+}
+
+TEST(Parallel, PerfSinkNeverChangesARoute) {
+  // With one worker the pipeline is deterministic, so attaching a sink must
+  // leave the route byte-identical; the sink then counts every record once
+  // in each per-record stage.
+  const VertexId n = 5000;
+  const Graph g = crawl(n, 61);
+  const PartitionConfig config{.num_partitions = 8};
+  ParallelOptions options;
+  options.num_threads = 1;
+
+  InMemoryStream plain_stream(g);
+  const auto plain = run_parallel(plain_stream, config, options);
+
+  PerfStats perf;
+  options.perf = &perf;
+  InMemoryStream instrumented_stream(g);
+  const auto instrumented = run_parallel(instrumented_stream, config, options);
+
+  EXPECT_EQ(instrumented.route, plain.route);
+  for (const PerfStage stage : {PerfStage::kScore, PerfStage::kCommit,
+                                PerfStage::kGammaIncrement,
+                                PerfStage::kWindowAdvance}) {
+    EXPECT_EQ(perf.calls(stage), n) << perf_stage_name(stage);
+  }
 }
 
 }  // namespace

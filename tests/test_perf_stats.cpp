@@ -54,47 +54,6 @@ TEST(PerfStats, StageNamesAreStable) {
   EXPECT_STREQ(perf_stage_name(PerfStage::kScore), "score");
   EXPECT_STREQ(perf_stage_name(PerfStage::kCommit), "commit");
   EXPECT_STREQ(perf_stage_name(PerfStage::kGammaIncrement), "gamma_increment");
-  EXPECT_STREQ(perf_stage_name(PerfStage::kQueueLockWait), "queue_lock_wait");
-  EXPECT_STREQ(perf_stage_name(PerfStage::kQueueLockHold), "queue_lock_hold");
-}
-
-TEST(PerfStats, CounterNamesAreStable) {
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kWatermarkCasRetries),
-               "watermark_cas_retries");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaHeadCasRetries),
-               "gamma_head_cas_retries");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kGammaAdvanceContended),
-               "gamma_advance_contended");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kRctSharedContended),
-               "rct_shared_contended");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kRctExclusiveContended),
-               "rct_exclusive_contended");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kRctExclusiveAcquires),
-               "rct_exclusive_acquires");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kRctClaimCasRetries),
-               "rct_claim_cas_retries");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kRctDecrementCasRetries),
-               "rct_decrement_cas_retries");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kQueueLockContended),
-               "queue_lock_contended");
-  EXPECT_STREQ(perf_counter_name(PerfCounter::kQueueLockAcquires),
-               "queue_lock_acquires");
-}
-
-TEST(PerfStats, CountersAccumulateMergeAndReset) {
-  PerfStats a, b;
-  a.add_count(PerfCounter::kRctClaimCasRetries, 3);
-  a.add_count(PerfCounter::kRctClaimCasRetries, 4);
-  b.add_count(PerfCounter::kRctClaimCasRetries, 10);
-  b.add_count(PerfCounter::kQueueLockAcquires, 2);
-  a.merge(b);
-  EXPECT_EQ(a.count(PerfCounter::kRctClaimCasRetries), 17u);
-  EXPECT_EQ(a.count(PerfCounter::kQueueLockAcquires), 2u);
-  EXPECT_EQ(a.count(PerfCounter::kWatermarkCasRetries), 0u);
-  // Counters carry no time: the stage totals are untouched.
-  EXPECT_EQ(a.total_nanos(), 0u);
-  a.reset();
-  EXPECT_EQ(a.count(PerfCounter::kRctClaimCasRetries), 0u);
 }
 
 TEST(PerfStats, JsonHasExpectedShape) {
@@ -108,23 +67,10 @@ TEST(PerfStats, JsonHasExpectedShape) {
       << json;
   // Every stage present, object properly closed.
   for (const char* name : {"queue_wait", "window_advance", "score", "commit",
-                           "gamma_increment", "queue_lock_wait",
-                           "queue_lock_hold"}) {
+                           "gamma_increment"}) {
     EXPECT_NE(json.find(std::string("\"stage\":\"") + name), std::string::npos)
         << json;
   }
-  // The counter plane is always emitted in full (zeros included) so JSON
-  // consumers never have to special-case missing keys.
-  stats.add_count(PerfCounter::kRctClaimCasRetries, 6);
-  const std::string with_counters = stats.to_json();
-  EXPECT_NE(with_counters.find(
-                "\"counter\":\"rct_claim_cas_retries\",\"value\":6"),
-            std::string::npos)
-      << with_counters;
-  EXPECT_NE(with_counters.find(
-                "\"counter\":\"watermark_cas_retries\",\"value\":0"),
-            std::string::npos)
-      << with_counters;
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }
@@ -134,15 +80,9 @@ TEST(PerfStats, ReportMentionsEveryStage) {
   stats.add(PerfStage::kGammaIncrement, 1000, 10);
   const std::string report = stats.report();
   for (const char* name : {"queue_wait", "window_advance", "score", "commit",
-                           "gamma_increment", "queue_lock_wait",
-                           "queue_lock_hold"}) {
+                           "gamma_increment"}) {
     EXPECT_NE(report.find(name), std::string::npos) << report;
   }
-  // A sequential run has structurally-zero contention counters; the human
-  // report suppresses them entirely to stay noise-free.
-  EXPECT_EQ(report.find("watermark_cas_retries"), std::string::npos) << report;
-  stats.add_count(PerfCounter::kWatermarkCasRetries, 5);
-  EXPECT_NE(stats.report().find("watermark_cas_retries"), std::string::npos);
 }
 
 TEST(PerfStats, DriverAttachesAndDetaches) {

@@ -400,9 +400,6 @@ TEST(Rct, ContentionCountersPinExclusiveAcquires) {
   for (VertexId v = 0; v < 32; ++v) rct.bump_if_present(v);
   for (VertexId v = 0; v < 32; ++v) rct.on_placed(v, std::vector<VertexId>{});
   EXPECT_EQ(rct.exclusive_acquires(), 32u);
-  PerfStats perf;
-  rct.merge_contention_into(perf);
-  EXPECT_EQ(perf.count(PerfCounter::kRctExclusiveAcquires), 32u);
 }
 
 TEST(Rct, ShardedConcurrentRegisterBumpPlaceStress) {

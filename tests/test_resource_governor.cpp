@@ -155,6 +155,37 @@ TEST(Degradation, MemoryBudgetForcesLadderAndRunCompletes) {
   EXPECT_EQ(governor.stage(), run.degradations.back().stage);
 }
 
+// The budget is charged for the partitioner's structures plus the input
+// stream's read and decode buffers, and every event's post_bytes measures
+// that same sum. The stream's buffers only grow within a pass and the
+// partitioner's footprint is fixed after the last step, so the last event
+// lies between the partitioner alone and the partitioner plus the stream's
+// end-of-run buffers.
+TEST(Degradation, EventBytesIncludeTheFileStreamBuffers) {
+  const Graph g = crawl(20000, 7);
+  const auto dir = unique_test_dir();
+  const std::string path = (dir / "crawl.adj").string();
+  write_adjacency_list(g, path);
+
+  SpnlPartitioner partitioner(g.num_vertices(), g.num_edges(),
+                              {.num_partitions = 8});
+  ResourceGovernor governor(
+      {.memory_budget_bytes = partitioner.memory_footprint_bytes() / 8,
+       .sample_interval = 64});
+  FileAdjacencyStream stream(path);
+  const RunResult run = run_streaming(stream, partitioner, {}, nullptr, &governor);
+  validate_route(run.route, 8, g.num_vertices());
+  ASSERT_GE(run.degradations.size(), 1u);
+
+  const std::size_t partitioner_bytes = partitioner.memory_footprint_bytes();
+  const std::size_t stream_bytes = stream.memory_footprint_bytes();
+  ASSERT_GT(stream_bytes, 0u);
+  const DegradationEvent& last = run.degradations.back();
+  EXPECT_GT(last.post_bytes, partitioner_bytes);
+  EXPECT_LE(last.post_bytes, partitioner_bytes + stream_bytes);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Degradation, HashFallbackRunsAreDeterministicAndBalanced) {
   const Graph g = crawl(10000, 9);
   const PartitionId k = 8;

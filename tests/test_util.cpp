@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "util/bounded_queue.hpp"
 #include "util/cli.hpp"
@@ -98,104 +99,14 @@ TEST(BoundedQueue, BlocksWhenFullUntilConsumed) {
   EXPECT_EQ(queue.pop(), 2);
 }
 
-TEST(BoundedQueue, PushForTimesOutWhenFullAndKeepsItem) {
-  BoundedQueue<int> queue(1);
-  queue.push(1);
-  int item = 2;
-  EXPECT_FALSE(queue.push_for(item, std::chrono::milliseconds(10)));
-  EXPECT_EQ(item, 2);  // not consumed on timeout
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_TRUE(queue.push_for(item, std::chrono::milliseconds(10)));
-  EXPECT_EQ(queue.pop(), 2);
-}
-
-TEST(BoundedQueue, TryPopForTimesOutOnEmpty) {
-  BoundedQueue<int> queue(4);
-  Timer timer;
-  EXPECT_FALSE(queue.try_pop_for(std::chrono::milliseconds(20)).has_value());
-  EXPECT_GE(timer.millis(), 15.0);
-  queue.push(5);
-  EXPECT_EQ(queue.try_pop_for(std::chrono::milliseconds(20)), 5);
-}
-
-TEST(BoundedQueue, StatsCountAcquisitionsAndHoldTime) {
-  // With a QueueStats attached, every push/pop tallies one mutex
-  // acquisition with its hold time; uncontended single-threaded use never
-  // counts a contended acquire or wait time.
-  BoundedQueue<int> queue(4);
-  QueueStats stats;
-  queue.set_stats(&stats);
-  queue.push(1);
-  queue.push(2);
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(stats.acquires.load(), 4u);
-  EXPECT_EQ(stats.contended_acquires.load(), 0u);
-  EXPECT_EQ(stats.lock_wait_nanos.load(), 0u);
-  EXPECT_GT(stats.lock_hold_nanos.load(), 0u);
-
-  PerfStats perf;
-  stats.merge_into(perf);
-  EXPECT_EQ(perf.count(PerfCounter::kQueueLockAcquires), 4u);
-  EXPECT_EQ(perf.count(PerfCounter::kQueueLockContended), 0u);
-  EXPECT_EQ(perf.calls(PerfStage::kQueueLockHold), 4u);
-  EXPECT_EQ(perf.nanos(PerfStage::kQueueLockHold),
-            stats.lock_hold_nanos.load());
-}
-
-TEST(BoundedQueue, StatsExcludeCondvarWaitFromHoldTime) {
-  // A pop that blocks on the condvar releases the mutex while waiting; the
-  // hold clock must pause across the wait or idle consumers would report
-  // enormous bogus hold times.
-  BoundedQueue<int> queue(1);
-  QueueStats stats;
-  queue.set_stats(&stats);
-  std::thread consumer([&] { EXPECT_EQ(queue.pop(), 42); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  queue.push(42);
-  consumer.join();
-  // The consumer idled ~60ms inside cv.wait but held the lock only briefly.
-  EXPECT_LT(stats.lock_hold_nanos.load(), 30'000'000u);
-}
-
-TEST(BoundedQueue, StatsDetectContendedAcquire) {
-  // Two threads churn push/pop on one mutex until a try_lock collision is
-  // observed. Whether a collision happens on any given round is up to the
-  // scheduler (a single-core box may serialize the threads perfectly), so
-  // the round is retried with a generous cap and the test reports an honest
-  // skip if the scheduler never produced overlap — the accounting invariants
-  // (acquire totals, contended <= acquires) are asserted either way.
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    BoundedQueue<int> queue(2);
-    QueueStats stats;
-    queue.set_stats(&stats);
-    constexpr int kIters = 5000;
-    std::thread spinner([&] {
-      for (int i = 0; i < kIters; ++i) {
-        queue.push(i);
-        queue.pop();
-      }
-    });
-    for (int i = 0; i < kIters; ++i) {
-      queue.push(i);
-      queue.pop();
-    }
-    spinner.join();
-    ASSERT_EQ(stats.acquires.load(), 4u * kIters);
-    ASSERT_LE(stats.contended_acquires.load(), stats.acquires.load());
-    if (stats.contended_acquires.load() > 0) return;  // saw a collision
-  }
-  GTEST_SKIP() << "scheduler never overlapped the threads on this box";
-}
-
 TEST(BoundedQueue, AbortDiscardsItemsAndWakesEverybody) {
   BoundedQueue<int> queue(1);
   queue.push(1);  // full: blocked producers and a pending item
   std::atomic<bool> push_returned{false};
   std::atomic<bool> pop_returned{false};
   std::thread producer([&] {
-    int item = 2;
-    queue.push_for(item, std::chrono::seconds(30));
+    std::vector<int> batch{2};
+    queue.push_batch_for(batch, std::chrono::seconds(30));
     push_returned = true;
   });
   std::thread consumer([&] {

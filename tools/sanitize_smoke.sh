@@ -154,7 +154,7 @@ mkdir -p "${smoke_dir}"
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --resume-from="${smoke_dir}/lf.ckpt" --quiet
 grep -q '"rct_exclusive_acquires"' "${smoke_dir}/perf_lockfree.json"
-grep -q '"watermark_cas_retries"' "${smoke_dir}/perf_lockfree.json"
+grep -q '"rct_exclusive_contended"' "${smoke_dir}/perf_lockfree.json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   "${smoke_dir}/perf_parallel.json" 2>/dev/null \
   || grep -q '"total_nanos"' "${smoke_dir}/perf_parallel.json"

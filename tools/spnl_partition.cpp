@@ -707,35 +707,13 @@ int main(int argc, char** argv) {
       }
       if (ran_parallel && !json.empty() && json.back() == '}') {
         json.pop_back();
-        const ContentionReport& c = contention;
         json += ",\"parallel\":{\"delayed\":" + std::to_string(delayed_vertices) +
                 ",\"forced\":" + std::to_string(forced_vertices) +
                 ",\"untracked_overflow\":" + std::to_string(untracked_overflow) +
-                ",\"contention\":{" +
-                "\"rct_shared_contended\":" +
-                std::to_string(c.rct_shared_contended) +
-                ",\"rct_exclusive_contended\":" +
-                std::to_string(c.rct_exclusive_contended) +
                 ",\"rct_exclusive_acquires\":" +
-                std::to_string(c.rct_exclusive_acquires) +
-                ",\"rct_claim_cas_retries\":" +
-                std::to_string(c.rct_claim_cas_retries) +
-                ",\"rct_decrement_cas_retries\":" +
-                std::to_string(c.rct_decrement_cas_retries) +
-                ",\"queue_lock_contended\":" +
-                std::to_string(c.queue_lock_contended) +
-                ",\"queue_lock_acquires\":" +
-                std::to_string(c.queue_lock_acquires) +
-                ",\"queue_lock_wait_nanos\":" +
-                std::to_string(c.queue_lock_wait_nanos) +
-                ",\"queue_lock_hold_nanos\":" +
-                std::to_string(c.queue_lock_hold_nanos) +
-                ",\"gamma_head_cas_retries\":" +
-                std::to_string(c.gamma_head_cas_retries) +
-                ",\"gamma_advance_contended\":" +
-                std::to_string(c.gamma_advance_contended) +
-                ",\"watermark_cas_retries\":" +
-                std::to_string(c.watermark_cas_retries) + "}}}";
+                std::to_string(contention.rct_exclusive_acquires) +
+                ",\"rct_exclusive_contended\":" +
+                std::to_string(contention.rct_exclusive_contended) + "}}";
       }
       if (perf_report) {
         std::printf("%s", perf.report().c_str());
