@@ -11,7 +11,8 @@
 // exclusive RCT lock counts land in the JSON — the instrumented rep never
 // feeds the gate timing, so observability cannot perturb the gated numbers.
 // The whole result is emitted as one JSON object (stdout line
-// "bench-json: ..." and optionally --json=FILE) — the payload behind
+// "bench-json: ..." and optionally --json=FILE), stamped with the host it ran
+// on (nproc, CPU, build type, compiler, git sha) — the payload behind
 // BENCH_parallel.json.
 //
 //   bench_fig12_parallel [--n=1000000] [--k=32] [--batch=64] [--reps=3]
@@ -277,12 +278,15 @@ int main(int argc, char** argv) {
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\":\"parallel_scaling\",\"n\":%u,\"m\":%llu,\"k\":%u,"
-                "\"batch_size\":%lld,\"reps\":%d,\"hardware_concurrency\":%u,"
-                "\"sequential\":{\"seconds\":%.6f,\"records_per_sec\":%.1f,"
-                "\"ecr\":%.6f},\"runs\":[",
+                "\"batch_size\":%lld,\"reps\":%d,\"hardware_concurrency\":%u,",
                 graph.num_vertices(),
                 static_cast<unsigned long long>(graph.num_edges()), k,
-                static_cast<long long>(batch), reps, hardware,
+                static_cast<long long>(batch), reps, hardware);
+  json += buf;
+  json += "\"host\":" + host_stamp_json() + ",";
+  std::snprintf(buf, sizeof(buf),
+                "\"sequential\":{\"seconds\":%.6f,\"records_per_sec\":%.1f,"
+                "\"ecr\":%.6f},\"runs\":[",
                 seq_seconds, seq_rps, seq_ecr);
   json += buf;
   for (std::size_t i = 0; i < points.size(); ++i) {

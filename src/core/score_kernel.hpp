@@ -5,8 +5,10 @@
 // kernel does not depend on how that state is stored. There are two:
 //
 //  * PlainReads (below) reads a sequential partitioner's plain arrays and
-//    its GammaWindow; SpnPartitioner uses it as is, SpnlPartitioner adds
-//    the logical table and η (core/spnl.cpp).
+//    its GammaWindow. SpnPartitioner::place_with, the one sequential
+//    placement body, is a template over the policy: SPN passes PlainReads
+//    as is, SPNL passes SpnlReads, which adds the logical table and η
+//    (core/spnl.cpp).
 //  * SharedReads (core/parallel_driver.cpp) reads the parallel driver's
 //    relaxed atomics and its ConcurrentGammaWindow.
 //
@@ -209,7 +211,7 @@ PartitionId hash_vote_pick(const Reads& reads, const RecordParams& params, Verte
 /// score_record's read policy over a sequential partitioner's plain arrays.
 /// Γ rows are pointers into the window, valid while it does not advance. No
 /// logical term (SPN); SpnlPartitioner's policy adds it. prefetch() is a
-/// no-op because place() prefetches before the window slide.
+/// no-op because place_with() prefetches before the window slide.
 struct PlainReads {
   using Row = const std::uint32_t*;
 

@@ -58,17 +58,14 @@ struct SpnOptions {
   SlideMode slide = SlideMode::kFine;
 };
 
-/// The Γ-window degradation ladder shared by SPN and SPNL (see
-/// SpnPartitioner::apply_degradation): applies `stage` to `gamma`, raising
-/// `deepest` to it, and sets `hash_fallback` at the last rung. Returns false
-/// when the rung no longer applies.
-bool apply_gamma_ladder(DegradationStage stage, GammaWindow& gamma,
-                        DegradationStage& deepest, bool& hash_fallback);
-
-class SpnPartitioner final : public GreedyStreamingBase {
+/// SPN, and the Γ machinery and placement body SpnlPartitioner inherits:
+/// SPNL is SPN plus the logical term of Eq. 6, supplied through its read
+/// policy (core/score_kernel.hpp).
+class SpnPartitioner : public GreedyStreamingBase {
  public:
   SpnPartitioner(VertexId num_vertices, EdgeId num_edges,
-                 const PartitionConfig& config, SpnOptions options = {});
+                 const PartitionConfig& config, SpnOptions options = {})
+      : SpnPartitioner(num_vertices, num_edges, config, options, "SPN") {}
 
   PartitionId place(VertexId v, std::span<const VertexId> out) override;
   std::string name() const override { return "SPN"; }
@@ -86,16 +83,99 @@ class SpnPartitioner final : public GreedyStreamingBase {
   DegradationStage degradation_stage() const override { return stage_; }
 
   const GammaWindow& gamma() const { return gamma_; }
-  double lambda() const { return options_.lambda; }
+  double lambda() const { return params_.lambda; }
+
+ protected:
+  /// `who` prefixes the invalid-λ error.
+  SpnPartitioner(VertexId num_vertices, EdgeId num_edges,
+                 const PartitionConfig& config, const SpnOptions& options,
+                 const char* who);
+
+  PlainReads plain_reads() const {
+    return {gamma_,          route_,    vertex_counts_, edge_counts_,
+            config_.balance, capacity_, edge_capacity_};
+  }
+
+  /// The one placement body: prefetch, slide, score (a hash vote on the last
+  /// ladder rung), commit followed by placed(v), then the Γ increments.
+  /// `reads` is PlainReads for SPN and adds the logical term for SPNL.
+  template <class Reads, class Placed>
+  PartitionId place_with(const Reads& reads, VertexId v,
+                         std::span<const VertexId> out, Placed placed);
+
+  /// Reads the ladder stage save_state wrote after the Γ window.
+  void restore_stage(StateReader& in);
+
+  GammaWindow gamma_;
 
  private:
-  SpnOptions options_;
-  GammaWindow gamma_;
   RecordParams params_;
   RecordScratch<PlainReads::Row> scratch_;
   /// Deepest degradation rung applied (persisted across checkpoints).
   DegradationStage stage_ = DegradationStage::kNone;
   bool hash_fallback_ = false;
 };
+
+template <class Reads, class Placed>
+PartitionId SpnPartitioner::place_with(const Reads& reads, VertexId v,
+                                       std::span<const VertexId> out,
+                                       Placed placed) {
+  if (hash_fallback_) {
+    // Last-rung degraded mode: Γ bookkeeping is skipped entirely (the
+    // window was shrunk to one row when the rung engaged).
+    PartitionId pid;
+    {
+      PerfScope t(perf_, PerfStage::kScore);
+      pid = hash_vote_pick(reads, params_, v, scratch_);
+    }
+    PerfScope t(perf_, PerfStage::kCommit);
+    commit(v, out, pid);
+    placed(v);
+    return pid;
+  }
+
+  // Prefetch pass: the route entries and Γ rows this record touches are
+  // scattered (tens of MB at recommended shard counts), so they are almost
+  // always cache misses. A vertex's ring slot is u % W regardless of the
+  // window base, so the row addresses are already final before the slide —
+  // issuing the prefetches here overlaps the misses with the row-retirement
+  // clear and the scoring arithmetic. Membership is re-evaluated after the
+  // slide; a prefetch of a row that then retires (or a miss on one that just
+  // entered) only costs a wasted hint.
+  const std::uint32_t* gamma_data = gamma_.data();
+  for (VertexId u : out) {
+    if (u < route_.size()) prefetch_read(&route_[u]);
+    if (gamma_.contains(u)) prefetch_write(gamma_data + gamma_.row_offset(u));
+  }
+
+  {
+    // Fine-grained slide: the window now starts at the arriving vertex, so
+    // its own Γ row is still live for the in-neighbor estimate below.
+    PerfScope t(perf_, PerfStage::kWindowAdvance);
+    gamma_.advance_to(v);
+  }
+
+  PartitionId pid;
+  {
+    PerfScope t(perf_, PerfStage::kScore);
+    pid = score_record(reads, params_, v, out, scratch_);
+  }
+
+  {
+    PerfScope t(perf_, PerfStage::kCommit);
+    commit(v, out, pid);
+    placed(v);
+  }
+
+  {
+    // Algorithm 1, lines 5-7: placing v raises P_pid's expectation for every
+    // out-neighbor of v. Counts for out-of-window ids are dropped.
+    PerfScope t(perf_, PerfStage::kGammaIncrement);
+    for (VertexId u : out) {
+      if (gamma_.contains(u)) gamma_.increment_at(gamma_.row_offset(u), pid);
+    }
+  }
+  return pid;
+}
 
 }  // namespace spnl

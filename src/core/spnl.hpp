@@ -76,7 +76,11 @@ struct SpnlOptions {
   const std::vector<PartitionId>* logical_hints = nullptr;
 };
 
-class SpnlPartitioner final : public GreedyStreamingBase {
+/// SpnPartitioner's placement body and Γ machinery with the Eq. 6 read
+/// policy. The degradation ladder is SPN's: the logical table is never
+/// degraded, so the rungs act on the Γ window and, at the last rung, replace
+/// Eq. 6 scoring with a capacity-weighted hash.
+class SpnlPartitioner final : public SpnPartitioner {
  public:
   SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
                   const PartitionConfig& config, SpnlOptions options = {});
@@ -87,14 +91,6 @@ class SpnlPartitioner final : public GreedyStreamingBase {
   void save_state(StateWriter& out) const override;
   void restore_state(StateReader& in) override;
 
-  /// Degradation ladder — see SpnPartitioner::apply_degradation. SPNL's
-  /// logical table is O(2K) and never degraded; the rungs act on the Γ
-  /// window and, at the last rung, replace Eq. 6 scoring with a
-  /// capacity-weighted hash.
-  bool apply_degradation(DegradationStage stage) override;
-  DegradationStage degradation_stage() const override { return stage_; }
-
-  const GammaWindow& gamma() const { return gamma_; }
   const RangeTable& logical_table() const { return logical_; }
 
   /// Current η for partition i (exposed for tests).
@@ -109,16 +105,10 @@ class SpnlPartitioner final : public GreedyStreamingBase {
 
  private:
   SpnlOptions options_;
-  GammaWindow gamma_;
   RangeTable logical_;
   /// |V_i^lt|: logical members not yet physically placed (anywhere).
   std::vector<VertexId> logical_counts_;
   VertexId placed_total_ = 0;
-  RecordParams params_;
-  RecordScratch<PlainReads::Row> scratch_;
-  /// Deepest degradation rung applied (persisted across checkpoints).
-  DegradationStage stage_ = DegradationStage::kNone;
-  bool hash_fallback_ = false;
 };
 
 }  // namespace spnl

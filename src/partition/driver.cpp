@@ -110,36 +110,19 @@ RunResult run_streaming(AdjacencyStream& stream, StreamingPartitioner& partition
     throw CheckpointError("run_streaming: " + partitioner.name() +
                           " does not support checkpoints");
   }
-
-  ScopedPerfAttach attach(partitioner, perf);
-  Timer timer;
-  drain(stream, partitioner, checkpointer, 0, result, perf, governor, stop);
-  result.partition_seconds = timer.seconds();
-  // Streaming structures only grow or stay flat — except when the governor
-  // shrinks them, in which case its samples saw the true peak.
-  result.peak_partitioner_bytes =
-      std::max(partitioner.memory_footprint_bytes(),
-               governor != nullptr ? governor->peak_partitioner_bytes() : 0);
-  result.route = partitioner.route();
-  return result;
-}
-
-RunResult resume_streaming(AdjacencyStream& stream, StreamingPartitioner& partitioner,
-                           const std::string& checkpoint_path,
-                           const StreamingCheckpointOptions& checkpoint,
-                           PerfStats* perf, ResourceGovernor* governor,
-                           const std::atomic<bool>* stop) {
-  RunResult result;
-  result.partitioner_name = partitioner.name();
-
-  StateReader in = read_checkpoint_file(checkpoint_path);
-  in.expect_string(kSeqTag, "driver kind");
-  in.expect_string(partitioner.name(), "partitioner");
-  const std::uint64_t placed = in.get_u64();
-  partitioner.restore_state(in);
-  result.resumed_at = placed;
-
-  Checkpointer checkpointer(checkpoint.path, checkpoint.every);
+  std::uint64_t placed = 0;
+  if (!checkpoint.resume_from.empty()) {
+    StateReader in = read_checkpoint_file(checkpoint.resume_from);
+    in.expect_string(kSeqTag, "driver kind");
+    in.expect_string(partitioner.name(), "partitioner");
+    placed = in.get_u64();
+    partitioner.restore_state(in);
+    result.resumed_at = placed;
+    // A degraded snapshot restored a degraded partitioner: sync the
+    // governor's ladder cursor so enforcement continues from the restored
+    // rung instead of replaying milder rungs that no longer apply.
+    if (governor != nullptr) governor->set_stage(partitioner.degradation_stage());
+  }
 
   ScopedPerfAttach attach(partitioner, perf);
   Timer timer;
@@ -148,17 +131,15 @@ RunResult resume_streaming(AdjacencyStream& stream, StreamingPartitioner& partit
   for (std::uint64_t i = 0; i < placed; ++i) {
     if (!stream.next()) {
       throw CheckpointError(
-          "resume_streaming: stream ended before the snapshot cursor (" +
+          "run_streaming: stream ended before the snapshot cursor (" +
           std::to_string(placed) + " records)");
     }
   }
   result.vertices_placed = static_cast<VertexId>(placed);
-  // A degraded snapshot restored a degraded partitioner: sync the governor's
-  // ladder cursor so enforcement continues from the restored rung instead of
-  // replaying milder rungs that no longer apply.
-  if (governor != nullptr) governor->set_stage(partitioner.degradation_stage());
   drain(stream, partitioner, checkpointer, placed, result, perf, governor, stop);
   result.partition_seconds = timer.seconds();
+  // Streaming structures only grow or stay flat — except when the governor
+  // shrinks them, in which case its samples saw the true peak.
   result.peak_partitioner_bytes =
       std::max(partitioner.memory_footprint_bytes(),
                governor != nullptr ? governor->peak_partitioner_bytes() : 0);

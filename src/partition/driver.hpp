@@ -4,8 +4,9 @@
 //
 // Fault tolerance: the driver can snapshot the partitioner's full decision
 // state (route, loads, Γ window, SPNL logical tables) plus the stream cursor
-// every N placements, and resume_streaming() continues an interrupted run
-// from the latest snapshot with a byte-identical final route.
+// every N placements, and a run started with
+// StreamingCheckpointOptions::resume_from continues an interrupted run from
+// the latest snapshot with a byte-identical final route.
 #pragma once
 
 #include <atomic>
@@ -40,11 +41,20 @@ struct RunResult {
   bool interrupted = false;
 };
 
-/// Checkpoint cadence for run_streaming / resume_streaming: snapshot the
-/// partitioner state into `path` every `every` placements (0 = disabled).
+/// Checkpointing for run_streaming: snapshot the partitioner state into
+/// `path` every `every` placements (0 = disabled), and optionally resume.
+/// Every member has an initializer, so callers can name any subset.
 struct StreamingCheckpointOptions {
-  std::string path;
+  std::string path = {};
   std::uint64_t every = 0;
+  /// Restore this snapshot before streaming and fast-forward the stream
+  /// (which must be reset and emit the same record order as the original
+  /// run) past the already-committed prefix; empty starts fresh. Throws
+  /// CheckpointError on a corrupt/mismatched snapshot or if the stream is
+  /// shorter than the snapshot cursor. A degraded snapshot restores the
+  /// degraded shape (window size, slide mode, hash fallback), and the
+  /// governor continues enforcement from that rung.
+  std::string resume_from = {};
 };
 
 /// Drains the stream through the partitioner. The stream is consumed from
@@ -72,20 +82,5 @@ RunResult run_streaming(AdjacencyStream& stream, StreamingPartitioner& partition
                         PerfStats* perf = nullptr,
                         ResourceGovernor* governor = nullptr,
                         const std::atomic<bool>* stop = nullptr);
-
-/// Resumes an interrupted run: restores the partitioner from
-/// `checkpoint_path`, fast-forwards `stream` (which must be reset and emit
-/// the same record order as the original run) past the already-committed
-/// prefix, and drains the remainder. `checkpoint` optionally continues
-/// snapshotting. Throws CheckpointError on a corrupt/mismatched snapshot or
-/// if the stream is shorter than the snapshot cursor. Degraded snapshots
-/// restore the degraded shape (window size, slide mode, hash fallback), and
-/// `governor` continues enforcement from there.
-RunResult resume_streaming(AdjacencyStream& stream, StreamingPartitioner& partitioner,
-                           const std::string& checkpoint_path,
-                           const StreamingCheckpointOptions& checkpoint = {},
-                           PerfStats* perf = nullptr,
-                           ResourceGovernor* governor = nullptr,
-                           const std::atomic<bool>* stop = nullptr);
 
 }  // namespace spnl

@@ -191,10 +191,7 @@ PrepassResult cluster_prepass(AdjacencyStream& stream,
 
 TwoPhaseRunResult two_phase_spnl_partition(
     AdjacencyStream& stream, const PartitionConfig& config,
-    const TwoPhaseOptions& prepass_options, SpnlOptions spnl_options,
-    const StreamingCheckpointOptions& checkpoint,
-    const std::string& resume_from, PerfStats* perf,
-    ResourceGovernor* governor, const std::atomic<bool>* stop) {
+    const TwoPhaseOptions& prepass_options, SpnlOptions spnl_options) {
   TwoPhaseRunResult result;
   result.prepass = cluster_prepass(stream, config, prepass_options);
   stream.reset();
@@ -204,11 +201,7 @@ TwoPhaseRunResult two_phase_spnl_partition(
   if (use_hints) spnl_options.logical_hints = &result.prepass.hints;
   SpnlPartitioner partitioner(stream.num_vertices(), stream.num_edges(),
                               config, spnl_options);
-  result.run =
-      resume_from.empty()
-          ? run_streaming(stream, partitioner, checkpoint, perf, governor, stop)
-          : resume_streaming(stream, partitioner, resume_from, checkpoint, perf,
-                             governor, stop);
+  result.run = run_streaming(stream, partitioner);
   result.run.partitioner_name = use_hints ? "SPNL+2PS" : "SPNL";
   return result;
 }

@@ -23,9 +23,7 @@
 // back to plain SPNL.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/spnl.hpp"
@@ -78,15 +76,8 @@ struct TwoPhaseRunResult {
 /// The full SPNL+2PS pipeline: cluster_prepass, then a reset() and an SPNL
 /// scoring pass with the hints injected as the logical table (plain SPNL
 /// when the prepass degraded — run.partitioner_name tells which ran).
-/// Checkpoint/resume/governor/stop wiring matches run_streaming; a resumed
-/// run re-derives the identical hint table first (the prepass is
-/// deterministic), so snapshots stay byte-compatible.
 TwoPhaseRunResult two_phase_spnl_partition(
     AdjacencyStream& stream, const PartitionConfig& config,
-    const TwoPhaseOptions& prepass_options = {}, SpnlOptions spnl_options = {},
-    const StreamingCheckpointOptions& checkpoint = {},
-    const std::string& resume_from = "", PerfStats* perf = nullptr,
-    ResourceGovernor* governor = nullptr,
-    const std::atomic<bool>* stop = nullptr);
+    const TwoPhaseOptions& prepass_options = {}, SpnlOptions spnl_options = {});
 
 }  // namespace spnl

@@ -23,6 +23,7 @@
 #include "partition/driver.hpp"
 #include "partition/ldg.hpp"
 #include "partition/metrics.hpp"
+#include "prepass/two_phase.hpp"
 #include "test_dir.hpp"
 
 namespace spnl {
@@ -290,7 +291,7 @@ void expect_kill_resume_identical(const Graph& g, const std::string& ckpt,
     // Phase 2: a fresh process resumes from the latest snapshot.
     auto p = make(g, k);
     InMemoryStream stream(g);
-    const RunResult resumed = resume_streaming(stream, *p, ckpt);
+    const RunResult resumed = run_streaming(stream, *p, {.resume_from = ckpt});
     EXPECT_EQ(resumed.resumed_at, (kill_at / every) * every);
     EXPECT_EQ(resumed.route, reference)
         << "route diverged after resume at kill point " << kill_at;
@@ -313,6 +314,25 @@ TEST_F(CheckpointTest, KillAndResumeSpnlIsByteIdentical) {
                                              PartitionConfig{.num_partitions = k},
                                              SpnlOptions{});
   });
+}
+
+TEST_F(CheckpointTest, KillAndResumeSpnlWithPrepassHintsIsByteIdentical) {
+  // The 2PS configuration: SPNL's logical term reads the prepass hint table
+  // instead of the range table. A resumed process re-derives the same table
+  // (the prepass is deterministic), so one table serves every phase here.
+  const Graph g = test_graph();
+  InMemoryStream prepass_stream(g);
+  // K = 8, the K expect_kill_resume_identical partitions into.
+  const PrepassResult prepass =
+      cluster_prepass(prepass_stream, PartitionConfig{.num_partitions = 8});
+  ASSERT_FALSE(prepass.degraded);
+  ASSERT_EQ(prepass.hints.size(), g.num_vertices());
+  expect_kill_resume_identical(
+      g, path("spnl_2ps.ckpt"), [&](const Graph& gr, PartitionId k) {
+        return std::make_unique<SpnlPartitioner>(
+            gr.num_vertices(), gr.num_edges(), PartitionConfig{.num_partitions = k},
+            SpnlOptions{.logical_hints = &prepass.hints});
+      });
 }
 
 TEST_F(CheckpointTest, KillAndResumeLdgIsByteIdentical) {
@@ -362,7 +382,7 @@ TEST_F(CheckpointTest, KillAndResumeCoarseSlideIsByteIdentical) {
       }
       auto p = make(g);
       InMemoryStream stream(g);
-      const RunResult resumed = resume_streaming(stream, *p, path("coarse.ckpt"));
+      const RunResult resumed = run_streaming(stream, *p, {.resume_from = path("coarse.ckpt")});
       EXPECT_EQ(resumed.resumed_at, kill_at);  // kill points align with cadence
       EXPECT_EQ(resumed.route, reference)
           << (use_spnl ? "SPNL" : "SPN") << " coarse-slide route diverged after "
@@ -383,7 +403,7 @@ TEST_F(CheckpointTest, ResumeIntoWrongPartitionerThrows) {
   LdgPartitioner wrong(g.num_vertices(), g.num_edges(),
                        PartitionConfig{.num_partitions = k});
   InMemoryStream stream(g);
-  EXPECT_THROW(resume_streaming(stream, wrong, path("w.ckpt")), CheckpointError);
+  EXPECT_THROW(run_streaming(stream, wrong, {.resume_from = path("w.ckpt")}), CheckpointError);
 }
 
 TEST_F(CheckpointTest, ResumeWithShorterStreamThrows) {
@@ -399,7 +419,7 @@ TEST_F(CheckpointTest, ResumeWithShorterStreamThrows) {
                    PartitionConfig{.num_partitions = k}, SpnOptions{});
   InMemoryStream inner(g);
   TruncatedStream shorter(inner, 50);  // shorter than the snapshot cursor (500)
-  EXPECT_THROW(resume_streaming(shorter, p, path("s.ckpt")), CheckpointError);
+  EXPECT_THROW(run_streaming(shorter, p, {.resume_from = path("s.ckpt")}), CheckpointError);
 }
 
 TEST_F(CheckpointTest, CheckpointingRequiresSupport) {

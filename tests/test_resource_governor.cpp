@@ -277,8 +277,9 @@ TEST(Degradation, CheckpointResumeCarriesDegradedStage) {
       {.memory_budget_bytes = governor.options().memory_budget_bytes,
        .sample_interval = 64});
   stream.reset();
-  const RunResult resumed = resume_streaming(stream, resumed_partitioner, ckpt,
-                                             {}, nullptr, &resumed_governor);
+  const RunResult resumed = run_streaming(stream, resumed_partitioner,
+                                          {.resume_from = ckpt}, nullptr,
+                                          &resumed_governor);
   EXPECT_GT(resumed.resumed_at, 0u);
   validate_route(resumed.route, k, g.num_vertices());
   // The restored stage seeds the resumed governor's ladder cursor.

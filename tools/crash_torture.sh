@@ -11,9 +11,9 @@
 #      the published .sadj must still fully decode and byte-match exactly
 #      one of the two inputs; a final clean conversion must be
 #      byte-identical to an undisturbed reference.
-#   2. streaming checkpoint runs killed at seeded write indices — whatever
-#      checkpoint survives must resume to a route byte-identical to an
-#      uninterrupted run.
+#   2. streaming checkpoint runs (SPNL, SPN, SPNL+2PS) killed at seeded
+#      write indices — whatever checkpoint survives must resume to a route
+#      byte-identical to an uninterrupted run of the same configuration.
 #   3. server SIGTERM drain killed at the first drain-checkpoint write —
 #      the drain dir must hold no torn .ckpt, and a faultless restart on
 #      the same dir must come up and shut down cleanly.
@@ -109,38 +109,47 @@ echo "crash_torture: [1/3] OK (${#convert_plans[@]} kill sites, survivor decoded
 echo "crash_torture: [2/3] checkpoint kills + resume byte-identity"
 
 ckpt_graph="${work_dir}/ckpt_graph.adj"
-route_ref="${work_dir}/route_ref.txt"
 "${tools_dir}/spnl_gen" --out="${ckpt_graph}" --model=webcrawl --vertices=20000 --avg-degree=6 --seed=7
-"${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream \
-  --out="${route_ref}" --quiet
 
+# Default SPNL, SPN, and SPNL with the 2PS prepass hints (whose resumed run
+# re-derives the hint table before restoring). Each configuration is killed at
+# the same seeded write indices and compared against its own uninterrupted
+# route.
+ckpt_configs=("" "--algo=spn" "--prepass=2ps")
 resumed=0; restarted=0
-for seed in 1 2 3 4 5; do
-  ckpt="${work_dir}/ckpt_${seed}.bin"
-  route_out="${work_dir}/route_seed${seed}.txt"
-  rm -f "${ckpt}" "${ckpt}.tmp" "${route_out}"
-  expect_killed "checkpoint seed ${seed}" \
-    "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream \
-    --checkpoint="${ckpt}" --checkpoint-every=1500 --out="${route_out}" --quiet \
-    "--inject-io-faults=seed:${seed},kill:write@r8"
-  if [[ -e "${ckpt}" ]]; then
-    # A checkpoint survived the kill: it must be loadable and resume to the
-    # exact same route as the uninterrupted run.
-    "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream \
-      --resume-from="${ckpt}" --out="${route_out}" --quiet \
-      || die "checkpoint seed ${seed}: surviving checkpoint failed to resume"
-    resumed=$((resumed + 1))
-  else
-    # Killed before the first checkpoint published: restart from scratch.
-    "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream \
-      --out="${route_out}" --quiet \
-      || die "checkpoint seed ${seed}: fresh restart failed"
-    restarted=$((restarted + 1))
-  fi
-  cmp -s "${route_ref}" "${route_out}" \
-    || die "checkpoint seed ${seed}: recovered route differs from the reference"
+for c in "${!ckpt_configs[@]}"; do
+  read -r -a flags <<< "${ckpt_configs[c]}"
+  label="${ckpt_configs[c]:-default SPNL}"
+  route_ref="${work_dir}/route_ref${c}.txt"
+  "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream "${flags[@]}" \
+    --out="${route_ref}" --quiet
+  for seed in 1 2 3 4 5; do
+    ckpt="${work_dir}/ckpt${c}_${seed}.bin"
+    route_out="${work_dir}/route${c}_seed${seed}.txt"
+    rm -f "${ckpt}" "${ckpt}.tmp" "${route_out}"
+    expect_killed "checkpoint ${label} seed ${seed}" \
+      "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream "${flags[@]}" \
+      --checkpoint="${ckpt}" --checkpoint-every=1500 --out="${route_out}" --quiet \
+      "--inject-io-faults=seed:${seed},kill:write@r8"
+    if [[ -e "${ckpt}" ]]; then
+      # A checkpoint survived the kill: it must be loadable and resume to the
+      # exact same route as the uninterrupted run.
+      "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream "${flags[@]}" \
+        --resume-from="${ckpt}" --out="${route_out}" --quiet \
+        || die "checkpoint ${label} seed ${seed}: surviving checkpoint failed to resume"
+      resumed=$((resumed + 1))
+    else
+      # Killed before the first checkpoint published: restart from scratch.
+      "${tools_dir}/spnl_partition" "${ckpt_graph}" --k=4 --stream "${flags[@]}" \
+        --out="${route_out}" --quiet \
+        || die "checkpoint ${label} seed ${seed}: fresh restart failed"
+      restarted=$((restarted + 1))
+    fi
+    cmp -s "${route_ref}" "${route_out}" \
+      || die "checkpoint ${label} seed ${seed}: recovered route differs from the reference"
+  done
 done
-echo "crash_torture: [2/3] OK (resumed=${resumed} fresh-restarted=${restarted}, all routes byte-identical)"
+echo "crash_torture: [2/3] OK (${#ckpt_configs[@]} configurations: resumed=${resumed} fresh-restarted=${restarted}, all routes byte-identical)"
 
 # ---------------------------------------------------------------------------
 echo "crash_torture: [3/3] server drain killed mid-checkpoint, then restart"

@@ -607,20 +607,17 @@ int main(int argc, char** argv) {
       } else {
         return usage();
       }
-      StreamingCheckpointOptions checkpoint;
-      checkpoint.path = checkpoint_path;
-      checkpoint.every = checkpoint_every;
+      const StreamingCheckpointOptions checkpoint{
+          .path = checkpoint_path,
+          .every = checkpoint_every,
+          .resume_from = resume_from};
       // Graceful SIGINT/SIGTERM: the driver polls the process-global flag,
       // finishes the record in flight, writes a final snapshot (when
       // --checkpoint is set) and returns with interrupted set — instead of
       // the process dying mid-route.
       arm_shutdown_flag();
-      const RunResult run =
-          resume_from.empty()
-              ? run_streaming(stream, *partitioner, checkpoint, perf_ptr,
-                              governor_ptr, &shutdown_flag())
-              : resume_streaming(stream, *partitioner, resume_from, checkpoint,
-                                 perf_ptr, governor_ptr, &shutdown_flag());
+      const RunResult run = run_streaming(stream, *partitioner, checkpoint,
+                                          perf_ptr, governor_ptr, &shutdown_flag());
       if (run.interrupted) {
         std::fprintf(stderr,
                      "interrupted: %llu of %u records placed; %s\n",
