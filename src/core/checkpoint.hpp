@@ -154,10 +154,10 @@ class Checkpointer {
     return enabled() && placements > 0 && placements % every_ == 0;
   }
 
-  /// Crossing-aware variant for batched producers: the counter advances by
-  /// whole batches, so "is an exact multiple" would skip boundaries that fall
-  /// inside a batch. True when [prev, now] crossed at least one multiple of
-  /// `every`. Equivalent to due(now) when now == prev + 1.
+  /// Crossing-aware variant for counters that advance in strides (the
+  /// parallel reader's publish points), where "is an exact multiple" would
+  /// skip boundaries inside a stride. True when [prev, now] crossed at least
+  /// one multiple of `every`. Equivalent to due(now) when now == prev + 1.
   bool due(std::uint64_t prev, std::uint64_t now) const {
     return enabled() && now / every_ > prev / every_;
   }

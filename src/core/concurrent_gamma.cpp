@@ -27,27 +27,13 @@ ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
 }
 
 void ConcurrentGammaWindow::advance_to(VertexId head) {
-  // Fast path: the slide (or a pending request) already covers this head.
-  if (head <= base_.load(std::memory_order_relaxed)) return;
-
-  // Publish the request wait-free: monotone fetch-max via CAS. release pairs
-  // with the acquire reload in the slide loop below, so the winner of the
-  // try_lock observes every published head.
-  VertexId cur = pending_head_.load(std::memory_order_relaxed);
-  while (cur < head) {
-    if (pending_head_.compare_exchange_weak(cur, head, std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-      break;
-    }
-    // cur was reloaded by the failed CAS; loop re-tests cur < head.
-  }
-
-  // Only one worker slides at a time; everyone else cedes without blocking.
-  // The ceded request is picked up either by the current holder's re-check
-  // below or by the next advance_to() call — bounded staleness, and only of
-  // the heuristic Γ estimate (termination never waits on the slide).
-  std::unique_lock lock(advance_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
+  // Monotone fetch-max on the base: the CAS winner owns retiring exactly the
+  // ids it moved the base past, so concurrent callers clear disjoint ranges
+  // and nobody waits.
+  VertexId base = base_.load(std::memory_order_relaxed);
+  do {
+    if (head <= base) return;
+  } while (!base_.compare_exchange_weak(base, head, std::memory_order_relaxed));
 
   auto clear_rows = [this](VertexId first_slot, VertexId rows) {
     auto* begin = counters_.get() +
@@ -57,33 +43,21 @@ void ConcurrentGammaWindow::advance_to(VertexId head) {
       begin[i].store(0, std::memory_order_relaxed);
     }
   };
-
-  // Slide to the latest published request, re-checking after each pass so a
-  // head published while we slid (by a worker whose try_lock lost against
-  // ours) is not stranded until the next call.
-  while (true) {
-    const VertexId target = pending_head_.load(std::memory_order_acquire);
-    const VertexId base = base_.load(std::memory_order_relaxed);
-    if (target <= base) break;
-    const VertexId steps = target - base;
-    if (steps >= window_size_) {
-      clear_rows(0, window_size_);
-    } else {
-      // Retiring ids [base, target) occupy at most two contiguous slot runs
-      // (the ring wraps at W): clear them as ranges instead of per-id modulo
-      // walks.
-      const VertexId first = slot_of(base);
-      const VertexId head_rows = std::min<VertexId>(steps, window_size_ - first);
-      clear_rows(first, head_rows);
-      if (steps > head_rows) clear_rows(0, steps - head_rows);
-    }
-    base_.store(target, std::memory_order_relaxed);
+  const VertexId steps = head - base;
+  if (steps >= window_size_) {
+    clear_rows(0, window_size_);
+    return;
   }
+  // Retiring ids [base, head) occupy at most two contiguous slot runs (the
+  // ring wraps at W): clear them as ranges instead of per-id modulo walks.
+  const VertexId first = slot_of(base);
+  const VertexId head_rows = std::min<VertexId>(steps, window_size_ - first);
+  clear_rows(first, head_rows);
+  if (steps > head_rows) clear_rows(0, steps - head_rows);
 }
 
 void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
   if (new_window == 0) new_window = 1;
-  std::lock_guard lock(advance_mutex_);
   if (new_window >= window_size_) return;
   const VertexId base = base_.load(std::memory_order_relaxed);
   auto counters =
@@ -138,7 +112,6 @@ void ConcurrentGammaWindow::restore(StateReader& in) {
     throw CheckpointError("gamma restore: counter table size mismatch");
   }
   base_.store(base, std::memory_order_relaxed);
-  pending_head_.store(base, std::memory_order_relaxed);
   for (std::size_t i = 0; i < total; ++i) {
     counters_[i].store(counters[i], std::memory_order_relaxed);
   }

@@ -68,8 +68,12 @@ Rct::Rct(std::size_t capacity, std::uint32_t num_shards)
   shard_mask_ = static_cast<std::uint32_t>(shards - 1);
   shard_capacity_ = (capacity_ + shards - 1) / shards;
   shards_ = std::vector<Shard>(shards);
+  // Half-load room for its share of the capacity, and for one registration
+  // per shard's worth of workers at once: every worker may be registering
+  // into the same shard, and a table that starts smaller than that grows
+  // (under the exclusive lock) on the first such burst.
   const std::size_t table_size =
-      next_pow2(std::max<std::size_t>(2 * shard_capacity_, 4));
+      next_pow2(std::max<std::size_t>(2 * std::max(shard_capacity_, shards), 4));
   for (Shard& shard : shards_) {
     alloc_table(shard, table_size);
     shard.parked.reserve(shard_capacity_);
@@ -291,7 +295,7 @@ bool Rct::should_delay(VertexId v) const {
   return static_cast<double>(counter) >= std::max(1.0, mean_nonzero_count());
 }
 
-bool Rct::park(OwnedVertexRecord&& record) {
+bool Rct::park(const VertexRecord& record) {
   // Same global-ticket admission as register_vertex: the parked bound is the
   // table capacity, not capacity_/S per shard.
   const std::size_t ticket = parked_count_.fetch_add(1, std::memory_order_relaxed);
@@ -300,6 +304,20 @@ bool Rct::park(OwnedVertexRecord&& record) {
     return false;
   }
   Shard& shard = shard_of(record.id);
+  // Refusals are decided under the shared lock where possible, so the
+  // exclusive lock is taken only for a park that is likely to succeed: a
+  // counter can drain between the caller's should_delay and here.
+  auto parkable = [&](std::size_t i) {
+    return i != shard.table_size && !shard.table[i].parked &&
+           shard.table[i].counter.load(std::memory_order_relaxed) != 0;
+  };
+  {
+    Guard guard(*this, shard, /*exclusive=*/false);
+    if (!parkable(find_locked(shard, record.id))) {
+      parked_count_.fetch_sub(1, std::memory_order_relaxed);
+      return false;
+    }
+  }
   // Exclusive: park mutates the parked flag and the parked vector, both of
   // which shared holders rely on being writer-excluded.
   Guard guard(*this, shard, /*exclusive=*/true);
@@ -309,13 +327,12 @@ bool Rct::park(OwnedVertexRecord&& record) {
   // after the caller's should_delay and saw no parked flag to release:
   // parking now would strand the record until drain_parked. Decrements take
   // the shared lock, so under this exclusive one the counter cannot move.
-  if (i == shard.table_size || shard.table[i].parked ||
-      shard.table[i].counter.load(std::memory_order_relaxed) == 0) {
+  if (!parkable(i)) {
     parked_count_.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
   shard.table[i].parked = true;
-  shard.parked.push_back(std::move(record));
+  shard.parked.push_back(OwnedVertexRecord::from(record));
   return true;
 }
 
@@ -426,6 +443,10 @@ std::vector<OwnedVertexRecord> Rct::on_placed(VertexId v,
 std::vector<OwnedVertexRecord> Rct::drain_parked() {
   std::vector<OwnedVertexRecord> rest;
   for (Shard& shard : shards_) {
+    {
+      Guard guard(*this, shard, /*exclusive=*/false);
+      if (shard.parked.empty()) continue;
+    }
     Guard guard(*this, shard, /*exclusive=*/true);
     for (OwnedVertexRecord& record : shard.parked) {
       const std::size_t i = find_locked(shard, record.id);
@@ -443,7 +464,8 @@ std::vector<OwnedVertexRecord> Rct::drain_parked() {
 std::vector<Rct::ParkedState> Rct::snapshot_parked() const {
   std::vector<ParkedState> parked;
   for (const Shard& shard : shards_) {
-    Guard guard(*this, shard, /*exclusive=*/true);
+    // Shared suffices: parked records change only under the exclusive lock.
+    Guard guard(*this, shard, /*exclusive=*/false);
     for (const OwnedVertexRecord& record : shard.parked) {
       const std::size_t i = find_locked(shard, record.id);
       const std::uint32_t counter =
@@ -485,7 +507,9 @@ void Rct::restore_parked(std::vector<ParkedState> parked) {
 std::size_t Rct::memory_footprint_bytes() const {
   std::size_t bytes = shards_.size() * sizeof(Shard);
   for (const Shard& shard : shards_) {
-    Guard guard(*this, shard, /*exclusive=*/true);
+    // Shared suffices: the table size and the parked records change only
+    // under the exclusive lock.
+    Guard guard(*this, shard, /*exclusive=*/false);
     bytes += shard.table_size * sizeof(Slot);
     bytes += shard.parked.capacity() * sizeof(OwnedVertexRecord);
     for (const OwnedVertexRecord& record : shard.parked) {

@@ -1,8 +1,8 @@
 // RCT — hash-based Reversed-Counting Table for dependency detection among
 // concurrently streamed vertices (paper Sec. V-B, Fig. 6).
 //
-// Every in-flight vertex (taken from the producer-consumer queue, not yet
-// placed) is registered with a dependency counter. While a worker traverses
+// Every in-flight vertex (claimed by a worker, not yet placed) is
+// registered with a dependency counter. While a worker traverses
 // N_out(v) to compute v's distribution score — a traversal it performs
 // anyway — it bumps the counter of every out-neighbor that is itself in
 // flight: those neighbors would see a richer Γ row if v were placed first.
@@ -22,7 +22,9 @@
 // atomics: registration claims an empty slot with a CAS on the id, bumps are
 // fetch_adds, decrements are CAS loops that never go below zero. The
 // exclusive side is reserved for structural mutation (growth, erase +
-// backward-shift, park/unpark, snapshot), so shared-side probes are stable.
+// backward-shift, park/unpark, drain), so shared-side probes are stable.
+// Read-only walks (snapshot, footprint) and the refusal checks of park and
+// drain run under the shared lock.
 //
 //  Untracked fast path: once the table is full most records are refused,
 //  and they must not pay for it. A full table refuses on a plain load of
@@ -109,12 +111,12 @@ class Rct {
   /// the paper delays "heavy" conflicts, so we use counter >= max(1, mean).
   bool should_delay(VertexId v) const;
 
-  /// Park the (tracked) record until its counter drains. Returns false if
-  /// the parked set is at capacity (globally), the vertex is untracked, or
-  /// its counter has already drained to zero — in that case the record is
-  /// NOT consumed (only moved from on success) and the caller must place it
-  /// immediately.
-  bool park(OwnedVertexRecord&& record);
+  /// Park a copy of the (tracked) record until its counter drains, so the
+  /// caller's storage can be reused at once. Returns false if the parked set
+  /// is at capacity (globally), the vertex is untracked, or its counter has
+  /// already drained to zero — in that case nothing is kept and the caller
+  /// must place the record immediately.
+  bool park(const VertexRecord& record);
 
   /// Finalize v: untrack it and decrement in-flight out-neighbors' counters.
   /// Parked records whose counter reached zero are returned for immediate
@@ -167,7 +169,7 @@ class Rct {
   /// Always-on contention tallies (relaxed atomics; exact totals after the
   /// pipeline joins). exclusive_acquires is deterministic for a given
   /// operation sequence: only the structural slow paths (growth, erase,
-  /// park/unpark, snapshot) lock exclusively, regardless of how many cores
+  /// park/unpark, drain) lock exclusively, regardless of how many cores
   /// actually contend.
   std::uint64_t exclusive_contended() const {
     return exclusive_contended_.load(std::memory_order_relaxed);
@@ -247,8 +249,7 @@ class Rct {
   std::atomic<std::size_t> parked_count_{0};
   // Own line: every refusal writes it, every registration reads entry_count_.
   alignas(64) std::atomic<std::uint64_t> untracked_overflow_{0};
-  // mutable: const operations (snapshot, footprint) lock shards
-  // exclusively and must tally those acquisitions.
+  // mutable: the shard guard tallies through a const table.
   alignas(64) mutable std::atomic<std::uint64_t> exclusive_contended_{0};
   mutable std::atomic<std::uint64_t> exclusive_acquires_{0};
 };

@@ -9,8 +9,9 @@
 //    placement body, is a template over the policy: SPN passes PlainReads
 //    as is, SPNL passes SpnlReads, which adds the logical table and η
 //    (core/spnl.cpp).
-//  * SharedReads (core/parallel_driver.cpp) reads the parallel driver's
-//    relaxed atomics and its ConcurrentGammaWindow.
+//  * WorkerReads (core/parallel_driver.cpp) reads the parallel driver's
+//    relaxed atomics and its ConcurrentGammaWindow, and the partition
+//    counters from one worker's view of them.
 //
 // The reference formulation (kept verbatim as the oracle in
 // tests/reference_partitioners.hpp and raced by bench_microkernel) walks the

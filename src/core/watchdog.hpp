@@ -16,9 +16,9 @@
 // that wedges INSIDE a placement (kProcessing) cannot be stolen from —
 // rescuing would double-place — so the monitor marks it stalled; when every
 // worker is wedged that way the pipeline cannot make progress and the
-// monitor aborts the run (on_abort tears down the bounded queue, waking all
-// waiters) instead of hanging. Timed queue operations on the producer side
-// complete the no-unbounded-block guarantee.
+// monitor aborts the run instead of hanging: the driver's waits (the
+// reader's and the workers') all poll aborted(), and on_abort can wake any
+// other waiter.
 //
 // All cross-thread state is atomics or mutex-guarded; the monitor is a
 // single thread, so rescues never race each other.

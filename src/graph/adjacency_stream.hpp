@@ -83,7 +83,8 @@ struct VertexRecord {
   std::span<const VertexId> out;
 };
 
-/// Owning variant used when records must outlive the stream (parallel queue).
+/// Owning variant used when records must outlive the stream (records the
+/// RCT parks, records the watchdog holds for a rescue).
 struct OwnedVertexRecord {
   VertexId id = kInvalidVertex;
   std::vector<VertexId> out;
@@ -91,6 +92,7 @@ struct OwnedVertexRecord {
   static OwnedVertexRecord from(const VertexRecord& r) {
     return {r.id, std::vector<VertexId>(r.out.begin(), r.out.end())};
   }
+  VertexRecord view() const { return {id, out}; }
 };
 
 /// One-pass (rewindable for re-streaming) adjacency-list source.

@@ -12,7 +12,7 @@
 
 namespace spnl {
 
-/// Typed error for malformed flag values (--batch-size=abc, --k=4x). The
+/// Typed error for malformed flag values (--threads=abc, --k=4x). The
 /// numeric getters throw it instead of silently parsing a prefix (or 0);
 /// front-ends catch it and exit with usage status.
 class CliError : public std::runtime_error {

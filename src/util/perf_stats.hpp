@@ -25,7 +25,7 @@ namespace spnl {
 
 /// Stages of the streaming hot path, in per-record execution order.
 enum class PerfStage : unsigned {
-  kQueueWait = 0,    ///< blocked on the stream / bounded queue for the record
+  kQueueWait = 0,    ///< waiting for the record: the stream, or a claim
   kWindowAdvance,    ///< Γ window slide (slot retirement)
   kScore,            ///< Eq. 5/6 scoring + partition selection
   kCommit,           ///< route/load bookkeeping after the decision

@@ -87,7 +87,7 @@ std::string degradation_events_json(const std::vector<DegradationEvent>& events)
 std::size_t parse_byte_size(const std::string& text);
 
 /// Budget enforcement + ladder bookkeeping. Thread-safe: in the parallel
-/// driver the producer samples while the watchdog monitor may be recording
+/// driver the reader samples while the watchdog monitor may be recording
 /// rescue-driven events.
 class ResourceGovernor {
  public:
@@ -122,7 +122,8 @@ class ResourceGovernor {
     return enabled() && placements > 0 && placements % options_.sample_interval == 0;
   }
 
-  /// Crossing-aware variant for batched producers (see Checkpointer::due):
+  /// Crossing-aware variant for counters that advance in strides (see
+  /// Checkpointer::due):
   /// true when [prev, now] crossed at least one sample boundary.
   bool due(std::uint64_t prev, std::uint64_t now) const {
     return enabled() && now / options_.sample_interval > prev / options_.sample_interval;

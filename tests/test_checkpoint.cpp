@@ -518,8 +518,8 @@ TEST_F(CheckpointTest, KillAndResumeParallelWindowedGammaIsByteIdentical) {
     opts.resume_from = path("par-window.ckpt");
     InMemoryStream stream(g);
     const auto resumed = run_parallel(stream, config, opts);
-    // Batches of 64 step over the multiples of 300; the snapshot lands on
-    // the first batch boundary past the last one.
+    // Publish points step over the multiples of 300; the snapshot lands on
+    // the first publish point past the last one.
     EXPECT_GE(resumed.resumed_at, (kill_at / 300) * 300);
     EXPECT_EQ(resumed.route, reference)
         << "windowed resume diverged at kill point " << kill_at;
@@ -527,17 +527,20 @@ TEST_F(CheckpointTest, KillAndResumeParallelWindowedGammaIsByteIdentical) {
 }
 
 TEST_F(CheckpointTest, KillAndResumeParallelOddBatchStrideIsByteIdentical) {
-  // Batch size 7 does not divide checkpoint_every=512, so `produced` steps
-  // OVER the exact multiples and the crossing-aware Checkpointer::due must
-  // fire on the first batch boundary past each one. The snapshot cursor
-  // therefore lands at 518/1029/1540 (the first multiples of 7 past 512/
-  // 1024/1536) — and the resumed route must still be byte-identical: with
-  // one worker the placement sequence is the stream order for any batching.
+  // The reader publishes records in batches of kParallelPublishStride, and
+  // checkpoint_every=500 is not a multiple of it, so `produced` steps OVER
+  // the exact multiples and the crossing-aware Checkpointer::due must fire
+  // at the first publish point past each one. The snapshot cursor therefore
+  // lands past 1500 on a stride boundary — and the resumed route must still
+  // be byte-identical: with one worker the placement sequence is the stream
+  // order whatever the publish points are.
   const Graph g = test_graph();
   const PartitionConfig config{.num_partitions = 8};
+  const std::uint64_t every = 500;
+  const std::uint64_t stride = kParallelPublishStride;
+  ASSERT_NE(every % stride, 0u);
   ParallelOptions base;
   base.num_threads = 1;
-  base.batch_size = 7;
 
   std::vector<PartitionId> reference;
   {
@@ -549,50 +552,19 @@ TEST_F(CheckpointTest, KillAndResumeParallelOddBatchStrideIsByteIdentical) {
   {
     ParallelOptions opts = base;
     opts.checkpoint_path = path("par-odd.ckpt");
-    opts.checkpoint_every = 512;
+    opts.checkpoint_every = every;
     InMemoryStream inner(g);
     TruncatedStream stream(inner, 1600);
     const auto partial = run_parallel(stream, config, opts);
-    EXPECT_EQ(partial.checkpoints_written, 3u);  // past 512, 1024, 1536
+    EXPECT_EQ(partial.checkpoints_written, 3u);  // past 500, 1000, 1500
   }
   ParallelOptions opts = base;
   opts.resume_from = path("par-odd.ckpt");
   InMemoryStream stream(g);
   const auto resumed = run_parallel(stream, config, opts);
-  EXPECT_EQ(resumed.resumed_at, 1540u);  // 220 * 7, first stride past 1536
-  EXPECT_EQ(resumed.route, reference);
-}
-
-TEST_F(CheckpointTest, ResumeWithDifferentBatchSizeIsByteIdentical) {
-  // The micro-batch size is a transport knob, not partitioner state: a
-  // snapshot taken by a batch-64 run must resume under batch-3 (or any
-  // other) into the same route.
-  const Graph g = test_graph();
-  const PartitionConfig config{.num_partitions = 8};
-  ParallelOptions base;
-  base.num_threads = 1;
-
-  std::vector<PartitionId> reference;
-  {
-    InMemoryStream stream(g);
-    reference = run_parallel(stream, config, base).route;
-  }
-
-  {
-    ParallelOptions opts = base;
-    opts.batch_size = 64;
-    opts.checkpoint_path = path("par-xbatch.ckpt");
-    opts.checkpoint_every = 512;
-    InMemoryStream inner(g);
-    TruncatedStream stream(inner, 1600);
-    run_parallel(stream, config, opts);
-  }
-  ParallelOptions opts = base;
-  opts.batch_size = 3;
-  opts.resume_from = path("par-xbatch.ckpt");
-  InMemoryStream stream(g);
-  const auto resumed = run_parallel(stream, config, opts);
-  EXPECT_EQ(resumed.resumed_at, 1536u);
+  // The first stride boundary past 1500.
+  EXPECT_EQ(resumed.resumed_at, (3 * every + stride - 1) / stride * stride);
+  EXPECT_GT(resumed.resumed_at, 3 * every);
   EXPECT_EQ(resumed.route, reference);
 }
 

@@ -84,7 +84,7 @@ TEST(FuzzModels, RctMatchesReferenceCounters) {
       }
       case 2: {  // park
         OwnedVertexRecord record{v, {}};
-        const bool ok = rct.park(std::move(record));
+        const bool ok = rct.park(record.view());
         const bool expect = parked.size() < 32 && model.count(v) && model[v] > 0 &&
                             !parked.count(v);
         ASSERT_EQ(ok, expect) << "step " << step;

@@ -70,7 +70,7 @@ TEST(Rct, PlacementDecrementsAndReleases) {
   rct.bump_if_present(1);
   rct.bump_if_present(1);
   ASSERT_TRUE(rct.should_delay(1));
-  EXPECT_TRUE(rct.park(record(1, {})));
+  EXPECT_TRUE(rct.park(record(1, {}).view()));
 
   EXPECT_TRUE(rct.on_placed(2, std::vector<VertexId>{1}).empty());
   EXPECT_TRUE(rct.on_placed(3, std::vector<VertexId>{1}).empty());
@@ -83,20 +83,35 @@ TEST(Rct, PlacementDecrementsAndReleases) {
 TEST(Rct, ParkFailsWhenUntracked) {
   Rct rct(4);
   auto r = record(9, {1, 2});
-  EXPECT_FALSE(rct.park(std::move(r)));
+  EXPECT_FALSE(rct.park(r.view()));
   // Failed park leaves the record usable.
   EXPECT_EQ(r.id, 9u);
   EXPECT_EQ(r.out.size(), 2u);
+}
+
+TEST(Rct, ParkKeepsItsOwnCopyOfTheRecord) {
+  // The parallel driver parks records that live in a reusable slab: park()
+  // must copy the out-list, so the caller's storage can be overwritten.
+  Rct rct(4);
+  ASSERT_TRUE(rct.register_vertex(1));
+  rct.bump_if_present(1);
+  std::vector<VertexId> storage{7, 8, 9};
+  ASSERT_TRUE(rct.park({1, storage}));
+  storage.assign({0, 0, 0});
+  const auto rest = rct.drain_parked();
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].id, 1u);
+  EXPECT_EQ(rest[0].out, (std::vector<VertexId>{7, 8, 9}));
 }
 
 TEST(Rct, ParkCapacityBound) {
   Rct rct(1);
   rct.register_vertex(1);
   rct.bump_if_present(1);
-  EXPECT_TRUE(rct.park(record(1)));
+  EXPECT_TRUE(rct.park(record(1).view()));
   // Parked set is at capacity 1 now.
   auto r2 = record(1);
-  EXPECT_FALSE(rct.park(std::move(r2)));
+  EXPECT_FALSE(rct.park(r2.view()));
 }
 
 TEST(Rct, ParkRefusesACounterThatDrainedAfterShouldDelay) {
@@ -111,7 +126,7 @@ TEST(Rct, ParkRefusesACounterThatDrainedAfterShouldDelay) {
   ASSERT_TRUE(rct.should_delay(2));
   EXPECT_TRUE(rct.on_placed(1, std::vector<VertexId>{2}).empty());
   auto r = record(2, {5});
-  EXPECT_FALSE(rct.park(std::move(r)));
+  EXPECT_FALSE(rct.park(r.view()));
   EXPECT_EQ(rct.parked_size(), 0u);
   EXPECT_EQ(r.out, (std::vector<VertexId>{5}));
 }
@@ -121,7 +136,7 @@ TEST(Rct, DrainParkedSortedById) {
   for (VertexId v : {5u, 2u, 9u}) {
     rct.register_vertex(v);
     rct.bump_if_present(v);
-    EXPECT_TRUE(rct.park(record(v)));
+    EXPECT_TRUE(rct.park(record(v).view()));
   }
   const auto rest = rct.drain_parked();
   ASSERT_EQ(rest.size(), 3u);
@@ -186,7 +201,7 @@ TEST(Rct, ShardedSemanticsMatchSingleShard) {
     rct.bump_if_present(1);
     rct.bump_if_present(1);
     ASSERT_TRUE(rct.should_delay(1)) << "shards=" << shards;
-    ASSERT_TRUE(rct.park(record(1, {})));
+    ASSERT_TRUE(rct.park(record(1, {}).view()));
     EXPECT_TRUE(rct.on_placed(2, std::vector<VertexId>{1}).empty());
     EXPECT_TRUE(rct.on_placed(3, std::vector<VertexId>{1}).empty());
     const auto released = rct.on_placed(4, std::vector<VertexId>{1});
@@ -269,7 +284,7 @@ TEST(Rct, ParkCapacityIsGlobalNotPerStripe) {
   for (VertexId v : {0u, 4u, 8u, 12u}) {
     ASSERT_TRUE(rct.register_vertex(v));
     rct.bump_if_present(v);
-    ASSERT_TRUE(rct.park(record(v))) << "v=" << v;
+    ASSERT_TRUE(rct.park(record(v).view())) << "v=" << v;
   }
   EXPECT_EQ(rct.parked_size(), 4u);
 }
@@ -280,8 +295,8 @@ TEST(Rct, ShardedSnapshotRestoreRoundTrip) {
   rct.bump_if_present(3);
   rct.bump_if_present(3);
   rct.bump_if_present(7);
-  ASSERT_TRUE(rct.park(record(3, {7, 11})));
-  ASSERT_TRUE(rct.park(record(7, {12})));
+  ASSERT_TRUE(rct.park(record(3, {7, 11}).view()));
+  ASSERT_TRUE(rct.park(record(7, {12}).view()));
   const auto snapshot = rct.snapshot_parked();
   ASSERT_EQ(snapshot.size(), 2u);
   EXPECT_EQ(snapshot[0].id, 3u);
@@ -324,7 +339,7 @@ TEST(Rct, Fig6ParkReleaseScenarioOnShardedTable) {
   rct.bump_if_present(1);
   EXPECT_EQ(rct.count(1), 3u);
   ASSERT_TRUE(rct.should_delay(1));
-  ASSERT_TRUE(rct.park(record(1, {})));
+  ASSERT_TRUE(rct.park(record(1, {}).view()));
   EXPECT_TRUE(rct.on_placed(2, std::vector<VertexId>{1}).empty());
   EXPECT_TRUE(rct.on_placed(3, std::vector<VertexId>{1}).empty());
   const auto released = rct.on_placed(4, std::vector<VertexId>{1});

@@ -105,8 +105,7 @@ TEST(BoundedQueue, AbortDiscardsItemsAndWakesEverybody) {
   std::atomic<bool> push_returned{false};
   std::atomic<bool> pop_returned{false};
   std::thread producer([&] {
-    std::vector<int> batch{2};
-    queue.push_batch_for(batch, std::chrono::seconds(30));
+    queue.push(2);  // blocks on the full queue until the abort
     push_returned = true;
   });
   std::thread consumer([&] {
@@ -173,240 +172,6 @@ TEST(BoundedQueue, ManyProducersManyConsumers) {
   const int total = kProducers * kPerProducer;
   EXPECT_EQ(count.load(), total);
   EXPECT_EQ(sum.load(), static_cast<long>(total) * (total - 1) / 2);
-}
-
-TEST(BoundedQueue, PushBatchPopBatchFifo) {
-  BoundedQueue<int> queue(8);
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  EXPECT_TRUE(queue.push_batch(batch));
-  EXPECT_TRUE(batch.empty());  // consumed on success
-  std::vector<int> out;
-  EXPECT_EQ(queue.pop_batch(out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(queue.pop_batch(out, 10), 2u);  // partial take: only 2 remain
-  EXPECT_EQ(out, (std::vector<int>{4, 5}));
-}
-
-TEST(BoundedQueue, PushBatchRejectsOversizedBatch) {
-  BoundedQueue<int> queue(4);
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  EXPECT_THROW(queue.push_batch(batch), std::length_error);
-  EXPECT_EQ(batch.size(), 5u);  // intact after the throw
-  EXPECT_THROW(queue.push_batch_for(batch, std::chrono::milliseconds(1)),
-               std::length_error);
-}
-
-TEST(BoundedQueue, PushBatchForTimesOutAndKeepsBatch) {
-  BoundedQueue<int> queue(4);
-  std::vector<int> filler{1, 2, 3};
-  ASSERT_TRUE(queue.push_batch(filler));
-  std::vector<int> batch{4, 5};  // needs 2 free slots, only 1 available
-  EXPECT_FALSE(queue.push_batch_for(batch, std::chrono::milliseconds(10)));
-  EXPECT_EQ(batch, (std::vector<int>{4, 5}));  // intact on timeout
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_TRUE(queue.push_batch_for(batch, std::chrono::milliseconds(10)));
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(BoundedQueue, PushBatchWaitsForWholeBatchRoom) {
-  BoundedQueue<int> queue(4);
-  std::vector<int> filler{1, 2, 3};
-  ASSERT_TRUE(queue.push_batch(filler));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    std::vector<int> batch{4, 5, 6};
-    queue.push_batch(batch);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // 1 free slot is not room for 3
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  std::vector<int> out;
-  EXPECT_EQ(queue.pop_batch(out, 8), 4u);
-  EXPECT_EQ(out, (std::vector<int>{3, 4, 5, 6}));
-}
-
-TEST(BoundedQueue, PopBatchDrainsPartialBatchAtClose) {
-  BoundedQueue<int> queue(8);
-  std::vector<int> batch{1, 2};
-  ASSERT_TRUE(queue.push_batch(batch));
-  queue.close();
-  std::vector<int> out;
-  EXPECT_EQ(queue.pop_batch(out, 64), 2u);  // partial batch flushed at EOS
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  EXPECT_EQ(queue.pop_batch(out, 64), 0u);  // closed and drained
-  EXPECT_TRUE(out.empty());
-  std::vector<int> late{3};
-  EXPECT_FALSE(queue.push_batch(late));
-  EXPECT_EQ(late, (std::vector<int>{3}));  // intact after close
-}
-
-TEST(BoundedQueue, PopBatchReturnsZeroOnAbortAndDropsItems) {
-  BoundedQueue<int> queue(8);
-  std::vector<int> batch{1, 2, 3};
-  ASSERT_TRUE(queue.push_batch(batch));
-  std::atomic<std::size_t> got{999};
-  std::thread consumer([&] {
-    std::vector<int> out;
-    // Drain, then block on the empty queue until abort wakes us.
-    while (queue.pop_batch(out, 2) > 0) {
-    }
-    got = 0;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.abort();
-  consumer.join();
-  EXPECT_EQ(got.load(), 0u);
-  std::vector<int> out;
-  EXPECT_EQ(queue.pop_batch(out, 4), 0u);
-}
-
-// The contended stress test for the batched wakeup protocol: mixed
-// single-item and batched producers against mixed consumers, with exact item
-// accounting. A lost wakeup (the bug class the baton-passing protocol
-// prevents) shows up as a hang; a double-delivery or drop breaks the sum.
-TEST(BoundedQueue, BatchedContendedStressExactAccounting) {
-  BoundedQueue<int> queue(32);
-  constexpr int kPerProducer = 4000;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  std::atomic<long> sum{0};
-  std::atomic<int> count{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      // Deterministic per-producer mix of batch sizes 1..13, including the
-      // single-item push path so both protocols interleave.
-      std::vector<int> batch;
-      int next = p * kPerProducer;
-      const int end = next + kPerProducer;
-      while (next < end) {
-        const int batch_size = 1 + (next * 7 + p) % 13;
-        if (batch_size == 1) {
-          ASSERT_TRUE(queue.push(next++));
-          continue;
-        }
-        batch.clear();
-        for (int i = 0; i < batch_size && next < end; ++i) batch.push_back(next++);
-        // Exercise the timed path occasionally; retry until accepted.
-        if (batch_size % 3 == 0) {
-          while (!queue.push_batch_for(batch, std::chrono::milliseconds(5))) {
-            ASSERT_FALSE(queue.closed());
-          }
-        } else {
-          ASSERT_TRUE(queue.push_batch(batch));
-        }
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&, c] {
-      if (c % 2 == 0) {
-        std::vector<int> out;
-        while (queue.pop_batch(out, 1 + c * 5) > 0) {
-          for (int item : out) sum += item;
-          count += static_cast<int>(out.size());
-        }
-      } else {
-        while (auto item = queue.pop()) {
-          sum += *item;
-          ++count;
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.close();
-  for (auto& t : consumers) t.join();
-  const long total = static_cast<long>(kProducers) * kPerProducer;
-  EXPECT_EQ(count.load(), total);
-  EXPECT_EQ(sum.load(), total * (total - 1) / 2);
-}
-
-TEST(BoundedQueue, AbortRacesInFlightPushBatch) {
-  // abort() must wake a producer blocked mid-push_batch (queue full, batch
-  // does not fit) and make it return false with the batch intact — the
-  // watchdog teardown path when the producer is wedged on a full queue.
-  BoundedQueue<int> queue(4);
-  std::vector<int> fill = {1, 2, 3, 4};
-  ASSERT_TRUE(queue.push_batch(fill));
-  std::atomic<bool> returned{false};
-  bool accepted = true;
-  std::vector<int> batch = {5, 6, 7};
-  std::thread producer([&] {
-    accepted = queue.push_batch(batch);  // blocks: only 0 of 3 slots free
-    returned = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
-  queue.abort();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_FALSE(accepted);
-  EXPECT_EQ(batch.size(), 3u);  // batch left intact for the caller to dispose
-  EXPECT_EQ(queue.size(), 0u);  // pending items dropped
-}
-
-TEST(BoundedQueue, AbortRacesInFlightPopBatch) {
-  // abort() must wake a consumer blocked in pop_batch on an empty queue and
-  // make it return 0 (the "no item will ever arrive" signal).
-  BoundedQueue<int> queue(4);
-  std::atomic<bool> returned{false};
-  std::size_t taken = 99;
-  std::thread consumer([&] {
-    std::vector<int> out;
-    taken = queue.pop_batch(out, 8);
-    returned = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
-  queue.abort();
-  consumer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_EQ(taken, 0u);
-  EXPECT_TRUE(queue.finished());
-}
-
-TEST(BoundedQueue, AbortStormDuringBatchedTraffic) {
-  // Concurrent producers + consumers with an abort landing mid-traffic:
-  // nothing deadlocks, every thread returns promptly, and post-abort the
-  // queue is terminally dead. Items may be lost (abort drops them) — the
-  // assertion is liveness + terminal state, not accounting.
-  BoundedQueue<int> queue(8);
-  std::vector<std::thread> threads;
-  std::atomic<int> running{0};
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&, p] {
-      ++running;
-      std::vector<int> batch;
-      int next = p * 100000;
-      for (;;) {
-        batch.clear();
-        for (int i = 0; i < 5; ++i) batch.push_back(next++);
-        if (!queue.push_batch(batch)) return;  // closed or aborted
-      }
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      ++running;
-      std::vector<int> out;
-      while (queue.pop_batch(out, 3) > 0) {
-      }
-    });
-  }
-  while (running.load() < 4) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue.abort();
-  for (auto& t : threads) t.join();  // liveness: every waiter woke up
-  EXPECT_TRUE(queue.aborted());
-  EXPECT_TRUE(queue.finished());
-  EXPECT_EQ(queue.size(), 0u);
-  EXPECT_FALSE(queue.push(1));
 }
 
 TEST(BoundedQueue, DoubleCloseIsSafeNoOp) {
@@ -484,21 +249,21 @@ TEST(Cli, FallbacksApply) {
 
 TEST(Cli, MalformedNumericsThrowTypedError) {
   // Regression: get_int/get_double used strtol/strtod with a null endptr, so
-  // "--batch-size=abc" silently parsed as 0 and "--k=4x" as 4. Malformed
+  // "--threads=abc" silently parsed as 0 and "--k=4x" as 4. Malformed
   // values must now fail fast with CliError naming the flag.
-  const char* argv[] = {"prog", "--batch-size=abc", "--k=4x", "--lambda=",
+  const char* argv[] = {"prog", "--threads=abc", "--k=4x", "--lambda=",
                         "--slack=0.5oops", "--shards=0x10"};
   CliArgs args(6, const_cast<char**>(argv));
-  EXPECT_THROW(args.get_int("batch-size", 0), CliError);
+  EXPECT_THROW(args.get_int("threads", 0), CliError);
   EXPECT_THROW(args.get_int("k", 0), CliError);
   EXPECT_THROW(args.get_double("lambda", 0.5), CliError);
   EXPECT_THROW(args.get_double("slack", 1.1), CliError);
   EXPECT_THROW(args.get_int("shards", 0), CliError);
   try {
-    args.get_int("batch-size", 0);
+    args.get_int("threads", 0);
     FAIL() << "expected CliError";
   } catch (const CliError& e) {
-    EXPECT_NE(std::string(e.what()).find("batch-size"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
   }
 }

@@ -126,28 +126,28 @@ mkdir -p "${smoke_dir}"
   --algo=spn --perf-report
 # Watchdog-enabled parallel run with an injected straggler (stolen + rescued
 # record) and a governed run forced down the degradation ladder. The default
-# runs above already exercise the micro-batched handoff (batch 64) and the
-# sharded RCT; the explicit --batch-size=16 run below adds a small-batch
-# straggler interleaving (partial tail flush + steal mid-batch) so TSan sees
-# the batched queue crossing under watchdog pressure too.
+# runs above already exercise the claim-based slab dispatch and the sharded
+# RCT; the second stuck run below adds a slow worker, so TSan sees a steal
+# in the middle of a claim and slab recycling behind a straggler too.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.2 \
   --inject-faults=stuck:1@50 --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --threads=4 --batch-size=16 --watchdog-timeout=0.2 \
+  --algo=spnl --threads=4 --watchdog-timeout=0.2 \
   --inject-faults=stuck:2@75,slow:0@0.0001 --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.2 --memory-budget=64K \
   --perf-json="${smoke_dir}/perf_degraded.json" --quiet
-# The parallel hot path under maximum handoff pressure: batch=1 forces
-# constant producer/worker lock handoff, so TSan sees the RCT's CAS
-# claim/decrement loops, the eager Γ fetch_adds and the wait-free watermark
-# advance interleaved as densely as possible.
+# The parallel hot path with the watchdog publishing every record and a
+# straggler holding back slab recycling, so TSan sees the RCT's CAS
+# claim/decrement loops, the eager Γ fetch_adds, the watermark advance and
+# the reader's slab refills interleaved with the monitor thread.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --threads=4 --batch-size=1 \
+  --algo=spnl --threads=4 --watchdog-timeout=0.5 \
+  --inject-faults=slow:3@0.00005 \
   --perf-json="${smoke_dir}/perf_lockfree.json" --quiet
-# Checkpoint quiesce + resume under the sanitizer: the producer snapshots
-# the shared state while workers are parked at the pipeline lock.
+# Checkpoint quiesce + resume under the sanitizer: the reader snapshots the
+# shared state at a publish point while workers wait for their next claim.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --checkpoint="${smoke_dir}/lf.ckpt" \
   --checkpoint-every=5000 --quiet
@@ -191,8 +191,8 @@ cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_short.txt"
 cmp "${smoke_dir}/route_text.txt" "${smoke_dir}/route_rt.txt"
 # Typed CLI error: malformed numerics must exit 2, not parse as 0.
 if "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
-  --algo=spnl --batch-size=abc --quiet 2>/dev/null; then
-  echo "expected --batch-size=abc to fail" >&2; exit 1
+  --algo=spnl --threads=abc --quiet 2>/dev/null; then
+  echo "expected --threads=abc to fail" >&2; exit 1
 fi
 
 # Storage-fault injection under the sanitizers: a failed route write must be

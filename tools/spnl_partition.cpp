@@ -3,7 +3,7 @@
 // Usage:
 //   spnl_partition <graph-file> --k=32 [--algo=spnl] [--out=route.txt]
 //                  [--lambda=0.5] [--shards=0] [--balance=vertex|edge]
-//                  [--slack=1.1] [--threads=1] [--batch-size=64] [--passes=1]
+//                  [--slack=1.1] [--threads=1] [--passes=1]
 //                  [--buffer=0] [--prepass=none|2ps]
 //                  [--format=adj|edgelist|binary|sadj] [--stream] [--window=0]
 //                  [--quiet]
@@ -21,11 +21,9 @@
 //
 // Algorithms: hash, range, ldg, fennel, spn, spnl (default), balanced, dg,
 // edg, triangles, multilevel, labelprop. --threads > 1 selects parallel
-// SPNL / parallel label-prop; --batch-size tunes the parallel pipeline's
-// micro-batched queue handoff (clamped to the queue capacity; < 1 is a typed
-// error); --passes > 1 wraps streaming algos in re-streaming; --buffer > 0
-// uses the hybrid buffered mode; --window > 0 uses WSGP-style
-// most-confident-first selection. --prepass=2ps (SPNL only, sequential and
+// SPNL / parallel label-prop; --passes > 1 wraps streaming algos in
+// re-streaming; --buffer > 0 uses the hybrid buffered mode; --window > 0
+// uses WSGP-style most-confident-first selection. --prepass=2ps (SPNL only, sequential and
 // --passes paths) runs the two-phase streaming clustering prepass and feeds
 // its cluster-derived placement hints into SPNL's logical table — one extra
 // scan that buys order-robustness (see prepass/two_phase.hpp); a degraded
@@ -116,7 +114,7 @@ int usage() {
                "[--out=route.txt]\n"
                "  [--lambda=0.5] [--shards=0] [--balance=vertex|edge] "
                "[--slack=1.1]\n"
-               "  [--threads=1] [--batch-size=64] [--passes=1] [--buffer=0] "
+               "  [--threads=1] [--passes=1] [--buffer=0] "
                "[--prepass=none|2ps] "
                "[--window=0] [--format=adj|edgelist|binary|sadj]\n"
                "  [--stream] [--quiet]\n"
@@ -148,8 +146,9 @@ struct ParsedFaults {
 // Parses the comma-separated fault spec. Distributed keys: "crash:W@T",
 // "stall:W@T@F" (repeatable), "drop:P" / "delay:P" / "dup:P"
 // (probabilities), "seed:S". Parallel-pipeline keys: "stuck:W@N" (freeze
-// between publish and claim at worker W's Nth pop), "wedge:W@N" (freeze
-// inside the placement — unstealable), "slow:W@D" (sleep D seconds per pop),
+// between publish and claim at worker W's Nth record), "wedge:W@N" (freeze
+// inside the placement — unstealable), "slow:W@D" (sleep D seconds per
+// record),
 // "pressure:BYTES" (heap ballast, K/M/G suffixes).
 ParsedFaults parse_fault_plan(const std::string& spec) {
   ParsedFaults plan;
@@ -267,7 +266,7 @@ int main(int argc, char** argv) {
   }
 
   // Everything below — including the flag reads — sits in one try so a
-  // malformed numeric flag (--batch-size=abc) surfaces as a typed CliError
+  // malformed numeric flag (--threads=abc) surfaces as a typed CliError
   // with usage status, never a silent 0.
   try {
     const auto k = static_cast<PartitionId>(args.get_int("k", 0));
@@ -286,9 +285,6 @@ int main(int argc, char** argv) {
     const double lambda = args.get_double("lambda", 0.5);
     const auto shards = static_cast<std::uint32_t>(args.get_int("shards", 0));
     const auto threads = static_cast<unsigned>(args.get_int("threads", 1));
-    // Parsed eagerly (not just on the --threads>1 path) so a malformed
-    // --batch-size fails fast in every mode.
-    const auto batch_size = args.get_int("batch-size", 64);
     const int passes = static_cast<int>(args.get_int("passes", 1));
     const auto buffer = static_cast<VertexId>(args.get_int("buffer", 0));
     const auto window = static_cast<VertexId>(args.get_int("window", 0));
@@ -519,10 +515,6 @@ int main(int argc, char** argv) {
       ParallelOptions options;
       options.num_threads = threads;
       options.use_locality = algo == "spnl";
-      // Validate eagerly so --batch-size=0 is a typed CLI error here rather
-      // than a failure deep inside run_parallel.
-      options.batch_size =
-          validated_batch_size(batch_size, options.queue_capacity);
       options.spnl.lambda = lambda;
       options.spnl.num_shards = shards;
       options.checkpoint_path = checkpoint_path;
