@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,12 +145,17 @@ TEST(WatchdogIntegration, StuckWorkerIsRescuedAndRunCompletes) {
       run_parallel(baseline_stream, {.num_partitions = k}, watchdog_options(4));
   const double baseline_ecr = evaluate_partition(g, baseline.route, k).ecr;
 
-  // Worker 1 freezes between publish and claim on its 50th pop; the monitor
-  // steals and places the record, the worker later resumes.
+  // Each worker freezes between publish and claim on its 50th pop; the
+  // monitor steals and places the record, the worker later resumes. Every
+  // worker carries the fault because a worker the OS starts late may take
+  // fewer than 50 records of a claim-based stream, while the busiest one
+  // always takes at least a quarter of it.
   ParallelOptions options = watchdog_options(4);
-  options.faults.stuck.push_back(
-      {.worker = 1, .at_pop = 50, .in_processing = false,
-       .max_stall_seconds = 10.0});
+  for (unsigned w = 0; w < options.num_threads; ++w) {
+    options.faults.stuck.push_back(
+        {.worker = w, .at_pop = 50, .in_processing = false,
+         .max_stall_seconds = 10.0});
+  }
   InMemoryStream stream(g);
   const auto result = run_parallel(stream, {.num_partitions = k}, options);
 
@@ -247,6 +254,35 @@ TEST(WatchdogIntegration, GovernorDegradesParallelPipeline) {
   // still holds because hash votes flow through capacity weighting.
   EXPECT_EQ(result.degradations.back().stage, DegradationStage::kHashFallback);
   EXPECT_LE(evaluate_partition(g, result.route, k).delta_v, 1.2);
+}
+
+TEST(WatchdogIntegration, GovernorDegradesEdgeBalancedParallelPipeline) {
+  // Under edge balance every placement is flushed at once, so each claim
+  // ends with its records already accounted and a quiesce may begin while
+  // its worker is still sliding the Γ window over them. The slide must stay
+  // inside the pipeline lock: the ladder's shrink_to swaps the rows it
+  // clears (a use-after-free the sanitizer builds catch). Checkpoints add
+  // more quiesces, each of which serializes those rows.
+  const PartitionId k = 8;
+  for (const std::uint64_t seed : {33u, 35u, 37u, 39u}) {
+    const Graph g = crawl(20000, seed);
+    ParallelOptions options = watchdog_options(4);
+    ResourceGovernor governor({.memory_budget_bytes = 1, .sample_interval = 64});
+    options.governor = &governor;
+    const std::string checkpoint = ::testing::TempDir() + "edge_governor.ckpt";
+    options.checkpoint_path = checkpoint;
+    options.checkpoint_every = 640;
+    InMemoryStream stream(g);
+    const auto result = run_parallel(
+        stream, {.num_partitions = k, .balance = BalanceMode::kEdge}, options);
+    EXPECT_FALSE(result.aborted) << "seed " << seed;
+    validate_route(result.route, k, g.num_vertices());
+    ASSERT_GE(result.degradations.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(result.degradations.back().stage, DegradationStage::kHashFallback);
+    EXPECT_GT(result.checkpoints_written, 0u) << "seed " << seed;
+    EXPECT_LE(evaluate_partition(g, result.route, k).delta_e, 1.2) << "seed " << seed;
+    std::filesystem::remove(checkpoint);
+  }
 }
 
 }  // namespace
