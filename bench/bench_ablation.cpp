@@ -3,11 +3,14 @@
 //  A1 locality destruction: SPNL on the same graph with crawl vs random ids.
 //  A2 in-neighbor estimator: Γ(v) (paper figures) vs Σ Γ(u) (Eq. 5 literal).
 //  A3 η decay policy: paper vs linear vs constant vs none.
-//  A4 parallel RCT on/off at several thread counts.
+//  A4 parallel RCT on/off at several thread counts over five graph seeds.
 //  A5 re-streaming passes (related-work extension).
+#include <algorithm>
+
 #include "common.hpp"
 #include "core/distributed_sim.hpp"
 #include "core/parallel_driver.hpp"
+#include "graph/generators.hpp"
 #include "graph/reorder.hpp"
 #include "partition/restream.hpp"
 
@@ -79,20 +82,63 @@ int main(int argc, char** argv) {
 
   print_header("A4: parallel dependency detection (RCT) on/off");
   {
-    TablePrinter table({"M", "RCT", "ECR", "delayed", "PT"});
-    for (unsigned threads : {2u, 4u, 8u}) {
-      for (bool use_rct : {true, false}) {
-        InMemoryStream stream(graph);
-        ParallelOptions options;
-        options.num_threads = threads;
-        options.use_rct = use_rct;
-        const auto result = run_parallel(stream, config, options);
-        const auto metrics = evaluate_partition(graph, result.route, k);
-        table.add_row({TablePrinter::fmt(static_cast<int>(threads)),
-                       use_rct ? "on" : "off", TablePrinter::fmt(metrics.ecr, 4),
-                       TablePrinter::fmt(static_cast<std::size_t>(result.delayed_vertices)),
-                       fmt_pt(result.partition_seconds)});
+    // bench_fig12_parallel's graph shape (webcrawl, 1M·scale vertices, mean
+    // out-degree 8) over five graph seeds. Each graph runs sequential SPNL
+    // (best of 3, the speedup denominator and the ECR reference), then three
+    // reps of every M with the RCT on and off back to back. dECR is parallel
+    // minus sequential ECR on the same graph, speedup is sequential over
+    // parallel PT; each cell is the median [min, max] of its 15 runs.
+    constexpr int kReps = 3;
+    const std::vector<unsigned> worker_counts = {2, 3, 4};
+    struct Cell {
+      std::vector<double> decr, speedup, delayed, forced, overflow;
+    };
+    std::vector<Cell> cells(2 * worker_counts.size());  // [M][off, on]
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      WebCrawlParams params;
+      params.num_vertices = static_cast<VertexId>(1'000'000 * scale);
+      params.avg_out_degree = 8.0;
+      params.seed = seed;
+      const Graph crawl = generate_webcrawl(params);
+      double seq_seconds = 0.0;
+      double seq_ecr = 0.0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        const Outcome outcome = run_one(crawl, "SPNL", config);
+        if (rep == 0 || outcome.seconds < seq_seconds) seq_seconds = outcome.seconds;
+        seq_ecr = outcome.quality.ecr;  // deterministic
       }
+      for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+        for (int rep = 0; rep < kReps; ++rep) {
+          for (const bool use_rct : {false, true}) {
+            InMemoryStream stream(crawl);
+            ParallelOptions options;
+            options.num_threads = worker_counts[i];
+            options.use_rct = use_rct;
+            const auto result = run_parallel(stream, config, options);
+            Cell& cell = cells[2 * i + (use_rct ? 1 : 0)];
+            cell.decr.push_back(evaluate_partition(crawl, result.route, k).ecr - seq_ecr);
+            cell.speedup.push_back(seq_seconds / result.partition_seconds);
+            cell.delayed.push_back(static_cast<double>(result.delayed_vertices));
+            cell.forced.push_back(static_cast<double>(result.forced_vertices));
+            cell.overflow.push_back(static_cast<double>(result.untracked_overflow));
+          }
+        }
+      }
+    }
+    auto spread = [](std::vector<double> v, int digits) {
+      std::sort(v.begin(), v.end());
+      return TablePrinter::fmt(v[v.size() / 2], digits) + " [" +
+             TablePrinter::fmt(v.front(), digits) + ", " +
+             TablePrinter::fmt(v.back(), digits) + "]";
+    };
+    TablePrinter table({"M", "RCT", "dECR", "speedup vs seq", "delayed", "forced",
+                        "overflow"});
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const Cell& cell = cells[i];
+      table.add_row({TablePrinter::fmt(static_cast<int>(worker_counts[i / 2])),
+                     i % 2 == 1 ? "on" : "off", spread(cell.decr, 4),
+                     spread(cell.speedup, 2), spread(cell.delayed, 0),
+                     spread(cell.forced, 0), spread(cell.overflow, 0)});
     }
     table.print();
   }

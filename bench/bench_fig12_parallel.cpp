@@ -4,12 +4,13 @@
 //
 // Default (scaling) mode streams a 1M-vertex power-law webcrawl graph at
 // K=32 through the sequential SPNL baseline and the parallel driver at
-// M ∈ {1, 2, 4, 8}, reporting records/sec, per-M speedups (vs the sequential
-// run and vs M=1), edge-cut delta vs the sequential run, and the RCT
-// delay/overflow counters. After the timed reps each M runs ONE extra
-// instrumented rep (PerfStats attached) whose per-stage time breakdown and
-// exclusive RCT lock counts land in the JSON — the instrumented rep never
-// feeds the gate timing, so observability cannot perturb the gated numbers.
+// M ∈ {1, 2, 4, 8} with the default options (no RCT), reporting
+// records/sec, per-M speedups (vs the sequential run and vs M=1) and the
+// edge-cut delta vs the sequential run. After the timed reps each M runs ONE
+// extra instrumented rep (PerfStats attached) whose per-stage time breakdown
+// lands in the JSON — the instrumented rep never feeds the gate timing, so
+// observability cannot perturb the gated numbers. The RCT on/off comparison
+// is bench_ablation's A4.
 // The whole result is emitted as one JSON object (stdout line
 // "bench-json: ..." and optionally --json=FILE), stamped with the host it ran
 // on (nproc, CPU, build type, compiler, git sha) — the payload behind
@@ -36,13 +37,6 @@
 //     (quality_ceiling), except in --smoke, which shrinks the graph, holds
 //     every M to the bound and relaxes it to 0.08 (the small-graph noise
 //     floor the unit suite also uses).
-//   rct_exclusive_acquires <= n + 2·delayed + 64 on every instrumented rep —
-//     the RCT locks a shard exclusively only to erase a tracked entry (at
-//     most one per record), to park and to unpark a delayed record, and a
-//     bounded number of times to grow or scan its tables. The count does not
-//     depend on how many cores contend, so the gate holds on any box; an RCT
-//     that locked exclusively per bump or registration would take several
-//     times n.
 //
 // --paper reproduces the old Fig. 12 tables (PT vs M on uk2002/sk2005).
 #include <algorithm>
@@ -68,14 +62,9 @@ struct ScalingPoint {
   double records_per_sec = 0.0;
   double best_ecr = 0.0;  // best (lowest) over reps — the gated number
   double delta_v = 0.0;
-  std::uint64_t delayed = 0;
-  std::uint64_t forced = 0;
-  std::uint64_t untracked_overflow = 0;
   // From the extra instrumented rep (excluded from best_seconds).
   double instrumented_seconds = 0.0;
-  std::uint64_t rct_exclusive_bound = 0;  // n + 2·delayed + 64
   PerfStats perf;
-  ContentionReport contention;
 };
 
 // Per-stage nanos/calls from the instrumented rep, stage name -> [nanos,
@@ -103,10 +92,10 @@ int run_paper_mode(const CliArgs& args) {
     std::printf("%s\n\n", describe(graph, dataset).c_str());
 
     const Outcome sequential = run_one(graph, "SPNL", config);
-    TablePrinter table({"M", "PT", "ECR", "dv", "delayed", "forced"});
+    TablePrinter table({"M", "PT", "ECR", "dv"});
     table.add_row({"seq", fmt_pt(sequential.seconds),
                    TablePrinter::fmt(sequential.quality.ecr, 4),
-                   TablePrinter::fmt(sequential.quality.delta_v, 2), "-", "-"});
+                   TablePrinter::fmt(sequential.quality.delta_v, 2)});
     for (unsigned threads : {1u, 2u, 4u, 8u, 16u}) {
       InMemoryStream stream(graph);
       ParallelOptions options;
@@ -116,9 +105,7 @@ int run_paper_mode(const CliArgs& args) {
       table.add_row({TablePrinter::fmt(static_cast<int>(threads)),
                      fmt_pt(result.partition_seconds),
                      TablePrinter::fmt(metrics.ecr, 4),
-                     TablePrinter::fmt(metrics.delta_v, 2),
-                     TablePrinter::fmt(static_cast<std::size_t>(result.delayed_vertices)),
-                     TablePrinter::fmt(static_cast<std::size_t>(result.forced_vertices))});
+                     TablePrinter::fmt(metrics.delta_v, 2)});
     }
     table.print();
     std::printf("\n");
@@ -172,10 +159,9 @@ int main(int argc, char** argv) {
               seq_rps, seq_ecr);
 
   print_header("Parallel scaling (claim-based pipeline)");
-  TablePrinter table({"M", "PT", "rec/s", "ECR", "dECR", "dv", "delayed",
-                      "forced", "overflow"});
+  TablePrinter table({"M", "PT", "rec/s", "ECR", "dECR", "dv"});
   table.add_row({"seq", fmt_pt(seq_seconds), TablePrinter::fmt(seq_rps, 0),
-                 TablePrinter::fmt(seq_ecr, 4), "-", "-", "-", "-", "-"});
+                 TablePrinter::fmt(seq_ecr, 4), "-", "-"});
 
   std::vector<ScalingPoint> points;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -192,21 +178,16 @@ int main(int argc, char** argv) {
       }
       if (rep == 0 || metrics.ecr < point.best_ecr) point.best_ecr = metrics.ecr;
       point.delta_v = metrics.delta_v;
-      point.delayed = result.delayed_vertices;
-      point.forced = result.forced_vertices;
-      point.untracked_overflow = result.untracked_overflow;
     }
-    // One extra instrumented rep per M: per-stage time breakdown plus the
-    // exclusive RCT lock counts. Kept out of best_seconds so the clock reads in
-    // PerfScope cannot perturb the gated timing.
+    // One extra instrumented rep per M for the per-stage time breakdown. Kept
+    // out of best_seconds so the clock reads in PerfScope cannot perturb the
+    // gated timing.
     {
       InMemoryStream stream(graph);
       ParallelOptions instrumented = options;
       instrumented.perf = &point.perf;
       const auto result = run_parallel(stream, config, instrumented);
       point.instrumented_seconds = result.partition_seconds;
-      point.contention = result.contention;
-      point.rct_exclusive_bound = graph.num_vertices() + 2 * result.delayed_vertices + 64;
     }
     point.records_per_sec =
         point.best_seconds > 0.0 ? graph.num_vertices() / point.best_seconds : 0.0;
@@ -215,10 +196,7 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(point.records_per_sec, 0),
                    TablePrinter::fmt(point.best_ecr, 4),
                    TablePrinter::fmt(point.best_ecr - seq_ecr, 4),
-                   TablePrinter::fmt(point.delta_v, 2),
-                   TablePrinter::fmt(static_cast<std::size_t>(point.delayed)),
-                   TablePrinter::fmt(static_cast<std::size_t>(point.forced)),
-                   TablePrinter::fmt(static_cast<std::size_t>(point.untracked_overflow))});
+                   TablePrinter::fmt(point.delta_v, 2)});
     points.push_back(point);
   }
   table.print();
@@ -245,14 +223,6 @@ int main(int argc, char** argv) {
   std::printf("\nM=%u: speedup vs sequential %.2fx, quality delta %+.4f ECR; "
               "worst quality delta %+.4f ECR\n",
               gated.threads, speedup, quality_delta, worst_delta);
-  bool rct_ok = true;
-  for (const ScalingPoint& point : points) {
-    const std::uint64_t acquires = point.contention.rct_exclusive_acquires;
-    std::printf("M=%u: %llu exclusive RCT locks (bound %llu)\n", point.threads,
-                static_cast<unsigned long long>(acquires),
-                static_cast<unsigned long long>(point.rct_exclusive_bound));
-    rct_ok = rct_ok && acquires <= point.rct_exclusive_bound;
-  }
 
   const bool gate_speedup = force_gate || (!smoke && gated.threads >= 2);
   const std::string gate_skip_reason =
@@ -260,7 +230,7 @@ int main(int argc, char** argv) {
       : smoke      ? "smoke mode"
                    : "fewer than 2 hardware threads: the gate point is M=1";
   const bool speedup_ok = !gate_speedup || speedup > threshold;
-  const bool pass = speedup_ok && quality_ok && rct_ok;
+  const bool pass = speedup_ok && quality_ok;
 
   std::string json;
   char buf[1024];
@@ -288,9 +258,7 @@ int main(int argc, char** argv) {
                   "\"seconds\":%.6f,\"records_per_sec\":%.1f,"
                   "\"speedup_vs_seq\":%.3f,\"speedup_vs_m1\":%.3f,"
                   "\"ecr\":%.6f,\"ecr_delta\":%.6f,\"delta_v\":%.4f,"
-                  "\"delayed\":%llu,\"forced\":%llu,\"untracked_overflow\":%llu,"
-                  "\"instrumented_seconds\":%.6f,\"rct_exclusive_bound\":%llu,"
-                  "\"rct_exclusive_acquires\":%llu,\"rct_exclusive_contended\":%llu,",
+                  "\"instrumented_seconds\":%.6f,",
                   i == 0 ? "" : ",", point.threads, effective,
                   point.best_seconds, point.records_per_sec,
                   point.best_seconds > 0.0 ? seq_seconds / point.best_seconds
@@ -299,13 +267,7 @@ int main(int argc, char** argv) {
                       ? m1.best_seconds / point.best_seconds
                       : 0.0,
                   point.best_ecr, point.best_ecr - seq_ecr, point.delta_v,
-                  static_cast<unsigned long long>(point.delayed),
-                  static_cast<unsigned long long>(point.forced),
-                  static_cast<unsigned long long>(point.untracked_overflow),
-                  point.instrumented_seconds,
-                  static_cast<unsigned long long>(point.rct_exclusive_bound),
-                  static_cast<unsigned long long>(point.contention.rct_exclusive_acquires),
-                  static_cast<unsigned long long>(point.contention.rct_exclusive_contended));
+                  point.instrumented_seconds);
     json += buf;
     json += "\"stages\":" + stages_json(point.perf) + "}";
   }
@@ -315,11 +277,10 @@ int main(int argc, char** argv) {
                 "\"threshold\":%.2f,\"quality_threshold\":%.3f,"
                 "\"quality_ceiling\":%.3f,"
                 "\"speedup_gated\":%s,\"gate_skip_reason\":\"%s\","
-                "\"rct_bound_ok\":%s,\"pass\":%s}",
+                "\"pass\":%s}",
                 gated.threads, speedup, quality_delta, worst_delta, threshold,
                 quality_threshold, quality_ceiling, gate_speedup ? "true" : "false",
-                gate_skip_reason.c_str(), rct_ok ? "true" : "false",
-                pass ? "true" : "false");
+                gate_skip_reason.c_str(), pass ? "true" : "false");
   json += buf;
   std::printf("bench-json: %s\n", json.c_str());
   if (args.has("json")) {
@@ -342,10 +303,6 @@ int main(int argc, char** argv) {
                  "%.3f for M above the cores)\n",
                  quality_delta, gated.threads, worst_delta, quality_threshold,
                  quality_ceiling);
-    return 1;
-  }
-  if (!rct_ok) {
-    std::fprintf(stderr, "FAIL: exclusive RCT locks above n + 2*delayed + 64\n");
     return 1;
   }
   if (!gate_speedup) {

@@ -50,8 +50,8 @@ void BM_RctBumpAndPlace(benchmark::State& state) {
   VertexId v = 100;
   for (auto _ : state) {
     rct.register_vertex(v);
-    for (VertexId u : out) rct.bump_if_present(u);
-    benchmark::DoNotOptimize(rct.should_delay(v));
+    rct.bump_out_neighbors(v, out);
+    benchmark::DoNotOptimize(rct.park_if_delayed({v, out}));
     rct.on_placed(v, out);
     ++v;
   }

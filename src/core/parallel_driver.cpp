@@ -271,18 +271,16 @@ class Worker {
   void process(const VertexRecord& record, double scoring_delay = 0.0) {
     const bool tracked = rct_ != nullptr && rct_->register_vertex(record.id);
     // v's out-neighbors still in flight would see a richer Γ row if v were
-    // placed first: count the dependency (a no-op for untracked ids). The
-    // hash-fallback rung reads no Γ, so it counts none.
+    // placed first: count the dependency. The hash-fallback rung reads no Γ,
+    // so it counts none.
     if (rct_ != nullptr && !state_.hash_fallback.load(std::memory_order_relaxed)) {
-      for (VertexId u : record.out) {
-        if (u != record.id) rct_->bump_if_present(u);
-      }
+      rct_->bump_out_neighbors(record.id, record.out);
     }
     std::this_thread::sleep_for(Seconds(scoring_delay));
     const PartitionId pid = choose(record);
-    // park() copies the record on success; with the parked set full the
-    // record is placed now with the score already computed.
-    if (tracked && rct_->should_delay(record.id) && rct_->park(record)) {
+    // A parked record is copied into the table; otherwise it is placed now
+    // with the score already computed.
+    if (tracked && rct_->park_if_delayed(record)) {
       state_.delayed.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -465,10 +463,12 @@ std::uint64_t restore_parallel(const std::string& path, SharedState& state, Rct&
     const std::uint32_t counter = in.get_u32();
     parked.push_back({id, counter, in.get_vec<VertexId>()});
   }
-  if (!parked.empty() && !state.options.use_rct) {
-    throw CheckpointError("run_parallel: snapshot has parked records but RCT is off");
+  if (!parked.empty()) {
+    if (!state.options.use_rct) {
+      throw CheckpointError("run_parallel: snapshot has parked records but RCT is off");
+    }
+    rct.restore_parked(std::move(parked));
   }
-  rct.restore_parked(std::move(parked));
 
   // Rebuild the completion low-watermark by replaying placed ids in
   // increasing order — the same marks the live run would have set.
@@ -495,12 +495,11 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
           : options.spnl.num_shards;
 
   SharedState state(n, m, config, options, shards);
-  // ε·M entries total — the paper's sizing. Admission is global and shard
-  // tables grow on demand, so no per-stripe floor is needed; an undersized ε
-  // genuinely refuses registrations (surfaced as untracked_overflow).
+  // ε·M entries, the paper's sizing; an undersized ε refuses registrations
+  // (surfaced as untracked_overflow).
   const auto rct_capacity = std::max<std::size_t>(
       static_cast<std::size_t>(std::ceil(options.epsilon * options.num_threads)), 1);
-  Rct rct(rct_capacity, Rct::recommended_shards(options.num_threads));
+  Rct rct(rct_capacity);
   // The watermark ring spans the ids in flight: the slab ring, the parked
   // RCT records and every worker's current claim. A record parked for
   // longer is passed over (see WatermarkTracker).

@@ -6,10 +6,11 @@
 // records in place, compute SPNL/SPN scores against shared state (atomic
 // route table, partition loads, concurrent Γ window) and place vertices. A
 // slab is refilled only after every record in it is committed or parked.
-// The RCT delays vertices with heavy in-flight dependencies so they can
-// still profit from their in-neighbors' placements — the
-// "dependency-reduced" optimization that keeps parallel quality within a few
-// percent of the sequential run (paper: ≤6%, 2% average).
+// The paper adds the RCT (core/rct.hpp), which delays vertices with heavy
+// in-flight dependencies so they can still profit from their in-neighbors'
+// placements. It is off by default: with claim-based dispatch the parallel
+// ECR stays within noise of the sequential run without it, and the table
+// only costs time (docs/performance.md §5.1).
 //
 // Each worker keeps its load, logical and placement counts in local deltas,
 // flushes them every few records and scores against the shared counters as
@@ -87,8 +88,10 @@ struct ParallelOptions {
   unsigned num_threads = 4;
   /// RCT capacity factor ε: the table holds ε·M entries (paper Sec. V-B).
   double epsilon = 2.0;
-  /// Disable to measure the quality cost of naive parallelism (ablation).
-  bool use_rct = true;
+  /// Track in-flight dependencies with the RCT (paper Sec. V-B). Off by
+  /// default: it showed no ECR gain beyond noise (docs/performance.md §5.1);
+  /// kept for that ablation.
+  bool use_rct = false;
   /// false = parallel SPN (no logical pre-assignment).
   bool use_locality = true;
   /// Heuristic parameters shared with the sequential SPNL.
@@ -129,10 +132,8 @@ struct ParallelOptions {
   ParallelFaultPlan faults;
 };
 
-/// Exclusive RCT shard acquisitions for one parallel run (always-on relaxed
-/// atomics inside the table). Only the structural slow paths lock
-/// exclusively, so rct_exclusive_acquires is a function of the operation
-/// sequence, not of how many cores contend.
+/// The RCT mutex for one parallel run: how often a table operation took it,
+/// and how often it found it held. Both read 0 when the RCT is off.
 struct ContentionReport {
   std::uint64_t rct_exclusive_contended = 0;
   std::uint64_t rct_exclusive_acquires = 0;
@@ -144,10 +145,10 @@ struct ParallelRunResult {
   std::size_t peak_partitioner_bytes = 0;
   /// Vertices parked at least once by the RCT.
   std::uint64_t delayed_vertices = 0;
-  /// RCT registrations refused because the table (one of its shards) was
-  /// full: each is a vertex that streamed through untracked, silently losing
-  /// its dependency delay. Persistently non-zero counts mean ε (epsilon) is
-  /// too small for the worker count.
+  /// RCT registrations refused because the table was full: each is a vertex
+  /// that streamed through untracked, silently losing its dependency delay.
+  /// Persistently non-zero counts mean ε (epsilon) is too small for the
+  /// worker count.
   std::uint64_t untracked_overflow = 0;
   /// Parked vertices force-placed after the stream ended (cyclic waits).
   std::uint64_t forced_vertices = 0;
@@ -165,7 +166,7 @@ struct ParallelRunResult {
   std::string abort_reason;
   /// Ladder transitions the resource governor applied.
   std::vector<DegradationEvent> degradations;
-  /// Exclusive RCT lock totals (always filled).
+  /// RCT mutex totals.
   ContentionReport contention;
 };
 

@@ -570,12 +570,14 @@ TEST_F(CheckpointTest, KillAndResumeParallelOddBatchStrideIsByteIdentical) {
 
 TEST_F(CheckpointTest, ParallelCheckpointUnderContentionStaysConsistent) {
   // With several workers the route is schedule-dependent, so byte equality
-  // is out of scope — but every snapshot must restore into a valid state
-  // that completes the remaining stream into a complete assignment.
+  // is out of scope — but every snapshot, parked RCT records included, must
+  // restore into a valid state that completes the remaining stream into a
+  // complete assignment.
   const Graph g = test_graph(4000);
   const PartitionConfig config{.num_partitions = 8};
   ParallelOptions opts;
   opts.num_threads = 4;
+  opts.use_rct = true;
   opts.checkpoint_path = path("mt.ckpt");
   opts.checkpoint_every = 777;
   {
@@ -586,11 +588,40 @@ TEST_F(CheckpointTest, ParallelCheckpointUnderContentionStaysConsistent) {
   }
   ParallelOptions resume;
   resume.num_threads = 4;
+  resume.use_rct = true;
   resume.resume_from = path("mt.ckpt");
   InMemoryStream stream(g);
   const auto result = run_parallel(stream, config, resume);
   EXPECT_GT(result.resumed_at, 0u);
   validate_route(result.route, 8, g.num_vertices());
+}
+
+TEST_F(CheckpointTest, ParallelResumeWithTheRctSwitchedFailsTyped) {
+  // The RCT is off by default, so a snapshot written with it on (an older
+  // default) must not resume into a run without it: its parked records
+  // would have nobody to release them.
+  const Graph g = test_graph(2000);
+  const PartitionConfig config{.num_partitions = 8};
+  ParallelOptions opts;
+  opts.num_threads = 2;
+  opts.use_rct = true;
+  opts.checkpoint_path = path("rct.ckpt");
+  opts.checkpoint_every = 512;
+  {
+    InMemoryStream inner(g);
+    TruncatedStream stream(inner, 1500);
+    ASSERT_GE(run_parallel(stream, config, opts).checkpoints_written, 1u);
+  }
+  ParallelOptions resume;
+  resume.num_threads = 2;
+  resume.resume_from = path("rct.ckpt");
+  InMemoryStream stream(g);
+  try {
+    run_parallel(stream, config, resume);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("use_rct"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

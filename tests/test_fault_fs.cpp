@@ -323,7 +323,7 @@ void expect_truncation_error(AdjacencyStream& stream) {
   EXPECT_TRUE(threw);
 }
 
-TEST_F(FaultFsTest, TextMmapReaderSurvivesMidStreamTruncationAsIoError) {
+TEST_F(FaultFsTest, TextReaderSurvivesMidStreamTruncationAsIoError) {
   const std::string p = big_adj_file(dir_);
   ASSERT_GT(std::filesystem::file_size(p), 3 * kPage);
   ASSERT_LT(std::filesystem::file_size(p), FileAdjacencyStream::kSliceBytes);
@@ -348,7 +348,7 @@ TEST_F(FaultFsTest, BinaryReaderSurvivesMidStreamTruncationAsIoError) {
   EXPECT_THROW(stream.reset(), IoError);
 }
 
-TEST_F(FaultFsTest, EdgeListMmapReaderSurvivesMidStreamTruncationAsIoError) {
+TEST_F(FaultFsTest, EdgeListReaderSurvivesMidStreamTruncationAsIoError) {
   const std::string p = path("big.el");
   {
     FdWriter w(p);
@@ -394,7 +394,7 @@ TEST_F(FaultFsTest, IntactFilesStreamIdenticallyWithGuardsInstalled) {
 // Injected open/read faults on the sadj reader: failures are typed errors,
 // short reads and EINTR storms are absorbed without changing a record.
 
-TEST_F(FaultFsTest, InjectedOpenAndMmapFailuresAreTyped) {
+TEST_F(FaultFsTest, InjectedOpenAndReadFailuresAreTyped) {
   const Graph g = generate_webcrawl(
       {.num_vertices = 2000, .avg_out_degree = 6.0, .seed = 4});
   const std::string p = path("g.sadj");

@@ -257,6 +257,7 @@ TEST(Parallel, StreamLongerThanTheSlabRingPlacesEveryRecordOnce) {
     PerfStats perf;
     ParallelOptions options;
     options.num_threads = 4;
+    options.use_rct = true;
     options.perf = &perf;
     for (unsigned t = 0; t < options.num_threads; ++t) {
       options.faults.slow.push_back(
@@ -273,12 +274,10 @@ TEST(Parallel, StreamLongerThanTheSlabRingPlacesEveryRecordOnce) {
 }
 
 TEST(Parallel, UntrackedOverflowSurfacesInResult) {
-  // Admission is global now, so a refusal means the whole table was full —
-  // not just one stripe. A deliberately undersized RCT (ε = 0.25 with four
-  // workers gives capacity ceil(1) = 1, no per-stripe floor inflating it)
-  // overflows whenever two workers merely overlap in flight, so some
-  // registrations must be refused — and every refusal must be visible in
-  // the result instead of silently degrading quality. Every worker sleeps
+  // A deliberately undersized RCT (ε = 0.25 with four workers gives
+  // capacity ceil(1) = 1) overflows whenever two workers merely overlap in
+  // flight, so some registrations must be refused — and every refusal must
+  // be visible in the result instead of silently degrading quality. Every worker sleeps
   // while scoring each record, so the overlap happens on every run, also on
   // a loaded machine that would otherwise run the workers one at a time.
   for (std::uint64_t seed : {41u, 43u, 47u}) {
@@ -286,7 +285,8 @@ TEST(Parallel, UntrackedOverflowSurfacesInResult) {
     InMemoryStream stream(g);
     ParallelOptions options;
     options.num_threads = 4;
-    options.epsilon = 0.25;  // capacity ceil(0.25 * 4) = 1 entry, globally
+    options.use_rct = true;
+    options.epsilon = 0.25;  // capacity ceil(0.25 * 4) = 1 entry
     for (unsigned t = 0; t < options.num_threads; ++t) {
       options.faults.slow.push_back(
           {.worker = t, .delay_seconds = 0.00001, .every = 1});
@@ -382,12 +382,12 @@ TEST(Parallel, MultiWorkerFuzzStaysValidAndNearOracle) {
 }
 
 TEST(Parallel, ContentionReportBoundsRctAndQueueTraffic) {
-  // The RCT locks a shard exclusively only to erase a tracked entry (at most
-  // one per record), to park and unpark a delayed record, and a bounded
-  // number of times to grow or scan its tables — never per bump or
-  // registration. With a perf sink attached, every claim is one kQueueWait
-  // call: at least one per publish stride, at most one per record plus each
-  // worker's final empty claim.
+  // The RCT takes its mutex once per record operation: every record is
+  // registered and has its out-list bumped, a tracked one also asks whether
+  // to park, and a placed one is finalized — two to four acquisitions per
+  // record, plus the drain of the forced tail. With a perf sink attached,
+  // every claim is one kQueueWait call: at least one per publish stride, at
+  // most one per record plus each worker's final empty claim.
   const VertexId n = 10000;
   const Graph g = crawl(n, 57);
   const PartitionConfig config{.num_partitions = 8};
@@ -396,28 +396,45 @@ TEST(Parallel, ContentionReportBoundsRctAndQueueTraffic) {
   PerfStats perf;
   ParallelOptions options;
   options.num_threads = 4;
+  options.use_rct = true;
   options.perf = &perf;
   const auto result = run_parallel(stream, config, options);
   const ContentionReport& c = result.contention;
 
-  EXPECT_GT(c.rct_exclusive_acquires, 0u);
-  EXPECT_LE(c.rct_exclusive_acquires, n + 2 * result.delayed_vertices + 64);
+  EXPECT_GE(c.rct_exclusive_acquires, 2 * n);
+  EXPECT_LE(c.rct_exclusive_acquires, 4 * n + 1);
+  EXPECT_LE(c.rct_exclusive_contended, c.rct_exclusive_acquires);
   EXPECT_GE(perf.calls(PerfStage::kQueueWait), n / kParallelPublishStride);
   EXPECT_LE(perf.calls(PerfStage::kQueueWait), n + options.num_threads);
 }
 
 TEST(Parallel, ContentionReportRctTalliesAreAlwaysOn) {
-  // Without a perf sink the RCT's own relaxed-atomic counters still
-  // populate the report.
+  // Without a perf sink the RCT's own tallies still populate the report.
   const VertexId n = 5000;
   const Graph g = crawl(n, 59);
   InMemoryStream stream(g);
   ParallelOptions options;
   options.num_threads = 2;
+  options.use_rct = true;
   const auto result = run_parallel(stream, {.num_partitions = 8}, options);
   EXPECT_GT(result.contention.rct_exclusive_acquires, 0u);
-  EXPECT_LE(result.contention.rct_exclusive_acquires,
-            n + 2 * result.delayed_vertices + 64);
+}
+
+TEST(Parallel, DefaultRunTracksNoDependencies) {
+  // The RCT is off by default: nothing is registered, delayed, forced or
+  // refused, the table's mutex is never taken, and ECR stays within 0.05 of
+  // sequential SPNL.
+  const Graph g = crawl(20000, 3);
+  InMemoryStream stream(g);
+  ParallelOptions options;
+  options.num_threads = 4;
+  const auto result = run_parallel(stream, {.num_partitions = 8}, options);
+  EXPECT_TRUE(is_complete_assignment(result.route, 8));
+  EXPECT_EQ(result.delayed_vertices, 0u);
+  EXPECT_EQ(result.forced_vertices, 0u);
+  EXPECT_EQ(result.untracked_overflow, 0u);
+  EXPECT_EQ(result.contention.rct_exclusive_acquires, 0u);
+  EXPECT_NEAR(evaluate_partition(g, result.route, 8).ecr, sequential_ecr(g), 0.05);
 }
 
 TEST(Parallel, PerfSinkNeverChangesARoute) {

@@ -157,7 +157,7 @@ std::string boundary_file(std::size_t offset, const std::string& bad, Written& w
   return text;
 }
 
-TEST_F(TextReader, MatchesMmapReaderAcrossManySlices) {
+TEST_F(TextReader, MatchesWrittenRecordsAcrossManySlices) {
   const VertexId n = 400000;
   SplitMix64 rng(5);
   Written written;
@@ -173,7 +173,7 @@ TEST_F(TextReader, MatchesMmapReaderAcrossManySlices) {
   EXPECT_TRUE(file.next() == std::nullopt);  // stays at end
 }
 
-TEST_F(TextReader, HeaderlessCountsMatchMmapReader) {
+TEST_F(TextReader, HeaderlessCountsMatchWrittenRecords) {
   const VertexId n = 300000;
   SplitMix64 rng(9);
   Written written;
@@ -236,7 +236,7 @@ TEST_F(TextReader, QuarantineAtSliceBoundaryCountsAndLogsInOrder) {
   }
 }
 
-TEST_F(TextReader, QuarantineBoundThrowsAtTheSameRecordAsMmap) {
+TEST_F(TextReader, QuarantineBoundThrowsAtTheSecondBadLine) {
   Written written;
   write_text(path("qb.adj"), boundary_file(kSlice, "boundary junk", written), 2);
   FileAdjacencyStream file(path("qb.adj"), {.max_bad_records = 1, .quarantine_log = {}});

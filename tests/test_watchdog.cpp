@@ -128,9 +128,11 @@ TEST(Watchdog, HeartbeatKeepsProcessingWorkerAlive) {
 // ---------------------------------------------------------------------------
 // Integration with run_parallel via the deterministic fault plan.
 
+// The RCT is on, so rescues and quiesces also run beside parked records.
 ParallelOptions watchdog_options(unsigned threads, double timeout = 0.15) {
   ParallelOptions options;
   options.num_threads = threads;
+  options.use_rct = true;
   options.watchdog_timeout_seconds = timeout;
   return options;
 }

@@ -126,9 +126,10 @@ mkdir -p "${smoke_dir}"
   --algo=spn --perf-report
 # Watchdog-enabled parallel run with an injected straggler (stolen + rescued
 # record) and a governed run forced down the degradation ladder. The default
-# runs above already exercise the claim-based slab dispatch and the sharded
-# RCT; the second stuck run below adds a slow worker, so TSan sees a steal
-# in the middle of a claim and slab recycling behind a straggler too.
+# runs above already exercise the claim-based slab dispatch (the RCT is off
+# by default; the robustness suite's watchdog and multi-worker checkpoint
+# tests run it); the second stuck run below adds a slow worker, so TSan sees
+# a steal in the middle of a claim and slab recycling behind a straggler too.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.2 \
   --inject-faults=stuck:1@50 --quiet
@@ -139,9 +140,9 @@ mkdir -p "${smoke_dir}"
   --algo=spnl --threads=4 --watchdog-timeout=0.2 --memory-budget=64K \
   --perf-json="${smoke_dir}/perf_degraded.json" --quiet
 # The parallel hot path with the watchdog publishing every record and a
-# straggler holding back slab recycling, so TSan sees the RCT's CAS
-# claim/decrement loops, the eager Γ fetch_adds, the watermark advance and
-# the reader's slab refills interleaved with the monitor thread.
+# straggler holding back slab recycling, so TSan sees the eager Γ
+# fetch_adds, the watermark advance and the reader's slab refills
+# interleaved with the monitor thread.
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --watchdog-timeout=0.5 \
   --inject-faults=slow:3@0.00005 \

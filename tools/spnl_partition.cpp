@@ -407,7 +407,7 @@ int main(int argc, char** argv) {
     std::size_t bytes = 0;
     std::vector<DegradationEvent> degradations;
     // Parallel-pipeline counters, spliced into the perf JSON when that path
-    // ran (untracked_overflow > 0 means the RCT shed dependency tracking).
+    // ran. The CLI runs without the RCT, so its counters read 0.
     bool ran_parallel = false;
     std::uint64_t delayed_vertices = 0;
     std::uint64_t forced_vertices = 0;
@@ -544,11 +544,6 @@ int main(int argc, char** argv) {
       forced_vertices = result.forced_vertices;
       untracked_overflow = result.untracked_overflow;
       contention = result.contention;
-      if (!quiet && untracked_overflow > 0) {
-        std::printf("rct: untracked_overflow=%llu (table full; consider a "
-                    "larger epsilon)\n",
-                    static_cast<unsigned long long>(untracked_overflow));
-      }
       if (!quiet && (result.checkpoints_written > 0 || result.resumed_at > 0)) {
         std::printf("checkpoints_written=%llu resumed_at=%llu\n",
                     static_cast<unsigned long long>(result.checkpoints_written),
