@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/spn.hpp"
 #include "core/spnl.hpp"
 #include "graph/generators.hpp"
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
   char json[1024];
   std::snprintf(
       json, sizeof(json),
-      "{\"bench\":\"microkernel\",\"n\":%u,\"m\":%llu,\"k\":%u,\"reps\":%d,"
+      "\"n\":%u,\"m\":%llu,\"k\":%u,\"reps\":%d,"
       "\"spn\":{\"reference_seconds\":%.6f,\"fused_seconds\":%.6f,"
       "\"speedup\":%.3f,\"routes_identical\":%s},"
       "\"spnl\":{\"reference_seconds\":%.6f,\"fused_seconds\":%.6f,"
@@ -137,7 +138,9 @@ int main(int argc, char** argv) {
       spn.identical ? "true" : "false", spnl.reference_seconds, spnl.fused_seconds,
       spnl.speedup(), spnl.identical ? "true" : "false", threshold,
       gate_speedup ? "true" : "false", pass ? "true" : "false");
-  const std::string payload = std::string(json) + perf.to_json() + "}";
+  const std::string payload = "{\"bench\":\"microkernel\",\"host\":" +
+                              bench::host_stamp_json() + "," + json +
+                              perf.to_json() + "}";
   std::printf("bench-json: %s\n", payload.c_str());
   if (args.has("json")) {
     std::ofstream out(args.get("json", ""));

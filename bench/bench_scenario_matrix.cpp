@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s", gate_report.c_str());
 
-  std::string json = "{\"bench\":\"scenario_matrix\",\"k\":" + std::to_string(k) +
+  std::string json = "{\"bench\":\"scenario_matrix\",\"host\":" + host_stamp_json() +
+                     ",\"k\":" + std::to_string(k) +
                      ",\"smoke\":" + (smoke ? "true" : "false") + ",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];

@@ -1,212 +1,12 @@
-// Fault injection: seeded crash/sync-fault schedules in the distributed
-// simulation replay deterministically, crash recovery keeps quality within a
-// tight band of the fault-free run, and the cluster timing simulator folds
-// worker failures into the timeline.
+// Cluster fault injection: the cluster timing simulator folds seeded worker
+// failures into the BSP timeline, replays them deterministically, and
+// validates its fault model.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-
 #include "cluster/simulator.hpp"
-#include "core/distributed_sim.hpp"
-#include "graph/adjacency_stream.hpp"
-#include "graph/generators.hpp"
-#include "partition/metrics.hpp"
 
 namespace spnl {
 namespace {
-
-Graph clustered(VertexId n = 12000, std::uint64_t seed = 7) {
-  return generate_hostgraph({.num_vertices = n, .mean_host_size = 120.0,
-                             .avg_out_degree = 8.0, .intra_host = 0.85,
-                             .seed = seed});
-}
-
-DistributedSimResult run(const Graph& g, const DistributedSimOptions& options,
-                         PartitionId k = 8) {
-  InMemoryStream stream(g);
-  return distributed_stream_partition(stream, {.num_partitions = k}, options);
-}
-
-TEST(FaultInjection, CleanRunReportsNoFaults) {
-  const Graph g = clustered(4000);
-  DistributedSimOptions options;
-  options.sync_interval = 256;
-  const auto result = run(g, options);
-  EXPECT_EQ(result.worker_crashes, 0u);
-  EXPECT_EQ(result.lost_placements, 0u);
-  EXPECT_EQ(result.recovered_placements, 0u);
-  EXPECT_EQ(result.dropped_syncs, 0u);
-  EXPECT_EQ(result.delayed_syncs, 0u);
-  EXPECT_EQ(result.duplicated_syncs, 0u);
-  EXPECT_TRUE(is_complete_assignment(result.route, 8));
-}
-
-TEST(FaultInjection, FaultScheduleIsSeedDeterministic) {
-  const Graph g = clustered(6000);
-  DistributedSimOptions options;
-  options.sync_interval = 128;
-  options.faults.crashes = {{1, 1500}, {2, 3000}};
-  options.faults.drop_sync_prob = 0.2;
-  options.faults.delay_sync_prob = 0.1;
-  options.faults.duplicate_sync_prob = 0.1;
-  options.faults.seed = 99;
-
-  const auto a = run(g, options);
-  const auto b = run(g, options);
-  EXPECT_EQ(a.route, b.route);
-  EXPECT_EQ(a.stale_decisions, b.stale_decisions);
-  EXPECT_EQ(a.worker_crashes, b.worker_crashes);
-  EXPECT_EQ(a.recovered_placements, b.recovered_placements);
-  EXPECT_EQ(a.dropped_syncs, b.dropped_syncs);
-  EXPECT_EQ(a.delayed_syncs, b.delayed_syncs);
-  EXPECT_EQ(a.duplicated_syncs, b.duplicated_syncs);
-
-  // A different seed reshuffles the sync faults.
-  options.faults.seed = 100;
-  const auto c = run(g, options);
-  EXPECT_NE(a.dropped_syncs + a.delayed_syncs + a.duplicated_syncs,
-            c.dropped_syncs + c.delayed_syncs + c.duplicated_syncs);
-}
-
-TEST(FaultInjection, CrashWithReassignRecoversAllPlacements) {
-  const Graph g = clustered();
-  DistributedSimOptions options;
-  options.sync_interval = 256;
-  options.recovery = RecoveryPolicy::kReassign;
-  options.faults.crashes = {{1, 4000}};
-
-  const auto faulty = run(g, options);
-  EXPECT_EQ(faulty.worker_crashes, 1u);
-  EXPECT_GT(faulty.recovered_placements, 0u);
-  EXPECT_EQ(faulty.lost_placements, 0u);
-  EXPECT_TRUE(is_complete_assignment(faulty.route, 8));
-
-  // Quality contract: a single crash with checkpoint-style recovery costs at
-  // most 10% in cut quality and balance vs the fault-free run.
-  DistributedSimOptions clean_options = options;
-  clean_options.faults = FaultPlan{};
-  const auto clean = run(g, clean_options);
-  const auto faulty_q = evaluate_partition(g, faulty.route, 8);
-  const auto clean_q = evaluate_partition(g, clean.route, 8);
-  EXPECT_LE(faulty_q.ecr, clean_q.ecr * 1.10 + 0.01);
-  EXPECT_LE(faulty_q.delta_v, clean_q.delta_v * 1.10);
-}
-
-TEST(FaultInjection, CrashWithoutRecoveryLosesPlacements) {
-  const Graph g = clustered(6000);
-  DistributedSimOptions options;
-  options.recovery = RecoveryPolicy::kNone;
-  options.faults.crashes = {{0, 2000}};
-  const auto result = run(g, options);
-  EXPECT_EQ(result.worker_crashes, 1u);
-  EXPECT_GT(result.lost_placements, 0u);
-  EXPECT_EQ(result.recovered_placements, 0u);
-  EXPECT_FALSE(is_complete_assignment(result.route, 8));
-}
-
-TEST(FaultInjection, AllWorkersCrashedStopsCleanly) {
-  const Graph g = clustered(2000);
-  DistributedSimOptions options;
-  options.num_workers = 2;
-  options.recovery = RecoveryPolicy::kReassign;
-  // Both workers die: the second crash has no survivor to adopt the slice.
-  options.faults.crashes = {{0, 500}, {1, 800}};
-  const auto result = run(g, options);
-  EXPECT_EQ(result.worker_crashes, 2u);
-  EXPECT_GT(result.lost_placements, 0u);
-  EXPECT_FALSE(is_complete_assignment(result.route, 2));
-}
-
-TEST(FaultInjection, SyncMessageFaultsAreCountedAndSurvivable) {
-  const Graph g = clustered(6000);
-  DistributedSimOptions options;
-  options.sync_interval = 64;
-  options.faults.drop_sync_prob = 0.3;
-  options.faults.delay_sync_prob = 0.2;
-  options.faults.duplicate_sync_prob = 0.2;
-  const auto result = run(g, options);
-  EXPECT_GT(result.dropped_syncs, 0u);
-  EXPECT_GT(result.delayed_syncs, 0u);
-  EXPECT_GT(result.duplicated_syncs, 0u);
-  // Lossy sync degrades freshness, never completeness.
-  EXPECT_TRUE(is_complete_assignment(result.route, 8));
-}
-
-TEST(FaultInjection, DroppedSyncsIncreaseStaleness) {
-  const Graph g = clustered(8000);
-  DistributedSimOptions clean;
-  clean.sync_interval = 64;
-  DistributedSimOptions lossy = clean;
-  lossy.faults.drop_sync_prob = 0.8;
-  const auto fresh = run(g, clean);
-  const auto stale = run(g, lossy);
-  EXPECT_GT(stale.stale_decisions, fresh.stale_decisions);
-}
-
-TEST(FaultInjection, StalledWorkerLosesNothingAndRunCompletes) {
-  const Graph g = clustered(6000);
-  DistributedSimOptions options;
-  options.sync_interval = 256;
-  options.faults.stalls = {{.worker = 1, .at_placement = 1000,
-                            .for_placements = 500}};
-  const auto result = run(g, options);
-  EXPECT_EQ(result.worker_stalls, 1u);
-  EXPECT_EQ(result.stalled_turns, 500u);
-  EXPECT_EQ(result.lost_placements, 0u);
-  // Unlike a crash, a stall delays the slice but never abandons it.
-  EXPECT_TRUE(is_complete_assignment(result.route, 8));
-  // Deterministic replay, like every other fault.
-  const auto replay = run(g, options);
-  EXPECT_EQ(replay.route, result.route);
-  EXPECT_EQ(replay.stalled_turns, result.stalled_turns);
-}
-
-TEST(FaultInjection, AllWorkersStalledLivelockGuardKeepsProgress) {
-  const Graph g = clustered(3000);
-  DistributedSimOptions options;
-  options.num_workers = 3;
-  options.sync_interval = 256;
-  // Every worker stalls at the same point, "forever" on this graph's scale.
-  options.faults.stalls = {
-      {.worker = 0, .at_placement = 500, .for_placements = 1000000},
-      {.worker = 1, .at_placement = 500, .for_placements = 1000000},
-      {.worker = 2, .at_placement = 500, .for_placements = 1000000}};
-  const auto result = run(g, options);
-  // The least-index stalled worker is forced to proceed each round, so the
-  // run completes instead of livelocking.
-  EXPECT_EQ(result.worker_stalls, 3u);
-  EXPECT_TRUE(is_complete_assignment(result.route, 8));
-}
-
-TEST(FaultInjection, StallNamesUnknownWorkerRejected) {
-  const Graph g = clustered(500);
-  InMemoryStream stream(g);
-  DistributedSimOptions options;
-  options.faults.stalls = {{.worker = 99, .at_placement = 10,
-                            .for_placements = 1}};
-  EXPECT_THROW(
-      distributed_stream_partition(stream, {.num_partitions = 4}, options),
-      std::invalid_argument);
-}
-
-TEST(FaultInjection, CrashProbabilitiesValidated) {
-  const Graph g = clustered(500);
-  InMemoryStream stream(g);
-  DistributedSimOptions options;
-  options.faults.drop_sync_prob = 1.5;
-  EXPECT_THROW(
-      distributed_stream_partition(stream, {.num_partitions = 4}, options),
-      std::invalid_argument);
-  options.faults.drop_sync_prob = 0.0;
-  options.faults.crashes = {{99, 10}};  // only 4 workers exist
-  stream.reset();
-  EXPECT_THROW(
-      distributed_stream_partition(stream, {.num_partitions = 4}, options),
-      std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Cluster timing simulator.
 
 BspResult tiny_job(std::size_t supersteps) {
   BspResult job;

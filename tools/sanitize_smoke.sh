@@ -7,7 +7,7 @@
 #   tools/sanitize_smoke.sh [--full] [--tsan] [--server] [--build-dir DIR] [--jobs N]
 #
 # The robustness tests deliberately walk every error path (corrupt
-# checkpoints, truncated graph files, crashed workers, stolen in-flight
+# checkpoints, truncated graph files, wedged workers, stolen in-flight
 # records); running them under ASan/UBSan proves those paths are clean, and
 # under TSan proves the watchdog's steal/rescue protocol and the governor's
 # quiesce-then-degrade dance are free of data races, not just non-crashing.
@@ -154,8 +154,6 @@ mkdir -p "${smoke_dir}"
   --checkpoint-every=5000 --quiet
 "${build_dir}/tools/spnl_partition" "${smoke_dir}/graph.adj" --k=8 \
   --algo=spnl --threads=4 --resume-from="${smoke_dir}/lf.ckpt" --quiet
-grep -q '"rct_exclusive_acquires"' "${smoke_dir}/perf_lockfree.json"
-grep -q '"rct_exclusive_contended"' "${smoke_dir}/perf_lockfree.json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   "${smoke_dir}/perf_parallel.json" 2>/dev/null \
   || grep -q '"total_nanos"' "${smoke_dir}/perf_parallel.json"
@@ -163,7 +161,6 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
   "${smoke_dir}/perf_degraded.json" 2>/dev/null \
   || grep -q '"total_nanos"' "${smoke_dir}/perf_degraded.json"
 grep -q '"degradations"' "${smoke_dir}/perf_degraded.json"
-grep -q '"untracked_overflow"' "${smoke_dir}/perf_parallel.json"
 
 # Ingestion under the sanitizers: the sadj writer/reader round trip (the
 # reader's read window and its end-pointer checks), the streaming (--stream)

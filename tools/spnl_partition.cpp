@@ -9,10 +9,8 @@
 //                  [--quiet]
 //                  [--checkpoint=ckpt.bin] [--checkpoint-every=N]
 //                  [--resume-from=ckpt.bin]
-//                  [--workers=W] [--sync-interval=N] [--recover=reassign|none]
-//                  [--inject-faults=crash:W@T,stall:W@T@F,drop:P,delay:P,
-//                                   dup:P,seed:S,stuck:W@N,wedge:W@N,
-//                                   slow:W@D,pressure:BYTES]
+//                  [--inject-faults=stuck:W@N,wedge:W@N,slow:W@D,
+//                                   pressure:BYTES]
 //                  [--memory-budget=BYTES[K|M|G]] [--deadline=SECS]
 //                  [--degrade-policy=ladder|abort|off] [--governor-interval=N]
 //                  [--watchdog-timeout=SECS]
@@ -35,7 +33,7 @@
 // materialization entirely and feeds the file stream straight to the
 // partitioner — the memory profile the paper's streaming model assumes —
 // for the streaming algorithm paths (greedy sequential, --threads, --passes,
-// --window, --buffer, --workers); quality metrics then cost one extra
+// --window, --buffer); quality metrics then cost one extra
 // read-only pass after routing. Offline algos (multilevel, labelprop,
 // triangles) still need the materialized graph and reject --stream.
 //
@@ -43,8 +41,6 @@
 // partitioner state every N placements (sequential greedy algos and the
 // parallel driver); --resume-from continues an interrupted run from a
 // snapshot and produces the same route the uninterrupted run would have.
-// --workers switches to the distributed simulation; --inject-faults feeds it
-// a seeded fault plan (scripted worker crashes and lossy sync messages).
 //
 // Resource governance: --memory-budget (partitioner-footprint bytes, K/M/G
 // suffixes) and --deadline (wall-clock seconds) attach a ResourceGovernor to
@@ -56,9 +52,8 @@
 // its in-flight record stolen and rescued; a fully wedged pipeline aborts
 // cleanly. --max-bad-records / --quarantine-log harden the adj-format file
 // stream: malformed mid-stream lines are skipped, counted and logged rather
-// than fatal, up to the bound. --inject-faults keys stuck/wedge/slow/pressure
-// drive the parallel pipeline; crash/stall/drop/delay/dup drive the
-// distributed simulation.
+// than fatal, up to the bound. --inject-faults (keys stuck/wedge/slow/
+// pressure) drives the parallel pipeline's fault plan.
 //
 // Instrumentation: --perf-report attaches per-stage counters/timers (score,
 // Γ increment, window advance, commit, queue wait) to the sequential greedy
@@ -68,15 +63,17 @@
 // never attached — the hot path only sees untaken null-pointer branches.
 //
 // Prints ECR / δv / δe / PT / MC and writes the route table when --out is
-// given. Exit code 0 on success.
+// given. Exit code 0 on success; a flag this tool does not read, like a
+// malformed flag value, exits 2.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
-#include "core/distributed_sim.hpp"
 #include "core/parallel_driver.hpp"
 #include "core/spn.hpp"
 #include "core/spnl.hpp"
@@ -120,9 +117,7 @@ int usage() {
                "  [--stream] [--quiet]\n"
                "  [--checkpoint=ckpt.bin] [--checkpoint-every=N] "
                "[--resume-from=ckpt.bin]\n"
-               "  [--workers=W] [--sync-interval=N] [--recover=reassign|none]\n"
-               "  [--inject-faults=crash:W@T,stall:W@T@F,drop:P,delay:P,dup:P,"
-               "seed:S,stuck:W@N,wedge:W@N,slow:W@D,pressure:BYTES]\n"
+               "  [--inject-faults=stuck:W@N,wedge:W@N,slow:W@D,pressure:BYTES]\n"
                "  [--memory-budget=BYTES[K|M|G]] [--deadline=SECS]\n"
                "  [--degrade-policy=ladder|abort|off] [--governor-interval=N]\n"
                "  [--watchdog-timeout=SECS]\n"
@@ -135,23 +130,29 @@ int usage() {
   return 2;
 }
 
-// Both fault schedules parsed from one --inject-faults spec: the distributed
-// simulation's plan and the parallel pipeline's plan (which path consumes
-// which is decided by --workers / --threads).
-struct ParsedFaults {
-  FaultPlan distributed;
-  ParallelFaultPlan parallel;
-};
+// Every flag main() reads; any other flag is rejected rather than ignored.
+constexpr std::string_view kFlags[] = {
+    "k", "algo", "out", "lambda", "shards", "balance", "slack", "threads",
+    "passes", "buffer", "window", "prepass", "format", "stream", "quiet",
+    "checkpoint", "checkpoint-every", "resume-from", "inject-faults",
+    "inject-io-faults", "memory-budget", "deadline", "degrade-policy",
+    "governor-interval", "watchdog-timeout", "max-bad-records",
+    "quarantine-log", "perf-report", "perf-json"};
 
-// Parses the comma-separated fault spec. Distributed keys: "crash:W@T",
-// "stall:W@T@F" (repeatable), "drop:P" / "delay:P" / "dup:P"
-// (probabilities), "seed:S". Parallel-pipeline keys: "stuck:W@N" (freeze
-// between publish and claim at worker W's Nth record), "wedge:W@N" (freeze
-// inside the placement — unstealable), "slow:W@D" (sleep D seconds per
-// record),
-// "pressure:BYTES" (heap ballast, K/M/G suffixes).
-ParsedFaults parse_fault_plan(const std::string& spec) {
-  ParsedFaults plan;
+void reject_unknown_flags(const CliArgs& args) {
+  for (const std::string& key : args.keys()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), key) == std::end(kFlags)) {
+      throw CliError("unknown flag --" + key);
+    }
+  }
+}
+
+// Parses the comma-separated parallel-pipeline fault spec: "stuck:W@N"
+// (freeze between publish and claim at worker W's Nth record), "wedge:W@N"
+// (freeze inside the placement — unstealable), "slow:W@D" (sleep D seconds
+// per record), "pressure:BYTES" (heap ballast, K/M/G suffixes).
+ParallelFaultPlan parse_fault_plan(const std::string& spec) {
+  ParallelFaultPlan plan;
   std::size_t pos = 0;
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -178,46 +179,23 @@ ParsedFaults parse_fault_plan(const std::string& spec) {
     };
     std::vector<std::string> parts;
     try {
-      if (key == "crash") {
-        split_at(parts);
-        if (parts.size() != 2) throw std::runtime_error("crash wants W@T");
-        WorkerCrash crash;
-        crash.worker = static_cast<unsigned>(std::stoul(parts[0]));
-        crash.at_placement = std::stoull(parts[1]);
-        plan.distributed.crashes.push_back(crash);
-      } else if (key == "stall") {
-        split_at(parts);
-        if (parts.size() != 3) throw std::runtime_error("stall wants W@T@F");
-        WorkerStall stall;
-        stall.worker = static_cast<unsigned>(std::stoul(parts[0]));
-        stall.at_placement = std::stoull(parts[1]);
-        stall.for_placements = std::stoull(parts[2]);
-        plan.distributed.stalls.push_back(stall);
-      } else if (key == "stuck" || key == "wedge") {
+      if (key == "stuck" || key == "wedge") {
         split_at(parts);
         if (parts.size() != 2) throw std::runtime_error(key + " wants W@N");
         StuckWorkerFault stuck;
         stuck.worker = static_cast<unsigned>(std::stoul(parts[0]));
         stuck.at_pop = std::stoull(parts[1]);
         stuck.in_processing = key == "wedge";
-        plan.parallel.stuck.push_back(stuck);
+        plan.stuck.push_back(stuck);
       } else if (key == "slow") {
         split_at(parts);
         if (parts.size() != 2) throw std::runtime_error("slow wants W@D");
         SlowWorkerFault slow;
         slow.worker = static_cast<unsigned>(std::stoul(parts[0]));
         slow.delay_seconds = std::stod(parts[1]);
-        plan.parallel.slow.push_back(slow);
+        plan.slow.push_back(slow);
       } else if (key == "pressure") {
-        plan.parallel.ballast_bytes = parse_byte_size(value);
-      } else if (key == "drop") {
-        plan.distributed.drop_sync_prob = std::stod(value);
-      } else if (key == "delay") {
-        plan.distributed.delay_sync_prob = std::stod(value);
-      } else if (key == "dup") {
-        plan.distributed.duplicate_sync_prob = std::stod(value);
-      } else if (key == "seed") {
-        plan.distributed.seed = std::stoull(value);
+        plan.ballast_bytes = parse_byte_size(value);
       } else {
         throw std::runtime_error("unknown fault key '" + key + "'");
       }
@@ -253,22 +231,23 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (args.positional().size() != 1) return usage();
 
-  // Storage-fault plan (distinct from --inject-faults, which schedules
-  // worker/compute faults): armed before the first file is opened so the
-  // plan's operation indices count from the very first syscall of the run.
-  if (args.has("inject-io-faults")) {
-    try {
-      faultfs::configure(args.get("inject-io-faults", ""));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  // Everything below — including the flag reads — sits in one try so a
-  // malformed numeric flag (--threads=abc) surfaces as a typed CliError
-  // with usage status, never a silent 0.
+  // Everything below — including the flag reads — sits in one try so an
+  // unknown flag or a malformed numeric flag (--threads=abc) surfaces as a
+  // typed CliError with usage status, never a silent default.
   try {
+    reject_unknown_flags(args);
+
+    // Storage-fault plan (distinct from --inject-faults, which schedules
+    // worker faults): armed before the first file is opened so the plan's
+    // operation indices count from the very first syscall of the run.
+    if (args.has("inject-io-faults")) {
+      try {
+        faultfs::configure(args.get("inject-io-faults", ""));
+      } catch (const std::exception& e) {
+        throw CliError(e.what());
+      }
+    }
+
     const auto k = static_cast<PartitionId>(args.get_int("k", 0));
     if (k == 0) return usage();
     const std::string algo = args.get("algo", "spnl");
@@ -298,12 +277,11 @@ int main(int argc, char** argv) {
     const auto checkpoint_every =
         static_cast<std::uint64_t>(args.get_int("checkpoint-every", 0));
     const std::string resume_from = args.get("resume-from", "");
-    const auto workers = static_cast<unsigned>(args.get_int("workers", 0));
     if (use_prepass) {
       if (algo != "spnl") {
         throw std::runtime_error("--prepass=2ps requires --algo=spnl");
       }
-      if (workers > 0 || threads > 1 || window > 0 || buffer > 0) {
+      if (threads > 1 || window > 0 || buffer > 0) {
         throw std::runtime_error(
             "--prepass=2ps supports the sequential and --passes paths only");
       }
@@ -406,15 +384,8 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
     std::size_t bytes = 0;
     std::vector<DegradationEvent> degradations;
-    // Parallel-pipeline counters, spliced into the perf JSON when that path
-    // ran. The CLI runs without the RCT, so its counters read 0.
-    bool ran_parallel = false;
-    std::uint64_t delayed_vertices = 0;
-    std::uint64_t forced_vertices = 0;
-    std::uint64_t untracked_overflow = 0;
-    ContentionReport contention;
 
-    ParsedFaults faults;
+    ParallelFaultPlan faults;
     if (args.has("inject-faults")) {
       faults = parse_fault_plan(args.get("inject-faults", ""));
     }
@@ -440,35 +411,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (workers > 0) {
-      // Distributed simulation with optional seeded fault injection.
-      DistributedSimOptions options;
-      options.num_workers = workers;
-      options.sync_interval =
-          static_cast<VertexId>(args.get_int("sync-interval", 1024));
-      options.use_spnl_scoring = algo == "spnl";
-      options.recovery = args.get("recover", "reassign") == "none"
-                             ? RecoveryPolicy::kNone
-                             : RecoveryPolicy::kReassign;
-      options.faults = faults.distributed;
-      const auto result = distributed_stream_partition(stream, config, options);
-      route = result.route;
-      if (!quiet) {
-        std::printf(
-            "distributed: workers=%u stale_decisions=%llu crashes=%llu "
-            "lost=%llu recovered=%llu stalls=%llu stalled_turns=%llu "
-            "dropped_syncs=%llu delayed_syncs=%llu duplicated_syncs=%llu\n",
-            workers, static_cast<unsigned long long>(result.stale_decisions),
-            static_cast<unsigned long long>(result.worker_crashes),
-            static_cast<unsigned long long>(result.lost_placements),
-            static_cast<unsigned long long>(result.recovered_placements),
-            static_cast<unsigned long long>(result.worker_stalls),
-            static_cast<unsigned long long>(result.stalled_turns),
-            static_cast<unsigned long long>(result.dropped_syncs),
-            static_cast<unsigned long long>(result.delayed_syncs),
-            static_cast<unsigned long long>(result.duplicated_syncs));
-      }
-    } else if (algo == "multilevel") {
+    if (algo == "multilevel") {
       if (!graph) {
         throw std::runtime_error(
             "--algo=multilevel needs the materialized graph; drop --stream");
@@ -523,7 +466,7 @@ int main(int argc, char** argv) {
       options.perf = perf_ptr;
       options.watchdog_timeout_seconds = watchdog_timeout;
       options.governor = governor_ptr;
-      options.faults = faults.parallel;
+      options.faults = faults;
       ParallelRunResult result;
       try {
         result = run_parallel(stream, config, options);
@@ -539,11 +482,6 @@ int main(int argc, char** argv) {
       seconds = result.partition_seconds;
       bytes = result.peak_partitioner_bytes;
       degradations = result.degradations;
-      ran_parallel = true;
-      delayed_vertices = result.delayed_vertices;
-      forced_vertices = result.forced_vertices;
-      untracked_overflow = result.untracked_overflow;
-      contention = result.contention;
       if (!quiet && (result.checkpoints_written > 0 || result.resumed_at > 0)) {
         std::printf("checkpoints_written=%llu resumed_at=%llu\n",
                     static_cast<unsigned long long>(result.checkpoints_written),
@@ -645,18 +583,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    // A lost-slice run (--workers with --recover=none) legitimately leaves
-    // holes, as does a direct-stream run whose quarantined records were
-    // never placed; every other path must produce a complete assignment.
-    const bool may_have_holes =
-        (workers > 0 && args.get("recover", "reassign") == "none") ||
-        (stream_direct && bad_records > 0);
+    // A direct-stream run whose quarantined records were never placed
+    // legitimately leaves holes; every other path must produce a complete
+    // assignment.
+    const bool may_have_holes = stream_direct && bad_records > 0;
     if (!may_have_holes) validate_route(route, k, stream.num_vertices());
     if (may_have_holes && !is_complete_assignment(route, k)) {
-      std::printf("%s K=%u route incomplete (%s); quality metrics skipped\n",
-                  algo.c_str(), k,
-                  workers > 0 ? "placements lost to crashes"
-                              : "records quarantined mid-stream");
+      std::printf("%s K=%u route incomplete (records quarantined mid-stream); "
+                  "quality metrics skipped\n",
+                  algo.c_str(), k);
     } else if (graph) {
       const auto metrics = evaluate_partition(*graph, route, k);
       std::printf("%s K=%u %s PT=%.3fs MC=%s\n", algo.c_str(), k,
@@ -681,23 +616,12 @@ int main(int argc, char** argv) {
       }
     }
     if (perf_ptr != nullptr) {
-      // Splice the governor's ladder transitions and the parallel pipeline's
-      // RCT counters into the perf JSON object so one artifact carries
-      // timing, degradation history and dependency-tracking health.
+      // Splice the governor's ladder transitions into the perf JSON object
+      // so one artifact carries timing and degradation history.
       std::string json = perf.to_json();
       if (!degradations.empty() && !json.empty() && json.back() == '}') {
         json.pop_back();
         json += ",\"degradations\":" + degradation_events_json(degradations) + "}";
-      }
-      if (ran_parallel && !json.empty() && json.back() == '}') {
-        json.pop_back();
-        json += ",\"parallel\":{\"delayed\":" + std::to_string(delayed_vertices) +
-                ",\"forced\":" + std::to_string(forced_vertices) +
-                ",\"untracked_overflow\":" + std::to_string(untracked_overflow) +
-                ",\"rct_exclusive_acquires\":" +
-                std::to_string(contention.rct_exclusive_acquires) +
-                ",\"rct_exclusive_contended\":" +
-                std::to_string(contention.rct_exclusive_contended) + "}}";
       }
       if (perf_report) {
         std::printf("%s", perf.report().c_str());
