@@ -127,14 +127,6 @@ BspResult pagerank(const Graph& graph, const std::vector<PartitionId>& route,
                  {.max_supersteps = supersteps, .remote_cost_factor = remote_cost_factor});
 }
 
-BspResult pagerank_with_traffic(const Graph& graph,
-                                const std::vector<PartitionId>& route,
-                                PartitionId k, int supersteps) {
-  PageRankProgram program(supersteps);
-  return run_bsp(graph, route, k, program,
-                 {.max_supersteps = supersteps, .record_traffic = true});
-}
-
 BspResult bfs_depths(const Graph& graph, const std::vector<PartitionId>& route,
                      PartitionId k, VertexId source, double remote_cost_factor) {
   MinLabelProgram program(source);

@@ -15,12 +15,6 @@ BspResult pagerank(const Graph& graph, const std::vector<PartitionId>& route,
                    PartitionId k, int supersteps = 20,
                    double remote_cost_factor = 20.0);
 
-/// PageRank with per-superstep traffic matrices recorded (for the cluster
-/// simulator, cluster/simulator.hpp).
-BspResult pagerank_with_traffic(const Graph& graph,
-                                const std::vector<PartitionId>& route,
-                                PartitionId k, int supersteps = 20);
-
 /// BFS depth from `source` (unreached = +inf). Also serves as unit-weight
 /// SSSP.
 BspResult bfs_depths(const Graph& graph, const std::vector<PartitionId>& route,

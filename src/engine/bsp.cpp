@@ -22,14 +22,11 @@ BspResult run_bsp(const Graph& graph, const std::vector<PartitionId>& route,
 
   std::vector<std::optional<double>> inbox(n);
   std::vector<double> worker_cost(k);
-  std::vector<std::uint64_t> traffic;
-  if (options.record_traffic) traffic.resize(static_cast<std::size_t>(k) * k);
 
   for (int step = 0; step < options.max_supersteps; ++step) {
     bool any_active = false;
     std::fill(inbox.begin(), inbox.end(), std::nullopt);
     std::fill(worker_cost.begin(), worker_cost.end(), 0.0);
-    std::fill(traffic.begin(), traffic.end(), 0u);
     std::uint64_t local = 0, remote = 0;
 
     for (VertexId v = 0; v < n; ++v) {
@@ -51,9 +48,6 @@ BspResult run_bsp(const Graph& graph, const std::vector<PartitionId>& route,
           ++remote;
           worker_cost[route[v]] += options.remote_cost_factor;
         }
-        if (options.record_traffic) {
-          ++traffic[static_cast<std::size_t>(route[v]) * k + route[u]];
-        }
       }
     }
     if (!any_active) break;
@@ -63,16 +57,6 @@ BspResult run_bsp(const Graph& graph, const std::vector<PartitionId>& route,
     result.stats.remote_messages += remote;
     result.stats.critical_path_cost +=
         *std::max_element(worker_cost.begin(), worker_cost.end());
-    if (options.record_traffic) {
-      result.traffic.push_back(traffic);
-      std::vector<std::uint64_t> emitted(k, 0);
-      for (PartitionId from = 0; from < k; ++from) {
-        for (PartitionId to = 0; to < k; ++to) {
-          emitted[from] += traffic[static_cast<std::size_t>(from) * k + to];
-        }
-      }
-      result.compute.push_back(std::move(emitted));
-    }
 
     for (VertexId v = 0; v < n; ++v) {
       active[v] = program.apply(v, result.values[v], inbox[v], step, graph);

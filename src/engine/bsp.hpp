@@ -69,20 +69,11 @@ struct BspOptions {
   int max_supersteps = 50;
   /// Relative cost of a cross-partition message (serialization + network).
   double remote_cost_factor = 20.0;
-  /// Record per-superstep worker->worker traffic matrices and per-worker
-  /// compute counts (consumed by the cluster simulator). Costs
-  /// O(supersteps * K^2) memory.
-  bool record_traffic = false;
 };
 
 struct BspResult {
   std::vector<double> values;
   BspStats stats;
-  /// Per superstep: K*K message counts, row-major [from*K + to] (only when
-  /// record_traffic is set). Diagonal entries are worker-local messages.
-  std::vector<std::vector<std::uint64_t>> traffic;
-  /// Per superstep: messages EMITTED by each worker (its compute share).
-  std::vector<std::vector<std::uint64_t>> compute;
 };
 
 /// Runs the program over the partitioned graph. route.size() must equal

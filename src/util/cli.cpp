@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -69,11 +71,14 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-std::vector<std::string> CliArgs::keys() const {
-  std::vector<std::string> out;
-  out.reserve(flags_.size());
-  for (const auto& [k, _] : flags_) out.push_back(k);
-  return out;
+bool CliArgs::known_flags_only(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, _] : flags_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace spnl

@@ -1,13 +1,15 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Syntax: --key=value or --key value or bare --flag (boolean true).
-// Unknown flags are collected and can be rejected by the caller.
+// Front-ends reject any flag they do not read (known_flags_only).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spnl {
@@ -36,8 +38,10 @@ class CliArgs {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// All flag keys seen, for unknown-flag validation.
-  std::vector<std::string> keys() const;
+  /// `known` lists every flag the tool reads. On the first flag outside it,
+  /// prints "error: unknown flag --X" to stderr and returns false; the tool
+  /// then exits 2, so a mistyped or retired flag never runs with a default.
+  bool known_flags_only(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> flags_;

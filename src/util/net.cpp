@@ -204,13 +204,26 @@ Socket connect_endpoint(const Endpoint& endpoint, int timeout_ms) {
 
 ListenSocket::ListenSocket(const Endpoint& endpoint, int backlog)
     : fd_(open_socket(endpoint.kind)), endpoint_(endpoint) {
+  std::string bound_tmp;  // unix socket file to remove if construction fails
   try {
+    set_nonblocking(fd_);
     if (endpoint_.kind == Endpoint::Kind::kUnix) {
-      ::unlink(endpoint_.path.c_str());  // stale socket from a crashed server
-      const sockaddr_un addr = make_unix_addr(endpoint_.path);
+      // Bind under a temporary name and rename it onto the endpoint only once
+      // it listens: a launcher that waits for the path to appear must never
+      // connect between bind() and listen() and be refused. rename() also
+      // replaces a stale socket file left by a crashed server.
+      const std::string tmp = endpoint_.path + ".tmp" + std::to_string(::getpid());
+      const sockaddr_un addr = make_unix_addr(tmp);
+      ::unlink(tmp.c_str());  // left by a crashed process that had our pid
       if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
         throw_errno("bind " + endpoint_.describe());
       }
+      bound_tmp = tmp;
+      if (::listen(fd_, backlog) < 0) throw_errno("listen " + endpoint_.describe());
+      if (::rename(tmp.c_str(), endpoint_.path.c_str()) < 0) {
+        throw_errno("rename " + tmp + " -> " + endpoint_.path);
+      }
+      bound_tmp.clear();
     } else {
       const int one = 1;
       ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -223,10 +236,10 @@ ListenSocket::ListenSocket(const Endpoint& endpoint, int backlog)
       if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
         endpoint_.port = ntohs(bound.sin_port);
       }
+      if (::listen(fd_, backlog) < 0) throw_errno("listen " + endpoint_.describe());
     }
-    if (::listen(fd_, backlog) < 0) throw_errno("listen " + endpoint_.describe());
-    set_nonblocking(fd_);
   } catch (...) {
+    if (!bound_tmp.empty()) ::unlink(bound_tmp.c_str());
     ::close(fd_);
     fd_ = -1;
     throw;

@@ -85,9 +85,11 @@ class Socket {
 /// unreachable path, or timeout.
 Socket connect_endpoint(const Endpoint& endpoint, int timeout_ms);
 
-/// Move-only listening socket. For unix endpoints a stale socket file left
-/// by a previous (crashed) server instance is unlinked before bind, and the
-/// path is unlinked again on destruction.
+/// Move-only listening socket. A unix endpoint's path appears only once the
+/// socket listens (it is bound under a temporary name in the same directory
+/// and renamed into place), so a connect that finds the path is never
+/// refused. A stale socket file left by a crashed server is replaced, and
+/// the path is unlinked on destruction.
 class ListenSocket {
  public:
   ListenSocket() = default;

@@ -1,7 +1,9 @@
-# Smoke test for spnl_partition's flag checking: a flag the tool does not
-# read exits 2 with a message naming it (a retired --workers=4 must not
-# quietly run sequential SPNL), and a retired --inject-faults key exits
-# non-zero with "unknown fault key".
+# Smoke test for the tools' flag checking: a flag a tool does not read exits
+# 2 with a message naming it (a retired --workers=4 must not quietly run
+# sequential SPNL, a mistyped spnl_gen --n=500 must not generate the 100k
+# default), every flag a tool does read passes the check, and a retired
+# --inject-faults key exits non-zero with "unknown fault key" before the
+# graph is loaded.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(GRAPH ${WORK_DIR}/flags.adj)
 
@@ -34,7 +36,7 @@ endif()
 
 execute_process(
   COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --threads=2
-          --inject-faults=crash:1@10 --quiet
+          --inject-faults=crash:1@10
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "--inject-faults=crash:1@10 unexpectedly succeeded")
@@ -43,5 +45,50 @@ if(NOT err MATCHES "unknown fault key")
   message(FATAL_ERROR "--inject-faults=crash:1@10: stderr lacks "
                       "'unknown fault key': ${err}")
 endif()
+# The spec is checked before the input is read: no graph summary.
+if(out MATCHES "\\|V\\|=")
+  message(FATAL_ERROR "--inject-faults=crash:1@10: the graph was loaded "
+                      "before the spec was rejected: ${out}")
+endif()
+
+execute_process(
+  COMMAND ${SPNL_GEN} --out=${WORK_DIR}/n.adj --n=500
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "spnl_gen --n=500: expected exit 2, got rc=${rc}")
+endif()
+if(NOT err MATCHES "unknown flag --n")
+  message(FATAL_ERROR "spnl_gen --n=500: stderr does not name the flag: ${err}")
+endif()
+if(EXISTS ${WORK_DIR}/n.adj)
+  message(FATAL_ERROR "spnl_gen --n=500 still wrote a graph")
+endif()
+
+foreach(tool ${SPNL_CONVERT} ${SPNL_ANALYZE} ${SPNL_CLIENT} ${SPNL_SERVER})
+  execute_process(
+    COMMAND ${tool} --bogus=1
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --bogus")
+    message(FATAL_ERROR "${tool} --bogus=1: expected exit 2 naming the flag, "
+                        "got rc=${rc}: ${err}")
+  endif()
+endforeach()
+
+# Known-flags runs of the other tools. --help exits 0 only after the flag
+# check, so the daemon and its client are covered without a server.
+set(SADJ ${WORK_DIR}/flags.sadj)
+set(ROUTE ${WORK_DIR}/flags.route)
+foreach(cmd
+    "${SPNL_CONVERT};${GRAPH};--out=${SADJ};--format=adj;--to=sadj;--max-bad-records=0;--quarantine-log=${WORK_DIR}/bad.txt;--inject-io-faults=seed:1;--quiet"
+    "${SPNL_PARTITION};${SADJ};--format=sadj;--k=4;--out=${ROUTE};--quiet"
+    "${SPNL_ANALYZE};${GRAPH};${ROUTE};--format=adj;--matrix;--pagerank-steps=1"
+    "${SPNL_CLIENT};--help;--connect=unix:${WORK_DIR}/none.sock;--k=4;--algo=spnl;--format=adj;--lambda=0.5;--shards=0;--balance=vertex;--slack=1.1;--out=${ROUTE};--deadline=1;--max-attempts=1;--batch=64;--inject-disconnect-after=0;--inject-io-faults=seed:1;--quiet"
+    "${SPNL_SERVER};--help;--listen=unix:${WORK_DIR}/none.sock;--max-sessions=1;--memory-budget=0;--idle-timeout=1;--read-timeout=1;--drain-dir=${WORK_DIR};--retry-after-ms=10;--inject-io-faults=seed:1;--quiet")
+  execute_process(COMMAND ${cmd}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "known flags were rejected (rc=${rc}): ${cmd}\n${err}")
+  endif()
+endforeach()
 
 file(REMOVE_RECURSE ${WORK_DIR})

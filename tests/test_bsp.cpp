@@ -173,6 +173,23 @@ TEST(Bsp, MessageCountsSplitByPartition) {
   const auto local = pagerank(g, {0, 0}, 2, 3);
   EXPECT_EQ(local.stats.remote_messages, 0u);
   EXPECT_EQ(local.stats.local_messages, 6u);
+
+  // Mixed split on a crawl: PageRank sends one message along every edge per
+  // superstep, so each count is the per-edge recount times the supersteps.
+  const Graph crawl = generate_webcrawl({.num_vertices = 5000, .avg_out_degree = 6.0,
+                                         .seed = 7});
+  const auto route = route_for(crawl, 4);
+  std::uint64_t local_edges = 0, remote_edges = 0;
+  for (VertexId v = 0; v < crawl.num_vertices(); ++v) {
+    for (VertexId u : crawl.out_neighbors(v)) {
+      ++(route[u] == route[v] ? local_edges : remote_edges);
+    }
+  }
+  ASSERT_GT(local_edges, 0u);
+  ASSERT_GT(remote_edges, 0u);
+  const auto mixed = pagerank(crawl, route, 4, 3);
+  EXPECT_EQ(mixed.stats.local_messages, 3 * local_edges);
+  EXPECT_EQ(mixed.stats.remote_messages, 3 * remote_edges);
 }
 
 TEST(Bsp, BetterPartitioningLowersCriticalPath) {

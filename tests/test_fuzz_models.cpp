@@ -7,9 +7,7 @@
 #include <set>
 
 #include "core/rct.hpp"
-#include "dynamic/incremental.hpp"
 #include "graph/graph.hpp"
-#include "partition/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace spnl {
@@ -127,44 +125,6 @@ TEST(FuzzModels, RctMatchesReferenceCounters) {
     ASSERT_DOUBLE_EQ(rct.mean_nonzero_count(), expected_mean) << "step " << step;
     ASSERT_EQ(rct.count(v), model.count(v) ? model[v] : 0u);
   }
-}
-
-TEST(FuzzModels, IncrementalCutMatchesRecount) {
-  Rng rng(107);
-  const VertexId n = 200;
-  IncrementalPartitioner inc({.num_partitions = 4, .slack = 1.5}, n, 2000);
-  // Reference adjacency (multiset of directed edges).
-  std::multiset<std::pair<VertexId, VertexId>> edges;
-
-  auto recount_cut = [&] {
-    EdgeId cut = 0;
-    for (const auto& [from, to] : edges) {
-      if (inc.partition_of(from) != inc.partition_of(to)) ++cut;
-    }
-    return cut;
-  };
-
-  for (int step = 0; step < 4000; ++step) {
-    const double dice = rng.next_double();
-    const auto a = static_cast<VertexId>(rng.next_below(n));
-    const auto b = static_cast<VertexId>(rng.next_below(n));
-    if (dice < 0.55) {
-      inc.add_edge(a, b);
-      edges.emplace(a, b);
-    } else if (dice < 0.8) {
-      const bool removed = inc.remove_edge(a, b);
-      auto it = edges.find({a, b});
-      ASSERT_EQ(removed, it != edges.end());
-      if (it != edges.end()) edges.erase(it);
-    } else {
-      inc.refine(3);
-    }
-    if (step % 200 == 0) {
-      ASSERT_EQ(inc.cut_edges(), recount_cut()) << "step " << step;
-      ASSERT_EQ(inc.num_edges(), edges.size());
-    }
-  }
-  ASSERT_EQ(inc.cut_edges(), recount_cut());
 }
 
 }  // namespace

@@ -169,9 +169,8 @@ for _ in $(seq 1 100); do [[ -S "${sock}" ]] && break; sleep 0.1; done
 # Leave a detached, resumable session in the registry: the client drops its
 # connection after 200 acked records and gives up (one attempt only). The
 # drain below must find that session, so the client has to reach its
-# injected disconnect. A transport failure before it may have opened no
-# session (a connect in the gap between the server's bind, which creates the
-# socket file, and its listen is refused): retry.
+# injected disconnect. A client that fails on transport before it may have
+# opened no session: retry.
 client_err="${work_dir}/client.err"
 for attempt in $(seq 1 20); do
   rc=0

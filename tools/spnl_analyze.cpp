@@ -33,6 +33,7 @@ Graph load_graph(const std::string& path, const std::string& format) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  if (!args.known_flags_only({"format", "matrix", "pagerank-steps"})) return 2;
   if (args.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: spnl_analyze <graph-file> <route-file> "

@@ -45,6 +45,12 @@ void usage() {
 
 int main(int argc, char** argv) {
   spnl::CliArgs args(argc, argv);
+  if (!args.known_flags_only(
+          {"help", "connect", "k", "algo", "format", "lambda", "shards",
+           "balance", "slack", "out", "deadline", "max-attempts", "batch",
+           "inject-disconnect-after", "inject-io-faults", "quiet"})) {
+    return 2;
+  }
   if (args.has("help") || args.positional().empty() || !args.has("connect") ||
       !args.has("k")) {
     usage();

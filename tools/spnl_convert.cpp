@@ -65,6 +65,10 @@ void write_adj_text(spnl::AdjacencyStream& stream, const std::string& path) {
 
 int main(int argc, char** argv) {
   const spnl::CliArgs args(argc, argv);
+  if (!args.known_flags_only({"help", "out", "format", "to", "max-bad-records",
+                              "quarantine-log", "inject-io-faults", "quiet"})) {
+    return 2;
+  }
   if (args.has("help") || args.positional().size() != 1 || !args.has("out")) {
     usage();
     return args.has("help") ? 0 : 2;

@@ -34,6 +34,13 @@
 int main(int argc, char** argv) {
   using namespace spnl;
   const CliArgs args(argc, argv);
+  if (!args.known_flags_only(
+          {"out", "model", "vertices", "avg-degree", "locality",
+           "locality-scale", "alpha", "copy-prob", "seed", "mu", "communities",
+           "labels", "dataset", "scale", "format", "shuffle", "order",
+           "rmat-scale", "edges", "ring-k", "side"})) {
+    return 2;
+  }
   if (!args.has("out")) {
     std::fprintf(stderr,
                  "usage: spnl_gen --out=FILE [--model=webcrawl|rmat|er|"

@@ -65,14 +65,12 @@
 // Prints ECR / δv / δe / PT / MC and writes the route table when --out is
 // given. Exit code 0 on success; a flag this tool does not read, like a
 // malformed flag value, exits 2.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "core/parallel_driver.hpp"
 #include "core/spn.hpp"
@@ -128,23 +126,6 @@ int usage() {
                "algos: hash range ldg fennel spn spnl balanced dg edg "
                "triangles multilevel labelprop\n");
   return 2;
-}
-
-// Every flag main() reads; any other flag is rejected rather than ignored.
-constexpr std::string_view kFlags[] = {
-    "k", "algo", "out", "lambda", "shards", "balance", "slack", "threads",
-    "passes", "buffer", "window", "prepass", "format", "stream", "quiet",
-    "checkpoint", "checkpoint-every", "resume-from", "inject-faults",
-    "inject-io-faults", "memory-budget", "deadline", "degrade-policy",
-    "governor-interval", "watchdog-timeout", "max-bad-records",
-    "quarantine-log", "perf-report", "perf-json"};
-
-void reject_unknown_flags(const CliArgs& args) {
-  for (const std::string& key : args.keys()) {
-    if (std::find(std::begin(kFlags), std::end(kFlags), key) == std::end(kFlags)) {
-      throw CliError("unknown flag --" + key);
-    }
-  }
 }
 
 // Parses the comma-separated parallel-pipeline fault spec: "stuck:W@N"
@@ -229,14 +210,21 @@ Graph load_graph(const std::string& path, const std::string& format) {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  if (!args.known_flags_only(
+          {"k", "algo", "out", "lambda", "shards", "balance", "slack",
+           "threads", "passes", "buffer", "window", "prepass", "format",
+           "stream", "quiet", "checkpoint", "checkpoint-every", "resume-from",
+           "inject-faults", "inject-io-faults", "memory-budget", "deadline",
+           "degrade-policy", "governor-interval", "watchdog-timeout",
+           "max-bad-records", "quarantine-log", "perf-report", "perf-json"})) {
+    return 2;
+  }
   if (args.positional().size() != 1) return usage();
 
-  // Everything below — including the flag reads — sits in one try so an
-  // unknown flag or a malformed numeric flag (--threads=abc) surfaces as a
-  // typed CliError with usage status, never a silent default.
+  // Everything below — including the flag reads — sits in one try so a
+  // malformed numeric flag (--threads=abc) surfaces as a typed CliError with
+  // usage status, never a silent default.
   try {
-    reject_unknown_flags(args);
-
     // Storage-fault plan (distinct from --inject-faults, which schedules
     // worker faults): armed before the first file is opened so the plan's
     // operation indices count from the very first syscall of the run.
@@ -326,6 +314,12 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(args.get_int("max-bad-records", 0));
     hardening.quarantine_log = args.get("quarantine-log", "");
 
+    // Parsed before the input is opened, so a malformed spec fails fast.
+    ParallelFaultPlan faults;
+    if (args.has("inject-faults")) {
+      faults = parse_fault_plan(args.get("inject-faults", ""));
+    }
+
     const std::string input_path = args.positional()[0];
     if (format != "adj" && format != "edgelist" && format != "binary" &&
         format != "sadj") {
@@ -384,11 +378,6 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
     std::size_t bytes = 0;
     std::vector<DegradationEvent> degradations;
-
-    ParallelFaultPlan faults;
-    if (args.has("inject-faults")) {
-      faults = parse_fault_plan(args.get("inject-faults", ""));
-    }
 
     // 2PS clustering prepass: one extra scan before the scoring pass. A
     // resumed run re-derives the identical hint table here (the prepass is

@@ -44,6 +44,12 @@ void usage() {
 
 int main(int argc, char** argv) {
   spnl::CliArgs args(argc, argv);
+  if (!args.known_flags_only(
+          {"help", "listen", "max-sessions", "memory-budget", "idle-timeout",
+           "read-timeout", "drain-dir", "retry-after-ms", "inject-io-faults",
+           "quiet"})) {
+    return 2;
+  }
   if (args.has("help") || !args.has("listen")) {
     usage();
     return args.has("help") ? 0 : 2;
