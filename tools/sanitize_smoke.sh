@@ -31,7 +31,7 @@ while [[ $# -gt 0 ]]; do
       # real threads — a prime TSan surface), then a CLI drain/restart
       # smoke below.
       server_mode=1
-      ctest_args=(-R '^(Endpoint|CodecTest|SessionFactory|Session|SessionRegistry|ServerTest)\.|^server\.soak$')
+      ctest_args=(-R '^(Endpoint|ListenSocket|CodecTest|SessionFactory|Session|SessionRegistry|ServerTest)\.|^server\.soak$')
       shift ;;
     --build-dir) build_dir="$2"; shift 2 ;;
     --jobs) jobs="$2"; shift 2 ;;
