@@ -111,7 +111,7 @@ int run_paper_mode(const CliArgs& args) {
     std::printf("\n");
   }
   std::printf("Paper (32-core Xeon): sweet spot M=4 (uk2002) to M=8 (sk2005), "
-              "up to 63%% PT reduction. Few-core box: expect overhead-only.\n");
+              "up to 63%% PT reduction.\n");
   return 0;
 }
 

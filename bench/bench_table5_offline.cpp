@@ -7,9 +7,6 @@
 // worse in ECR (and parallel label-prop degrades up to 47%); SPNL matches or
 // beats multilevel's ECR on crawl graphs at a fraction of the time, and its
 // parallel variant loses only a few percent thanks to the RCT.
-//
-// Hardware substitution note: this box has 1 CPU core, so parallel PT shows
-// scheduling overhead rather than speedup; quality effects still hold.
 #include <sstream>
 
 #include "common.hpp"
@@ -84,8 +81,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nPaper: SPNL up to 40%% lower ECR than METIS and 20x faster; "
               "up to 91%% lower than XtraPuLP; parallel SPNL ECR degradation "
-              "<= 6%% (avg 2%%) vs up to 47%% for XtraPuLP.\n"
-              "NOTE: 1-core machine; parallel PT reflects scheduling overhead, "
-              "not speedup.\n");
+              "<= 6%% (avg 2%%) vs up to 47%% for XtraPuLP.\n");
   return 0;
 }

@@ -312,8 +312,9 @@ class Worker {
 /// One reusable slab of the reader's ring: kRecords consecutive records laid
 /// out flat (ids, out-list ends, targets). Workers read published records in
 /// place. Until every published record of the slab is retired — committed,
-/// parked (park copies) or handed to the watchdog (which copies too) — the
-/// reader neither refills the slab nor grows `targets`, which would move it.
+/// parked (park copies) or placed by the watchdog's rescue, which reads it
+/// here — the reader neither refills the slab nor grows `targets`, which
+/// would move it.
 struct Slab {
   static constexpr std::size_t kRecords = 4096;
 
@@ -545,7 +546,9 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
 
   // Watchdog + monitor-thread rescue path. A stolen record was taken before
   // its worker registered it anywhere, so the rescuer bypasses the RCT; the
-  // monitor is a single thread, so it needs no further synchronization.
+  // monitor is a single thread, so it needs no further synchronization. The
+  // rescue reads the record in its slab and retires it once placed: its
+  // worker skips it, so the slab cannot be refilled under the rescue.
   Worker rescuer(state, nullptr, watermark, 1, true);
   std::optional<PipelineWatchdog> watchdog;
   PipelineWatchdog* wd = nullptr;
@@ -553,9 +556,13 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     watchdog.emplace(
         options.num_threads,
         PipelineWatchdog::Options{options.watchdog_timeout_seconds},
-        [&](unsigned, OwnedVertexRecord record) {
-          std::shared_lock lock(pipeline_mutex);
-          rescuer.place_now(record.view());
+        [&](unsigned, std::uint64_t index) {
+          Slab& slab = ring->slab_of(index);
+          {
+            std::shared_lock lock(pipeline_mutex);
+            rescuer.place_now(slab.record(index % Slab::kRecords));
+          }
+          slab.retired.fetch_add(1, std::memory_order_release);
         },
         // Every wait in the pipeline polls aborted(), so nothing needs waking.
         [] {});
@@ -745,6 +752,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
         // against counts the others have long moved past.
         worker.refresh();
         Slab& slab = ring->slab_of(first);
+        std::uint64_t stolen = 0;  // retired by the rescue, not here
         {
           std::shared_lock lock(pipeline_mutex);
           for (std::uint64_t i = first; i < end && !aborted(); ++i) {
@@ -764,13 +772,16 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
             }
 
             if (wd != nullptr) {
-              wd->publish(t, OwnedVertexRecord::from(record));
+              wd->publish(t, i);
               if (stuck != nullptr && !stuck->in_processing) {
                 // Transient freeze between publish and claim: the monitor
                 // steals and rescues the record, then this worker resumes.
                 stall(lock, [&] { wd->wait_until_stolen(t, stuck->max_stall_seconds); });
               }
-              if (!wd->claim(t)) continue;  // stolen — the monitor owns a copy
+              if (!wd->claim(t)) {  // stolen: the rescue places it
+                ++stolen;
+                continue;
+              }
               if (stuck != nullptr && stuck->in_processing) {
                 // Wedge inside the placement: unstealable; with every worker
                 // wedged this way the monitor aborts the pipeline, which is
@@ -788,7 +799,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
           // and its shrink_to must not swap the Γ rows this slide clears.
           if (!alone) worker.advance_window();
         }
-        slab.retired.fetch_add(end - first, std::memory_order_release);
+        slab.retired.fetch_add(end - first - stolen, std::memory_order_release);
       }
       worker.flush();
       if (perf != nullptr) {

@@ -44,42 +44,31 @@ void PipelineWatchdog::heartbeat(unsigned worker) {
   slots_[worker].heartbeat_nanos.store(now_nanos(), std::memory_order_release);
 }
 
-void PipelineWatchdog::publish(unsigned worker, const OwnedVertexRecord& record) {
+void PipelineWatchdog::publish(unsigned worker, std::uint64_t index) {
   Slot& slot = slots_[worker];
-  {
-    std::lock_guard lock(slot.record_mutex);
-    slot.record = record;  // copy: the worker keeps its own to process
-  }
   slot.heartbeat_nanos.store(now_nanos(), std::memory_order_release);
-  slot.state.store(kPublished, std::memory_order_release);
+  slot.word.store(index << kIndexShift | kPublished, std::memory_order_release);
 }
 
 bool PipelineWatchdog::claim(unsigned worker) {
   Slot& slot = slots_[worker];
   slot.heartbeat_nanos.store(now_nanos(), std::memory_order_release);
-  std::uint8_t expected = kPublished;
-  if (slot.state.compare_exchange_strong(expected, kProcessing,
-                                         std::memory_order_acq_rel)) {
+  std::uint64_t word = slot.word.load(std::memory_order_acquire);
+  if ((word & kStateMask) == kPublished &&
+      slot.word.compare_exchange_strong(word, word - kPublished + kProcessing,
+                                        std::memory_order_acq_rel)) {
     return true;
   }
   // Lost to the monitor: the rescue owns the record now. Reset the slot so
   // the worker can publish its next pop.
-  {
-    std::lock_guard lock(slot.record_mutex);
-    slot.record.reset();
-  }
-  slot.state.store(kIdle, std::memory_order_release);
+  slot.word.store(kIdle, std::memory_order_release);
   return false;
 }
 
 void PipelineWatchdog::complete(unsigned worker) {
   Slot& slot = slots_[worker];
-  {
-    std::lock_guard lock(slot.record_mutex);
-    slot.record.reset();
-  }
   slot.heartbeat_nanos.store(now_nanos(), std::memory_order_release);
-  slot.state.store(kIdle, std::memory_order_release);
+  slot.word.store(kIdle, std::memory_order_release);
 }
 
 bool PipelineWatchdog::wait_until_stolen(unsigned worker, double max_seconds) const {
@@ -87,7 +76,7 @@ bool PipelineWatchdog::wait_until_stolen(unsigned worker, double max_seconds) co
   const std::int64_t deadline =
       now_nanos() + static_cast<std::int64_t>(max_seconds * 1e9);
   for (;;) {
-    if (slot.state.load(std::memory_order_acquire) == kStolen) return true;
+    if ((slot.word.load(std::memory_order_acquire) & kStateMask) == kStolen) return true;
     if (aborted() || now_nanos() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -136,7 +125,8 @@ void PipelineWatchdog::monitor_loop() {
     std::size_t wedged_processing = 0;
     for (unsigned w = 0; w < slots_.size(); ++w) {
       Slot& slot = slots_[w];
-      const std::uint8_t state = slot.state.load(std::memory_order_acquire);
+      const std::uint64_t word = slot.word.load(std::memory_order_acquire);
+      const std::uint64_t state = word & kStateMask;
       if (state != kPublished && state != kProcessing) continue;
       const double age =
           static_cast<double>(now - slot.heartbeat_nanos.load(
@@ -145,21 +135,16 @@ void PipelineWatchdog::monitor_loop() {
       if (age <= timeout) continue;
 
       if (state == kPublished) {
-        // Steal: the CAS is the ownership handoff. If the worker claims
-        // concurrently, exactly one of the two operations wins.
-        std::uint8_t expected = kPublished;
-        if (!slot.state.compare_exchange_strong(expected, kStolen,
-                                                std::memory_order_acq_rel)) {
+        // Steal: the CAS is the ownership handoff. If the worker claims (or
+        // moves on to its next record) concurrently, exactly one wins.
+        std::uint64_t expected = word;
+        if (!slot.word.compare_exchange_strong(expected, word - kPublished + kStolen,
+                                               std::memory_order_acq_rel)) {
           continue;  // worker woke up and claimed first
         }
         mark_stalled(slot);
-        std::optional<OwnedVertexRecord> record;
-        {
-          std::lock_guard lock(slot.record_mutex);
-          record.swap(slot.record);
-        }
-        if (record && rescue_) {
-          rescue_(w, std::move(*record));
+        if (rescue_) {
+          rescue_(w, word >> kIndexShift);
           rescued_records_.fetch_add(1, std::memory_order_relaxed);
         }
       } else {

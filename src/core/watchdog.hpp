@@ -9,31 +9,29 @@
 //                          ▼
 //                       kStolen ──▶ record rescued by the monitor thread
 //
-// A worker PUBLISHES a copy of each record before touching shared state and
-// then CLAIMS it; the claim is a CAS, so a worker that wedges between
-// publish and claim loses the race to the monitor, which rescues (places)
-// the record itself — the stream completes without the sick worker. A worker
-// that wedges INSIDE a placement (kProcessing) cannot be stolen from —
-// rescuing would double-place — so the monitor marks it stalled; when every
-// worker is wedged that way the pipeline cannot make progress and the
-// monitor aborts the run instead of hanging: the driver's waits (the
-// reader's and the workers') all poll aborted(), and on_abort can wake any
-// other waiter.
+// A worker PUBLISHES the stream index of each record before touching shared
+// state and then CLAIMS it; the claim is a CAS, so a worker that wedges
+// between publish and claim loses the race to the monitor, which hands the
+// index to the rescue callback to place — the stream completes without the
+// sick worker. The watchdog holds no record: the caller keeps the record
+// readable until the rescue is done with it. A worker that wedges INSIDE a
+// placement (kProcessing) cannot be stolen from — rescuing would
+// double-place — so the monitor marks it stalled; when every worker is
+// wedged that way the pipeline cannot make progress and the monitor aborts
+// the run instead of hanging: the driver's waits (the reader's and the
+// workers') all poll aborted(), and on_abort can wake any other waiter.
 //
-// All cross-thread state is atomics or mutex-guarded; the monitor is a
-// single thread, so rescues never race each other.
+// Every slot is atomics only; the monitor is a single thread, so rescues
+// never race each other.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "graph/adjacency_stream.hpp"
 
 namespace spnl {
 
@@ -46,9 +44,9 @@ class PipelineWatchdog {
     double timeout_seconds = 5.0;
   };
 
-  /// Called from the monitor thread with a stolen record; must place it
-  /// (typically under the pipeline's shared lock).
-  using RescueFn = std::function<void(unsigned worker, OwnedVertexRecord record)>;
+  /// Called from the monitor thread with the index of a stolen record; must
+  /// place it (typically under the pipeline's shared lock).
+  using RescueFn = std::function<void(unsigned worker, std::uint64_t index)>;
   /// Called once when the pipeline is declared dead (all workers wedged).
   using AbortFn = std::function<void()>;
 
@@ -65,9 +63,10 @@ class PipelineWatchdog {
   void stop();
 
   /// Worker-side protocol (all bump the heartbeat).
-  void publish(unsigned worker, const OwnedVertexRecord& record);
+  /// `index` names the record to the rescue; below 2^62.
+  void publish(unsigned worker, std::uint64_t index);
   /// False = the monitor stole the record while the worker stalled; the
-  /// worker must drop its copy and move on.
+  /// rescue places it, so the worker skips it.
   bool claim(unsigned worker);
   void complete(unsigned worker);
   void heartbeat(unsigned worker);
@@ -93,26 +92,24 @@ class PipelineWatchdog {
   }
 
  private:
-  // Slot states (uint8_t payload of an atomic; enum class would force casts
-  // at every CAS).
-  static constexpr std::uint8_t kIdle = 0;
-  static constexpr std::uint8_t kPublished = 1;
-  static constexpr std::uint8_t kProcessing = 2;
-  static constexpr std::uint8_t kStolen = 3;
+  // Slot states: the low two bits of Slot::word. The bits above hold the
+  // published record's index, so the steal CAS takes the state and the index
+  // together and cannot pair a steal with the worker's next publish.
+  static constexpr std::uint64_t kIdle = 0;
+  static constexpr std::uint64_t kPublished = 1;
+  static constexpr std::uint64_t kProcessing = 2;
+  static constexpr std::uint64_t kStolen = 3;
+  static constexpr std::uint64_t kStateMask = 3;
+  static constexpr int kIndexShift = 2;
 
   // Cache-line aligned: each worker hammers its own heartbeat on every
   // commit, and the monitor polls all of them — without the alignment the
   // slots would share lines and every heartbeat would ping-pong the others.
   struct alignas(64) Slot {
-    std::atomic<std::uint8_t> state{kIdle};
+    std::atomic<std::uint64_t> word{kIdle};
     std::atomic<std::int64_t> heartbeat_nanos{0};
     /// Counted into stalled_workers() at most once.
     std::atomic<bool> ever_stalled{false};
-    /// The published record copy; guarded because publish (worker) and steal
-    /// (monitor) both touch it. The state CAS decides ownership, the mutex
-    /// only orders the move itself.
-    std::mutex record_mutex;
-    std::optional<OwnedVertexRecord> record;
   };
 
   static std::int64_t now_nanos();

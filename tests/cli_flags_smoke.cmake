@@ -1,9 +1,9 @@
 # Smoke test for the tools' flag checking: a flag a tool does not read exits
 # 2 with a message naming it (a retired --workers=4 must not quietly run
 # sequential SPNL, a mistyped spnl_gen --n=500 must not generate the 100k
-# default), every flag a tool does read passes the check, and a retired
-# --inject-faults key exits non-zero with "unknown fault key" before the
-# graph is loaded.
+# default), so does a malformed value, every flag a tool does read passes
+# the check, and a retired --inject-faults key exits non-zero with
+# "unknown fault key" before the graph is loaded.
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(GRAPH ${WORK_DIR}/flags.adj)
 
@@ -64,6 +64,35 @@ if(EXISTS ${WORK_DIR}/n.adj)
   message(FATAL_ERROR "spnl_gen --n=500 still wrote a graph")
 endif()
 
+execute_process(
+  COMMAND ${SPNL_GEN} --out=${WORK_DIR}/abc.adj --vertices=abc
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--vertices")
+  message(FATAL_ERROR "spnl_gen --vertices=abc: expected exit 2 naming the "
+                      "flag, got rc=${rc}: ${err}")
+endif()
+if(EXISTS ${WORK_DIR}/abc.adj)
+  message(FATAL_ERROR "spnl_gen --vertices=abc still wrote a graph")
+endif()
+
+# --memory-budget takes the byte sizes spnl_partition takes. The endpoint
+# cannot be bound, so a budget that parses ends in exit 1 at startup; the
+# timeout ends a server that started anyway.
+execute_process(
+  COMMAND ${SPNL_SERVER} --listen=unix:/nonexistent/s.sock --memory-budget=-1
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 10)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "spnl_server --memory-budget=-1: expected exit 2, "
+                      "got rc=${rc}: ${err}")
+endif()
+execute_process(
+  COMMAND ${SPNL_SERVER} --listen=unix:/nonexistent/s.sock --memory-budget=256M
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 10)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "spnl_server --memory-budget=256M: expected exit 1 "
+                      "(unbindable endpoint), got rc=${rc}: ${err}")
+endif()
+
 foreach(tool ${SPNL_CONVERT} ${SPNL_ANALYZE} ${SPNL_CLIENT} ${SPNL_SERVER})
   execute_process(
     COMMAND ${tool} --bogus=1
@@ -90,5 +119,13 @@ foreach(cmd
     message(FATAL_ERROR "known flags were rejected (rc=${rc}): ${cmd}\n${err}")
   endif()
 endforeach()
+
+execute_process(
+  COMMAND ${SPNL_ANALYZE} ${GRAPH} ${ROUTE} --pagerank-steps=abc
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--pagerank-steps")
+  message(FATAL_ERROR "spnl_analyze --pagerank-steps=abc: expected exit 2 "
+                      "naming the flag, got rc=${rc}: ${err}")
+endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})

@@ -30,34 +30,27 @@ Graph crawl(VertexId n = 10000, std::uint64_t seed = 1) {
                             .seed = seed});
 }
 
-OwnedVertexRecord record_of(VertexId id) {
-  OwnedVertexRecord record;
-  record.id = id;
-  record.out = {id + 1, id + 2};
-  return record;
-}
-
 TEST(Watchdog, StalledPublishedRecordIsStolenAndRescued) {
-  std::vector<VertexId> rescued;
+  std::vector<std::uint64_t> rescued;
   std::mutex rescued_mutex;
   std::atomic<bool> abort_called{false};
   PipelineWatchdog watchdog(
       1, {.timeout_seconds = 0.05},
-      [&](unsigned worker, OwnedVertexRecord record) {
+      [&](unsigned worker, std::uint64_t index) {
         std::lock_guard lock(rescued_mutex);
         EXPECT_EQ(worker, 0u);
-        rescued.push_back(record.id);
+        rescued.push_back(index);
       },
       [&] { abort_called = true; });
   watchdog.start();
 
-  watchdog.publish(0, record_of(42));
+  watchdog.publish(0, 42);
   // Worker "wedges" here: never claims. The monitor must steal the record.
   EXPECT_TRUE(watchdog.wait_until_stolen(0, 5.0));
   EXPECT_FALSE(watchdog.claim(0));  // the worker lost the race
   watchdog.stop();
 
-  EXPECT_EQ(rescued, (std::vector<VertexId>{42}));
+  EXPECT_EQ(rescued, (std::vector<std::uint64_t>{42}));
   EXPECT_EQ(watchdog.rescued_records(), 1u);
   EXPECT_EQ(watchdog.stalled_workers(), 1u);
   // One stalled worker out of one published slot is not an all-wedged
@@ -70,11 +63,11 @@ TEST(Watchdog, PromptClaimAndCompleteAreNeverStolen) {
   std::atomic<std::uint64_t> rescues{0};
   PipelineWatchdog watchdog(
       2, {.timeout_seconds = 0.05},
-      [&](unsigned, OwnedVertexRecord) { ++rescues; }, [] {});
+      [&](unsigned, std::uint64_t) { ++rescues; }, [] {});
   watchdog.start();
   for (int i = 0; i < 50; ++i) {
     const unsigned w = static_cast<unsigned>(i % 2);
-    watchdog.publish(w, record_of(static_cast<VertexId>(i)));
+    watchdog.publish(w, static_cast<std::uint64_t>(i));
     ASSERT_TRUE(watchdog.claim(w));
     watchdog.complete(w);
   }
@@ -89,12 +82,12 @@ TEST(Watchdog, PromptClaimAndCompleteAreNeverStolen) {
 TEST(Watchdog, AllWorkersWedgedMidPlacementAborts) {
   std::atomic<bool> abort_called{false};
   PipelineWatchdog watchdog(
-      2, {.timeout_seconds = 0.05}, [](unsigned, OwnedVertexRecord) {},
+      2, {.timeout_seconds = 0.05}, [](unsigned, std::uint64_t) {},
       [&] { abort_called = true; });
   watchdog.start();
   // Both workers claim (kProcessing — unstealable) and then stall.
   for (unsigned w = 0; w < 2; ++w) {
-    watchdog.publish(w, record_of(w));
+    watchdog.publish(w, w);
     ASSERT_TRUE(watchdog.claim(w));
   }
   EXPECT_TRUE(watchdog.wait_until_aborted(5.0));
@@ -109,10 +102,10 @@ TEST(Watchdog, AllWorkersWedgedMidPlacementAborts) {
 TEST(Watchdog, HeartbeatKeepsProcessingWorkerAlive) {
   std::atomic<bool> abort_called{false};
   PipelineWatchdog watchdog(
-      1, {.timeout_seconds = 0.08}, [](unsigned, OwnedVertexRecord) {},
+      1, {.timeout_seconds = 0.08}, [](unsigned, std::uint64_t) {},
       [&] { abort_called = true; });
   watchdog.start();
-  watchdog.publish(0, record_of(1));
+  watchdog.publish(0, 1);
   ASSERT_TRUE(watchdog.claim(0));
   // A slow-but-alive placement: heartbeats inside the timeout window.
   for (int i = 0; i < 10; ++i) {
@@ -138,38 +131,44 @@ ParallelOptions watchdog_options(unsigned threads, double timeout = 0.15) {
 }
 
 TEST(WatchdogIntegration, StuckWorkerIsRescuedAndRunCompletes) {
-  const Graph g = crawl(10000, 21);
-  const PartitionId k = 8;
+  // The rescue places a stolen record in place, from the reader's slab ring,
+  // and retires it there. The 40k crawl is longer than the ring (4 slabs of
+  // 4096 records), so the ring laps after the early rescues: a record
+  // retired twice or never would hang the reader, one retired before its
+  // rescue would be overwritten under it.
+  for (const VertexId n : {VertexId{10000}, VertexId{40000}}) {
+    const Graph g = crawl(n, 21);
+    const PartitionId k = 8;
 
-  // Baseline quality without faults.
-  InMemoryStream baseline_stream(g);
-  const auto baseline =
-      run_parallel(baseline_stream, {.num_partitions = k}, watchdog_options(4));
-  const double baseline_ecr = evaluate_partition(g, baseline.route, k).ecr;
+    // Baseline quality without faults.
+    InMemoryStream baseline_stream(g);
+    const auto baseline =
+        run_parallel(baseline_stream, {.num_partitions = k}, watchdog_options(4));
+    const double baseline_ecr = evaluate_partition(g, baseline.route, k).ecr;
 
-  // Each worker freezes between publish and claim on its 50th pop; the
-  // monitor steals and places the record, the worker later resumes. Every
-  // worker carries the fault because a worker the OS starts late may take
-  // fewer than 50 records of a claim-based stream, while the busiest one
-  // always takes at least a quarter of it.
-  ParallelOptions options = watchdog_options(4);
-  for (unsigned w = 0; w < options.num_threads; ++w) {
-    options.faults.stuck.push_back(
-        {.worker = w, .at_pop = 50, .in_processing = false,
-         .max_stall_seconds = 10.0});
+    // Each worker freezes between publish and claim on its 50th pop; the
+    // monitor steals and places the record, the worker later resumes. Every
+    // worker carries the fault because a worker the OS starts late may take
+    // fewer than 50 records of a claim-based stream, while the busiest one
+    // always takes at least a quarter of it.
+    ParallelOptions options = watchdog_options(4);
+    for (unsigned w = 0; w < options.num_threads; ++w) {
+      options.faults.stuck.push_back(
+          {.worker = w, .at_pop = 50, .in_processing = false,
+           .max_stall_seconds = 10.0});
+    }
+    InMemoryStream stream(g);
+    const auto result = run_parallel(stream, {.num_partitions = k}, options);
+
+    EXPECT_FALSE(result.aborted) << "n=" << n;
+    validate_route(result.route, k, g.num_vertices());
+    EXPECT_GE(result.stalled_workers, 1u) << "n=" << n;
+    EXPECT_GE(result.rescued_records, 1u) << "n=" << n;
+    // Acceptance: quality within 10% of the un-faulted run.
+    const auto metrics = evaluate_partition(g, result.route, k);
+    EXPECT_LE(metrics.ecr, baseline_ecr + 0.10) << "n=" << n;
+    EXPECT_LE(metrics.delta_v, 1.2) << "n=" << n;
   }
-  InMemoryStream stream(g);
-  const auto result = run_parallel(stream, {.num_partitions = k}, options);
-
-  EXPECT_FALSE(result.aborted);
-  validate_route(result.route, k, g.num_vertices());
-  EXPECT_GE(result.stalled_workers, 1u);
-  EXPECT_GE(result.rescued_records, 1u);
-  // Acceptance: quality within 10% of the un-faulted run.
-  const double ecr = evaluate_partition(g, result.route, k).ecr;
-  EXPECT_LE(ecr, baseline_ecr + 0.10);
-  const auto metrics = evaluate_partition(g, result.route, k);
-  EXPECT_LE(metrics.delta_v, 1.2);
 }
 
 TEST(WatchdogIntegration, SlowWorkerOnlyDelaysCompletion) {

@@ -130,6 +130,9 @@ int main(int argc, char** argv) {
                   100.0 * result.stats.remote_fraction(),
                   result.stats.critical_path_cost);
     }
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -150,6 +150,9 @@ int main(int argc, char** argv) {
       std::printf("wrote %zu ground-truth labels (%u communities) to %s\n",
                   labels.size(), num_communities, labels_path.c_str());
     }
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

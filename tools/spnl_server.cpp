@@ -3,7 +3,7 @@
 // protocol (docs/server.md).
 //
 //   spnl_server --listen=unix:/tmp/spnl.sock [--max-sessions=N]
-//               [--memory-budget=BYTES] [--idle-timeout=SECONDS]
+//               [--memory-budget=BYTES[K|M|G]] [--idle-timeout=SECONDS]
 //               [--read-timeout=SECONDS] [--drain-dir=DIR]
 //               [--retry-after-ms=MS] [--quiet]
 //
@@ -19,6 +19,7 @@
 #include "server/server.hpp"
 #include "util/cli.hpp"
 #include "util/fault_fs.hpp"
+#include "util/resource_governor.hpp"
 #include "util/shutdown.hpp"
 
 namespace {
@@ -28,7 +29,8 @@ void usage() {
       stderr,
       "usage: spnl_server --listen=<unix:PATH|tcp:HOST:PORT> [options]\n"
       "  --max-sessions=N      admission cap on live sessions (default 64)\n"
-      "  --memory-budget=BYTES summed partitioner footprint cap (0 = off)\n"
+      "  --memory-budget=BYTES summed partitioner footprint cap, K/M/G "
+      "suffixes (0 = off)\n"
       "  --idle-timeout=SEC    reap detached sessions idle this long (30)\n"
       "  --read-timeout=SEC    close connections with no frame for this "
       "long (10)\n"
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
     options.admission.max_sessions =
         static_cast<std::uint32_t>(args.get_int("max-sessions", 64));
     options.admission.memory_budget_bytes =
-        static_cast<std::size_t>(args.get_int("memory-budget", 0));
+        spnl::parse_byte_size(args.get("memory-budget", "0"));
     options.idle_timeout_seconds = args.get_double("idle-timeout", 30.0);
     options.read_timeout_seconds = args.get_double("read-timeout", 10.0);
     options.drain_dir = args.get("drain-dir", "");
