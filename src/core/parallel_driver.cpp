@@ -87,7 +87,8 @@ std::size_t flush_interval(const PartitionConfig& config, VertexId n, unsigned w
 /// atomic route and Γ reads, and partition counters it keeps itself — the
 /// shared values as of its last refresh plus its own placements not yet
 /// flushed to them. With one worker that sum is exactly the sequential
-/// partitioner's count.
+/// partitioner's count. The worker's PartitionView is computed from that
+/// sum and kept current as the sequential partitioner keeps its own.
 class WorkerReads {
  public:
   using Row = const std::atomic<std::uint32_t>*;
@@ -95,8 +96,14 @@ class WorkerReads {
   WorkerReads(SharedState& state, std::size_t flush_every)
       : state_(state),
         flush_every_(flush_every),
+        policy_(state.options.use_locality ? state.options.spnl.eta_policy
+                                           : EtaPolicy::kZero),
+        by_edges_(state.config.balance == BalanceMode::kEdge),
         cached_(state.config.num_partitions),
-        pending_(state.config.num_partitions) {
+        pending_(state.config.num_partitions),
+        loads_(state.config.num_partitions),
+        eta_(state.config.num_partitions),
+        weights_(state.config.num_partitions) {
     refresh();
   }
 
@@ -121,22 +128,7 @@ class WorkerReads {
     return row[i].load(std::memory_order_relaxed);
   }
 
-  /// Balance loads and η_i of Eq. 6. kBoth balance degrades to the vertex
-  /// constraint (the paper's primary one).
-  void snapshot(std::span<double> loads, std::span<double> eta) const {
-    const ParallelOptions& o = state_.options;
-    const EtaPolicy policy = o.use_locality ? o.spnl.eta_policy : EtaPolicy::kZero;
-    const bool by_edges = state_.config.balance == BalanceMode::kEdge;
-    const double placed = static_cast<double>(cached_placed_ + pending_placed_);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-      const Counts& c = cached_[i];
-      const Counts& d = pending_[i];
-      const double pt = static_cast<double>(c.vertices + d.vertices);
-      const double lt = static_cast<double>(c.logical - d.logical);
-      loads[i] = by_edges ? static_cast<double>(c.edges + d.edges) : pt;
-      eta[i] = eta_value(policy, o.spnl.eta0, lt, pt, placed, state_.num_vertices);
-    }
-  }
+  PartitionView view() const { return {loads_, eta_, weights_}; }
 
   /// Counts one placement of a `degree`-edge record into `pid`, logically
   /// assigned to `lp` (kUnassigned without locality).
@@ -144,7 +136,14 @@ class WorkerReads {
     ++pending_[pid].vertices;
     pending_[pid].edges += degree;
     if (lp != kUnassigned) ++pending_[lp].logical;
-    if (++pending_placed_ >= flush_every_) flush();
+    if (++pending_placed_ >= flush_every_) {
+      flush();
+    } else if (policy_ == EtaPolicy::kLinear) {
+      update_all();
+    } else {
+      update(pid);
+      if (lp != kUnassigned) update(lp);
+    }
   }
 
   /// Publishes the pending deltas to the shared counters, then refreshes.
@@ -172,6 +171,7 @@ class WorkerReads {
                     c.logical.load(std::memory_order_relaxed)};
     }
     cached_placed_ = state_.placed_total.load(std::memory_order_relaxed);
+    update_all();
   }
 
  private:
@@ -183,12 +183,35 @@ class WorkerReads {
     std::uint64_t logical = 0;
   };
 
+  /// Recomputes partition i's view entries. kBoth balance degrades to the
+  /// vertex constraint (the paper's primary one).
+  void update(std::size_t i) {
+    const Counts& c = cached_[i];
+    const Counts& d = pending_[i];
+    const double pt = static_cast<double>(c.vertices + d.vertices);
+    const double lt = static_cast<double>(c.logical - d.logical);
+    const double placed = static_cast<double>(cached_placed_ + pending_placed_);
+    loads_[i] = by_edges_ ? static_cast<double>(c.edges + d.edges) : pt;
+    weights_[i] = 1.0 - loads_[i] / state_.capacity;
+    eta_[i] = eta_value(policy_, state_.options.spnl.eta0, lt, pt, placed,
+                        state_.num_vertices);
+  }
+
+  void update_all() {
+    for (std::size_t i = 0; i < cached_.size(); ++i) update(i);
+  }
+
   SharedState& state_;
   const std::size_t flush_every_;
+  const EtaPolicy policy_;
+  const bool by_edges_;
   std::vector<Counts> cached_;
   std::vector<Counts> pending_;
   std::uint64_t cached_placed_ = 0;
   std::uint64_t pending_placed_ = 0;
+  std::vector<double> loads_;
+  std::vector<double> eta_;
+  std::vector<double> weights_;
 };
 
 using Seconds = std::chrono::duration<double>;

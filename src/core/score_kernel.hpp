@@ -10,22 +10,27 @@
 //    as is, SPNL passes SpnlReads, which adds the logical table and η
 //    (core/spnl.cpp).
 //  * WorkerReads (core/parallel_driver.cpp) reads the parallel driver's
-//    relaxed atomics and its ConcurrentGammaWindow, and the partition
-//    counters from one worker's view of them.
+//    relaxed atomics and its ConcurrentGammaWindow, and keeps the
+//    partition view of one worker: shared counters plus its own unflushed
+//    placements.
 //
 // The reference formulation (kept verbatim as the oracle in
 // tests/reference_partitioners.hpp and raced by bench_microkernel) walks the
-// out-list twice and pays a non-inlined load() call with a balance-mode
-// switch per partition. The kernel takes one snapshot of the partition
-// counters per record (compute_loads hoists the switch out of the loop),
-// stashes the Γ rows it reads, and fuses the capacity weight with the argmax
-// (weigh_and_pick). Its scratch buffers live in RecordScratch, reused across
-// records.
+// out-list twice. The kernel reads the per-partition factors (balance load,
+// η_i and the capacity weight 1 - load/C) from one cached PartitionView that
+// the policy's owner keeps current: a placement recomputes only the entries
+// whose counts it changed, those of the placed partition and of the placed
+// vertex's logical partition (every η under EtaPolicy::kLinear, which
+// depends on the placed total). The kernel stashes the Γ rows it reads and
+// fuses the weight multiply with the argmax (weigh_and_pick). Its scratch
+// buffers live in RecordScratch, reused across records.
 //
 // Byte-identity contract: every floating-point operation is performed on the
 // same values in the same order as the reference (λ additions first, then Γ
-// contributions in out-list order, then the weight multiply), so routes are
-// bit-identical — the golden tests and test_scoring_kernel enforce this.
+// contributions in out-list order, then the weight multiply; the cached
+// weight and η are computed by the reference's expressions from the same
+// counts), so routes are bit-identical — the golden tests and
+// test_scoring_kernel enforce this.
 #pragma once
 
 #include <cstddef>
@@ -63,49 +68,32 @@ inline void prefetch_write(const void* p) {
 #endif
 }
 
-/// Fills loads[i] with the current load of every partition under the given
-/// balance mode — identical arithmetic to GreedyStreamingBase::load(), with
-/// the mode switch hoisted out of the loop.
-inline void compute_loads(BalanceMode mode, std::span<const VertexId> vertex_counts,
-                          std::span<const EdgeId> edge_counts, double capacity,
-                          double edge_capacity, std::span<double> loads) {
-  const std::size_t k = vertex_counts.size();
-  switch (mode) {
-    case BalanceMode::kVertex:
-      for (std::size_t i = 0; i < k; ++i) {
-        loads[i] = static_cast<double>(vertex_counts[i]);
-      }
-      break;
-    case BalanceMode::kEdge:
-      for (std::size_t i = 0; i < k; ++i) {
-        loads[i] = static_cast<double>(edge_counts[i]);
-      }
-      break;
-    case BalanceMode::kBoth:
-      for (std::size_t i = 0; i < k; ++i) {
-        const double vertex_util = static_cast<double>(vertex_counts[i]);
-        const double edge_util =
-            static_cast<double>(edge_counts[i]) / edge_capacity * capacity;
-        loads[i] = vertex_util > edge_util ? vertex_util : edge_util;
-      }
-      break;
-  }
-}
+/// The per-partition factors a record is scored against, cached by the read
+/// policy's owner: the balance load, η_i of Eq. 6 (empty for SPN) and the
+/// capacity weight w_t(i) = 1 - load/C. An entry is recomputed only when the
+/// counts it derives from change, with the expression a per-record
+/// recomputation would use, so reading the cache gives the same doubles.
+struct PartitionView {
+  std::span<const double> loads;
+  std::span<const double> eta;
+  std::span<const double> weights;
+};
 
-/// Applies the remaining-capacity weight scores[i] *= 1 - loads[i]/C and
-/// returns the argmax under GreedyStreamingBase::pick_best's exact contract:
-/// full partitions (load >= C) are skipped, ties break to the lower load then
-/// the lower id (first winner kept), and when everything is full the
-/// globally least-loaded partition absorbs the overflow.
-inline PartitionId weigh_and_pick(std::span<double> scores,
-                                  std::span<const double> loads, double capacity) {
+/// Applies the remaining-capacity weight scores[i] *= weights[i] and returns
+/// the argmax under GreedyStreamingBase::pick_best's exact contract: full
+/// partitions (load >= C) are skipped, ties break to the lower load then the
+/// lower id (first winner kept), and when everything is full the globally
+/// least-loaded partition absorbs the overflow.
+inline PartitionId weigh_and_pick(std::span<double> scores, const PartitionView& view,
+                                  double capacity) {
   const std::size_t k = scores.size();
+  const std::span<const double> loads = view.loads;
   // Weight and argmax in one pass: scores[i] is final before slot i is
   // compared, so the comparison sequence (and the winner) is identical to
   // the reference's weight-everything-then-scan order.
   PartitionId best = kUnassigned;
   for (std::size_t i = 0; i < k; ++i) {
-    scores[i] *= 1.0 - loads[i] / capacity;
+    scores[i] *= view.weights[i];
     if (loads[i] >= capacity) continue;
     if (best == kUnassigned || scores[i] > scores[best] ||
         (scores[i] == scores[best] && loads[i] < loads[best])) {
@@ -124,11 +112,11 @@ inline PartitionId weigh_and_pick(std::span<double> scores,
 /// (kUnassigned while unplaced), locality() and logical_of(u) (locality()
 /// false: no logical term, i.e. SPN), prefetch(u), a Γ row handle `Row` with
 /// gamma_row(u, row) (false outside the window) and gamma(row, i) (its count
-/// for partition i), and snapshot(loads, eta): one read of the partition
-/// counters per record that yields both the balance load and η_i of Eq. 6.
+/// for partition i), and view(): the cached PartitionView of the current
+/// partition counters.
 template <class Row>
 struct RecordScratch {
-  std::vector<double> scores, physical, logical, loads, eta;
+  std::vector<double> scores, physical, logical;
   std::vector<Row> rows;  // stashed Γ rows of in-window out-neighbors
 };
 
@@ -154,9 +142,7 @@ PartitionId score_record(const Reads& reads, const RecordParams& params, VertexI
     if (u < n) reads.prefetch(u);
     if (params.neighbor_sum && reads.gamma_row(u, row)) s.rows.push_back(row);
   }
-  s.loads.resize(k);
-  s.eta.resize(k);
-  reads.snapshot(s.loads, s.eta);
+  const PartitionView view = reads.view();
 
   if (reads.locality()) {
     s.physical.assign(k, 0.0);
@@ -172,8 +158,8 @@ PartitionId score_record(const Reads& reads, const RecordParams& params, VertexI
     }
     s.scores.resize(k);
     for (std::size_t i = 0; i < k; ++i) {
-      s.scores[i] = params.lambda *
-                    ((1.0 - s.eta[i]) * s.physical[i] + s.eta[i] * s.logical[i]);
+      s.scores[i] = params.lambda * ((1.0 - view.eta[i]) * s.physical[i] +
+                                     view.eta[i] * s.logical[i]);
     }
   } else {
     // SPN adds λ once per placed out-neighbor: λ·count rounds differently,
@@ -191,7 +177,7 @@ PartitionId score_record(const Reads& reads, const RecordParams& params, VertexI
       s.scores[i] += (1.0 - params.lambda) * static_cast<double>(reads.gamma(r, i));
     }
   }
-  return weigh_and_pick(s.scores, s.loads, params.capacity);
+  return weigh_and_pick(s.scores, view, params.capacity);
 }
 
 /// The last degradation rung's placement: a deterministic hash vote for v
@@ -203,10 +189,7 @@ PartitionId hash_vote_pick(const Reads& reads, const RecordParams& params, Verte
   const std::size_t k = reads.num_partitions();
   s.scores.assign(k, 0.0);
   s.scores[mix64(kDegradedHashSeed ^ v) % k] = 1.0;
-  s.loads.resize(k);
-  s.eta.resize(k);
-  reads.snapshot(s.loads, s.eta);
-  return weigh_and_pick(s.scores, s.loads, params.capacity);
+  return weigh_and_pick(s.scores, reads.view(), params.capacity);
 }
 
 /// score_record's read policy over a sequential partitioner's plain arrays.
@@ -216,9 +199,7 @@ PartitionId hash_vote_pick(const Reads& reads, const RecordParams& params, Verte
 struct PlainReads {
   using Row = const std::uint32_t*;
 
-  PartitionId num_partitions() const {
-    return static_cast<PartitionId>(vertex_counts.size());
-  }
+  PartitionId num_partitions() const { return static_cast<PartitionId>(loads.size()); }
   VertexId num_vertices() const { return static_cast<VertexId>(routes.size()); }
   PartitionId route(VertexId u) const { return routes[u]; }
   bool locality() const { return false; }
@@ -232,17 +213,12 @@ struct PlainReads {
   }
   std::uint32_t gamma(Row row, std::size_t i) const { return row[i]; }
 
-  void snapshot(std::span<double> loads, std::span<double>) const {
-    compute_loads(balance, vertex_counts, edge_counts, capacity, edge_capacity, loads);
-  }
+  PartitionView view() const { return {loads, {}, weights}; }
 
   const GammaWindow& window;
   std::span<const PartitionId> routes;
-  std::span<const VertexId> vertex_counts;
-  std::span<const EdgeId> edge_counts;
-  BalanceMode balance;
-  double capacity;
-  double edge_capacity;
+  std::span<const double> loads;
+  std::span<const double> weights;
 };
 
 }  // namespace spnl

@@ -22,7 +22,7 @@ SpnPartitioner::SpnPartitioner(VertexId num_vertices, EdgeId num_edges,
 }
 
 PartitionId SpnPartitioner::place(VertexId v, std::span<const VertexId> out) {
-  return place_with(plain_reads(), v, out, [](VertexId) {});
+  return place_with(plain_reads(), v, out, [](VertexId, PartitionId) {});
 }
 
 std::size_t SpnPartitioner::memory_footprint_bytes() const {

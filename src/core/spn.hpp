@@ -91,13 +91,10 @@ class SpnPartitioner : public GreedyStreamingBase {
                  const PartitionConfig& config, const SpnOptions& options,
                  const char* who);
 
-  PlainReads plain_reads() const {
-    return {gamma_,          route_,    vertex_counts_, edge_counts_,
-            config_.balance, capacity_, edge_capacity_};
-  }
+  PlainReads plain_reads() const { return {gamma_, route_, loads_, weights_}; }
 
   /// The one placement body: prefetch, slide, score (a hash vote on the last
-  /// ladder rung), commit followed by placed(v), then the Γ increments.
+  /// ladder rung), commit followed by placed(v, pid), then the Γ increments.
   /// `reads` is PlainReads for SPN and adds the logical term for SPNL.
   template <class Reads, class Placed>
   PartitionId place_with(const Reads& reads, VertexId v,
@@ -130,7 +127,7 @@ PartitionId SpnPartitioner::place_with(const Reads& reads, VertexId v,
     }
     PerfScope t(perf_, PerfStage::kCommit);
     commit(v, out, pid);
-    placed(v);
+    placed(v, pid);
     return pid;
   }
 
@@ -164,7 +161,7 @@ PartitionId SpnPartitioner::place_with(const Reads& reads, VertexId v,
   {
     PerfScope t(perf_, PerfStage::kCommit);
     commit(v, out, pid);
-    placed(v);
+    placed(v, pid);
   }
 
   {

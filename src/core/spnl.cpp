@@ -12,14 +12,10 @@ namespace {
 struct SpnlReads : PlainReads {
   bool locality() const { return true; }
   PartitionId logical_of(VertexId u) const { return spnl.logical_partition_of(u); }
-  void snapshot(std::span<double> loads, std::span<double> eta) const {
-    PlainReads::snapshot(loads, eta);
-    for (std::size_t i = 0; i < eta.size(); ++i) {
-      eta[i] = spnl.eta(static_cast<PartitionId>(i));
-    }
-  }
+  PartitionView view() const { return {loads, eta, weights}; }
 
   const SpnlPartitioner& spnl;
+  std::span<const double> eta;
 };
 }  // namespace
 
@@ -33,7 +29,8 @@ SpnlPartitioner::SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
                      "SPNL"),
       options_(options),
       logical_(num_vertices, config.num_partitions),
-      logical_counts_(config.num_partitions, 0) {
+      logical_counts_(config.num_partitions, 0),
+      eta_(config.num_partitions) {
   if (options_.logical_hints != nullptr) {
     const std::vector<PartitionId>& hints = *options_.logical_hints;
     if (hints.size() != num_vertices) {
@@ -50,20 +47,33 @@ SpnlPartitioner::SpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
       logical_counts_[i] = logical_.range_size(i);
     }
   }
+  update_all_eta();
 }
 
-double SpnlPartitioner::eta(PartitionId i) const {
-  return eta_value(options_.eta_policy, options_.eta0, logical_counts_[i],
-                   vertex_count(i), placed_total_, num_vertices_);
+void SpnlPartitioner::update_eta(PartitionId i) {
+  eta_[i] = eta_value(options_.eta_policy, options_.eta0, logical_counts_[i],
+                      vertex_count(i), placed_total_, num_vertices_);
+}
+
+void SpnlPartitioner::update_all_eta() {
+  for (PartitionId i = 0; i < num_partitions(); ++i) update_eta(i);
 }
 
 PartitionId SpnlPartitioner::place(VertexId v, std::span<const VertexId> out) {
-  return place_with(SpnlReads{plain_reads(), *this}, v, out, [this](VertexId u) {
-    // u leaves its logical partition the moment it is physically placed.
-    const PartitionId lp = logical_partition_of(u);
-    if (logical_counts_[lp] > 0) --logical_counts_[lp];
-    ++placed_total_;
-  });
+  return place_with(SpnlReads{plain_reads(), *this, eta_}, v, out,
+                    [this](VertexId u, PartitionId pid) {
+                      // u leaves its logical partition the moment it is
+                      // physically placed.
+                      const PartitionId lp = logical_partition_of(u);
+                      if (logical_counts_[lp] > 0) --logical_counts_[lp];
+                      ++placed_total_;
+                      if (options_.eta_policy == EtaPolicy::kLinear) {
+                        update_all_eta();
+                      } else {
+                        update_eta(pid);
+                        update_eta(lp);
+                      }
+                    });
 }
 
 void SpnlPartitioner::save_state(StateWriter& out) const {
@@ -84,6 +94,7 @@ void SpnlPartitioner::restore_state(StateReader& in) {
   logical_counts_ = std::move(logical_counts);
   placed_total_ = in.get_u32();
   restore_stage(in);
+  update_all_eta();
 }
 
 std::size_t SpnlPartitioner::memory_footprint_bytes() const {
@@ -94,7 +105,7 @@ std::size_t SpnlPartitioner::memory_footprint_bytes() const {
           ? options_.logical_hints->size() * sizeof(PartitionId)
           : 2 * sizeof(VertexId) * num_partitions();
   return SpnPartitioner::memory_footprint_bytes() + vector_bytes(logical_counts_) +
-         logical_bytes;
+         vector_bytes(eta_) + logical_bytes;
 }
 
 }  // namespace spnl

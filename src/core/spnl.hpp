@@ -94,7 +94,7 @@ class SpnlPartitioner final : public SpnPartitioner {
   const RangeTable& logical_table() const { return logical_; }
 
   /// Current η for partition i (exposed for tests).
-  double eta(PartitionId i) const;
+  double eta(PartitionId i) const { return eta_[i]; }
 
   /// Logical pre-assignment of v: the hint table when one was injected, the
   /// contiguous range table otherwise (exposed for tests).
@@ -109,6 +109,12 @@ class SpnlPartitioner final : public SpnPartitioner {
   /// |V_i^lt|: logical members not yet physically placed (anywhere).
   std::vector<VertexId> logical_counts_;
   VertexId placed_total_ = 0;
+  /// η_i of every partition, recomputed when its inputs change: lt and pt of
+  /// its own partition, or, under EtaPolicy::kLinear, the placed total.
+  std::vector<double> eta_;
+
+  void update_eta(PartitionId i);
+  void update_all_eta();
 };
 
 }  // namespace spnl

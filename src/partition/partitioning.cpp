@@ -38,24 +38,33 @@ GreedyStreamingBase::GreedyStreamingBase(VertexId num_vertices, EdgeId num_edges
       route_(num_vertices, kUnassigned),
       vertex_counts_(config.num_partitions, 0),
       edge_counts_(config.num_partitions, 0),
-      scores_(config.num_partitions, 0.0) {}
+      loads_(config.num_partitions),
+      weights_(config.num_partitions),
+      scores_(config.num_partitions, 0.0) {
+  for (PartitionId i = 0; i < config.num_partitions; ++i) update_load(i);
+}
 
-double GreedyStreamingBase::load(PartitionId i) const {
+void GreedyStreamingBase::update_load(PartitionId i) {
+  double value = 0.0;
   switch (config_.balance) {
     case BalanceMode::kVertex:
-      return static_cast<double>(vertex_counts_[i]);
+      value = static_cast<double>(vertex_counts_[i]);
+      break;
     case BalanceMode::kEdge:
-      return static_cast<double>(edge_counts_[i]);
+      value = static_cast<double>(edge_counts_[i]);
+      break;
     case BalanceMode::kBoth: {
       // Binding constraint: the larger utilization, expressed in vertex
       // capacity units so remaining_weight/is_full keep their meaning.
       const double vertex_util = static_cast<double>(vertex_counts_[i]);
       const double edge_util =
           static_cast<double>(edge_counts_[i]) / edge_capacity_ * capacity_;
-      return std::max(vertex_util, edge_util);
+      value = std::max(vertex_util, edge_util);
+      break;
     }
   }
-  return 0.0;
+  loads_[i] = value;
+  weights_[i] = 1.0 - value / capacity_;
 }
 
 PartitionId GreedyStreamingBase::pick_best(std::span<const double> scores) const {
@@ -88,6 +97,7 @@ void GreedyStreamingBase::commit(VertexId v, std::span<const VertexId> out,
   route_[v] = pid;
   ++vertex_counts_[pid];
   edge_counts_[pid] += out.size();
+  update_load(pid);
 }
 
 void GreedyStreamingBase::save_state(StateWriter& out) const {
@@ -115,11 +125,13 @@ void GreedyStreamingBase::restore_state(StateReader& in) {
   route_ = std::move(route);
   vertex_counts_ = std::move(vertex_counts);
   edge_counts_ = std::move(edge_counts);
+  for (PartitionId i = 0; i < config_.num_partitions; ++i) update_load(i);
 }
 
 std::size_t GreedyStreamingBase::memory_footprint_bytes() const {
   return vector_bytes(route_) + vector_bytes(vertex_counts_) +
-         vector_bytes(edge_counts_) + vector_bytes(scores_);
+         vector_bytes(edge_counts_) + vector_bytes(loads_) + vector_bytes(weights_) +
+         vector_bytes(scores_);
 }
 
 }  // namespace spnl

@@ -112,11 +112,11 @@ class GreedyStreamingBase : public StreamingPartitioner {
   /// Current load of partition i under the configured balance mode. For
   /// kBoth this is the binding (relative) constraint: max of the vertex and
   /// edge utilizations scaled into the vertex capacity's units.
-  double load(PartitionId i) const;
+  double load(PartitionId i) const { return loads_[i]; }
 
   /// w_t(i) = 1 - load_i / C. May go slightly negative when a partition is
   /// at capacity; such partitions are excluded by pick_best anyway.
-  double remaining_weight(PartitionId i) const { return 1.0 - load(i) / capacity_; }
+  double remaining_weight(PartitionId i) const { return weights_[i]; }
 
   bool is_full(PartitionId i) const { return load(i) >= capacity_; }
 
@@ -125,8 +125,11 @@ class GreedyStreamingBase : public StreamingPartitioner {
   /// every partition is full (keeps δ bounded by slack + one record).
   PartitionId pick_best(std::span<const double> scores) const;
 
-  /// Record the decision: route, loads.
+  /// Record the decision: route, counts, and pid's load and weight.
   void commit(VertexId v, std::span<const VertexId> out, PartitionId pid);
+
+  /// Recomputes loads_[i] and weights_[i] from partition i's counts.
+  void update_load(PartitionId i);
 
   const PartitionConfig config_;
   const VertexId num_vertices_;
@@ -138,6 +141,11 @@ class GreedyStreamingBase : public StreamingPartitioner {
   std::vector<PartitionId> route_;
   std::vector<VertexId> vertex_counts_;
   std::vector<EdgeId> edge_counts_;
+  /// load(i) and remaining_weight(i) of every partition, kept current by
+  /// commit() and restore_state(): a partition's entries change only when
+  /// its own counts do.
+  std::vector<double> loads_;
+  std::vector<double> weights_;
   /// Scratch score buffer reused across place() calls.
   mutable std::vector<double> scores_;
   /// Optional per-stage instrumentation sink (not owned; nullptr = off).

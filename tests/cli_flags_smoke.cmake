@@ -123,9 +123,10 @@ endforeach()
 execute_process(
   COMMAND ${SPNL_ANALYZE} ${GRAPH} ${ROUTE} --pagerank-steps=abc
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "--pagerank-steps")
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--pagerank-steps" OR NOT out STREQUAL "")
   message(FATAL_ERROR "spnl_analyze --pagerank-steps=abc: expected exit 2 "
-                      "naming the flag, got rc=${rc}: ${err}")
+                      "naming the flag before any output, got rc=${rc}: "
+                      "${err}\nstdout: ${out}")
 endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})

@@ -1,15 +1,18 @@
 // Reference (pre-fusion) SPN/SPNL scoring oracles.
 //
 // These reproduce the original place() formulations verbatim: two passes over
-// the out-list, per-id Γ increments, and the non-hoisted
-// remaining_weight()/pick_best() capacity handling from GreedyStreamingBase.
-// The fused kernel in core/score_kernel.hpp promises byte-identical routes to
-// this formulation; test_scoring_kernel fuzzes that promise across estimators,
-// slide modes and shard counts, and bench_microkernel measures the speedup
-// against it. Kept under tests/ so the production sources carry exactly one
-// scoring implementation.
+// the out-list, per-id Γ increments, η recomputed for every partition on
+// every record, and the original load()/remaining_weight()/pick_best()
+// capacity handling, which recomputes each partition's load from its counts
+// on every call (ReferenceGreedyBase) where GreedyStreamingBase reads its
+// cache. The fused kernel in core/score_kernel.hpp promises byte-identical
+// routes to this formulation; test_scoring_kernel fuzzes that promise across
+// estimators, slide modes, shard counts, η policies and logical hint tables,
+// and bench_microkernel measures the speedup against it. Kept under tests/ so
+// the production sources carry exactly one scoring implementation.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
@@ -22,12 +25,60 @@
 
 namespace spnl {
 
+/// GreedyStreamingBase with its capacity handling as first implemented:
+/// these hide the base's cached load(), remaining_weight(), is_full() and
+/// pick_best() with versions that derive every load from the counts.
+class ReferenceGreedyBase : public GreedyStreamingBase {
+ public:
+  using GreedyStreamingBase::GreedyStreamingBase;
+
+ protected:
+  double load(PartitionId i) const {
+    switch (config_.balance) {
+      case BalanceMode::kVertex:
+        return static_cast<double>(vertex_counts_[i]);
+      case BalanceMode::kEdge:
+        return static_cast<double>(edge_counts_[i]);
+      case BalanceMode::kBoth: {
+        const double vertex_util = static_cast<double>(vertex_counts_[i]);
+        const double edge_util =
+            static_cast<double>(edge_counts_[i]) / edge_capacity_ * capacity_;
+        return std::max(vertex_util, edge_util);
+      }
+    }
+    return 0.0;
+  }
+
+  double remaining_weight(PartitionId i) const { return 1.0 - load(i) / capacity_; }
+
+  bool is_full(PartitionId i) const { return load(i) >= capacity_; }
+
+  PartitionId pick_best(std::span<const double> scores) const {
+    const PartitionId k = config_.num_partitions;
+    PartitionId best = kUnassigned;
+    for (PartitionId i = 0; i < k; ++i) {
+      if (is_full(i)) continue;
+      if (best == kUnassigned || scores[i] > scores[best] ||
+          (scores[i] == scores[best] &&
+           (load(i) < load(best) || (load(i) == load(best) && i < best)))) {
+        best = i;
+      }
+    }
+    if (best != kUnassigned) return best;
+    best = 0;
+    for (PartitionId i = 1; i < k; ++i) {
+      if (load(i) < load(best)) best = i;
+    }
+    return best;
+  }
+};
+
 /// SPN exactly as first implemented: λ pass, Γ pass, weight loop, pick_best.
-class ReferenceSpnPartitioner final : public GreedyStreamingBase {
+class ReferenceSpnPartitioner final : public ReferenceGreedyBase {
  public:
   ReferenceSpnPartitioner(VertexId num_vertices, EdgeId num_edges,
                           const PartitionConfig& config, SpnOptions options = {})
-      : GreedyStreamingBase(num_vertices, num_edges, config),
+      : ReferenceGreedyBase(num_vertices, num_edges, config),
         options_(options),
         gamma_(num_vertices, config.num_partitions,
                options.num_shards == 0
@@ -77,7 +128,7 @@ class ReferenceSpnPartitioner final : public GreedyStreamingBase {
 
   std::string name() const override { return "ReferenceSPN"; }
   std::size_t memory_footprint_bytes() const override {
-    return GreedyStreamingBase::memory_footprint_bytes() +
+    return ReferenceGreedyBase::memory_footprint_bytes() +
            gamma_.memory_footprint_bytes();
   }
 
@@ -87,12 +138,13 @@ class ReferenceSpnPartitioner final : public GreedyStreamingBase {
 };
 
 /// SPNL exactly as first implemented (thread-local scratch replaced by plain
-/// members; the arithmetic and its order are unchanged).
-class ReferenceSpnlPartitioner final : public GreedyStreamingBase {
+/// members; the arithmetic and its order are unchanged), plus the logical
+/// hint table the 2PS prepass injects in place of the range table.
+class ReferenceSpnlPartitioner final : public ReferenceGreedyBase {
  public:
   ReferenceSpnlPartitioner(VertexId num_vertices, EdgeId num_edges,
                            const PartitionConfig& config, SpnlOptions options = {})
-      : GreedyStreamingBase(num_vertices, num_edges, config),
+      : ReferenceGreedyBase(num_vertices, num_edges, config),
         options_(options),
         gamma_(num_vertices, config.num_partitions,
                options.num_shards == 0
@@ -105,9 +157,18 @@ class ReferenceSpnlPartitioner final : public GreedyStreamingBase {
     if (options_.lambda < 0.0 || options_.lambda > 1.0) {
       throw std::invalid_argument("ReferenceSPNL: lambda must be in [0,1]");
     }
-    for (PartitionId i = 0; i < config.num_partitions; ++i) {
-      logical_counts_[i] = logical_.range_size(i);
+    if (options_.logical_hints != nullptr) {
+      for (PartitionId hint : *options_.logical_hints) ++logical_counts_[hint];
+    } else {
+      for (PartitionId i = 0; i < config.num_partitions; ++i) {
+        logical_counts_[i] = logical_.range_size(i);
+      }
     }
+  }
+
+  PartitionId logical_of(VertexId u) const {
+    return options_.logical_hints != nullptr ? (*options_.logical_hints)[u]
+                                             : logical_.partition_of(u);
   }
 
   double eta(PartitionId i) const {
@@ -144,7 +205,7 @@ class ReferenceSpnlPartitioner final : public GreedyStreamingBase {
       if (route_[u] != kUnassigned) {
         physical_[route_[u]] += 1.0;
       } else {
-        logical_hits_[logical_.partition_of(u)] += 1.0;
+        logical_hits_[logical_of(u)] += 1.0;
       }
     }
     for (PartitionId i = 0; i < k; ++i) {
@@ -170,7 +231,7 @@ class ReferenceSpnlPartitioner final : public GreedyStreamingBase {
     const PartitionId pid = pick_best(scores_);
     commit(v, out, pid);
 
-    const PartitionId lp = logical_.partition_of(v);
+    const PartitionId lp = logical_of(v);
     if (logical_counts_[lp] > 0) --logical_counts_[lp];
     ++placed_total_;
 
@@ -180,7 +241,7 @@ class ReferenceSpnlPartitioner final : public GreedyStreamingBase {
 
   std::string name() const override { return "ReferenceSPNL"; }
   std::size_t memory_footprint_bytes() const override {
-    return GreedyStreamingBase::memory_footprint_bytes() +
+    return ReferenceGreedyBase::memory_footprint_bytes() +
            gamma_.memory_footprint_bytes() + vector_bytes(logical_counts_) +
            2 * sizeof(VertexId) * num_partitions();
   }

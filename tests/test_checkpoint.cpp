@@ -314,6 +314,14 @@ TEST_F(CheckpointTest, KillAndResumeSpnlIsByteIdentical) {
                                              PartitionConfig{.num_partitions = k},
                                              SpnlOptions{});
   });
+  // Under the linear decay every η moves with each placement, so a restore
+  // must rebuild every cached η from the restored placed total.
+  expect_kill_resume_identical(
+      g, path("spnl_linear.ckpt"), [](const Graph& gr, PartitionId k) {
+        return std::make_unique<SpnlPartitioner>(
+            gr.num_vertices(), gr.num_edges(), PartitionConfig{.num_partitions = k},
+            SpnlOptions{.eta_policy = EtaPolicy::kLinear});
+      });
 }
 
 TEST_F(CheckpointTest, KillAndResumeSpnlWithPrepassHintsIsByteIdentical) {

@@ -178,33 +178,37 @@ TEST(Parallel, SingleWorkerRouteMatchesSequentialSpnl) {
   // The worker scores through the same kernel as the sequential partitioner,
   // so with one worker (the stream order is the placement order and nothing
   // else slides the window) run_parallel must reproduce SpnlPartitioner's
-  // route byte for byte, for every estimator, η policy and window width.
-  const Graph g = crawl(4000, 61);
+  // route byte for byte, for every estimator, η policy and window width. The
+  // random graph places many vertices outside their logical range, where the
+  // worker's cached η must follow both the placed and the logical partition.
+  const Graph graphs[] = {crawl(4000, 61), generate_erdos_renyi(4000, 32000, 61)};
   const PartitionConfig config{.num_partitions = 8};
   int configs = 0;
-  for (const auto estimator :
-       {InNeighborEstimator::kSelf, InNeighborEstimator::kNeighborSum}) {
-    for (const auto eta : {EtaPolicy::kPaper, EtaPolicy::kLinear, EtaPolicy::kConstant,
-                           EtaPolicy::kZero}) {
-      for (const std::uint32_t shards : {1u, 4u}) {
-        const SpnlOptions spnl{
-            .num_shards = shards, .estimator = estimator, .eta_policy = eta};
-        SpnlPartitioner sequential(g.num_vertices(), g.num_edges(), config, spnl);
-        InMemoryStream seq_stream(g);
-        const auto expected = run_streaming(seq_stream, sequential).route;
-        ASSERT_TRUE(is_complete_assignment(expected, 8));
-        ++configs;
-        InMemoryStream stream(g);
-        ParallelOptions options;
-        options.num_threads = 1;
-        options.spnl = spnl;
-        EXPECT_EQ(run_parallel(stream, config, options).route, expected)
-            << "estimator=" << static_cast<int>(estimator)
-            << " eta=" << static_cast<int>(eta) << " shards=" << shards;
+  for (const Graph& g : graphs) {
+    for (const auto estimator :
+         {InNeighborEstimator::kSelf, InNeighborEstimator::kNeighborSum}) {
+      for (const auto eta : {EtaPolicy::kPaper, EtaPolicy::kLinear,
+                             EtaPolicy::kConstant, EtaPolicy::kZero}) {
+        for (const std::uint32_t shards : {1u, 4u}) {
+          const SpnlOptions spnl{
+              .num_shards = shards, .estimator = estimator, .eta_policy = eta};
+          SpnlPartitioner sequential(g.num_vertices(), g.num_edges(), config, spnl);
+          InMemoryStream seq_stream(g);
+          const auto expected = run_streaming(seq_stream, sequential).route;
+          ASSERT_TRUE(is_complete_assignment(expected, 8));
+          ++configs;
+          InMemoryStream stream(g);
+          ParallelOptions options;
+          options.num_threads = 1;
+          options.spnl = spnl;
+          EXPECT_EQ(run_parallel(stream, config, options).route, expected)
+              << "graph=" << &g - graphs << " estimator=" << static_cast<int>(estimator)
+              << " eta=" << static_cast<int>(eta) << " shards=" << shards;
+        }
       }
     }
   }
-  EXPECT_EQ(configs, 16);
+  EXPECT_EQ(configs, 32);
 }
 
 TEST(Parallel, SingleWorkerRouteMatchesSequentialSpn) {

@@ -5,8 +5,11 @@
 // original formulation, so routes are *bit-identical*, not merely similar.
 // The original formulation is retained verbatim in reference_partitioners.hpp
 // and raced here across fuzzed graphs (including multi-edges and self-loops),
-// both Γ estimators, both slide modes, several shard counts and λ values —
-// for every vertex of every run the placements must agree exactly.
+// both Γ estimators, both slide modes, several shard counts and λ values, and
+// for SPNL every η policy with and without a logical hint table — for every
+// vertex of every run the placements must agree exactly. The reference
+// recomputes every load, weight and η per record, so the race also checks
+// the partitioners' cached per-partition view and its update rules.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -112,26 +115,50 @@ TEST(ScoringKernel, SpnlRoutesByteIdenticalToReference) {
   PartitionConfig config;
   config.num_partitions = 5;
   config.slack = 1.05;
+  struct EtaCase {
+    EtaPolicy policy;
+    double eta0;
+    const char* name;
+  };
+  const EtaCase eta_cases[] = {{EtaPolicy::kPaper, 0.5, "paper"},
+                               {EtaPolicy::kLinear, 0.5, "linear"},
+                               {EtaPolicy::kConstant, 0.3, "constant"},
+                               {EtaPolicy::kZero, 0.5, "zero"}};
   for (std::uint64_t seed : {44ull, 55ull}) {
     const Graph graph = fuzz_graph(400, 6.0, seed);
+    // A random in-range logical pre-assignment: the 2PS prepass path.
+    std::vector<PartitionId> hints(graph.num_vertices());
+    Rng rng(seed);
+    for (PartitionId& hint : hints) {
+      hint = static_cast<PartitionId>(rng.next_below(config.num_partitions));
+    }
+    const std::vector<PartitionId>* const tables[] = {nullptr, &hints};
     for (const KernelCase& c : kernel_cases()) {
-      SpnlOptions options{.lambda = c.lambda,
-                          .num_shards = c.shards,
-                          .estimator = c.estimator,
-                          .slide = c.slide};
-      SpnlPartitioner fused(graph.num_vertices(), graph.num_edges(), config,
-                            options);
-      ReferenceSpnlPartitioner reference(graph.num_vertices(), graph.num_edges(),
-                                         config, options);
-      EXPECT_EQ(run(graph, fused), run(graph, reference))
-          << describe(c, seed);
+      for (const EtaCase& eta : eta_cases) {
+        for (const std::vector<PartitionId>* table : tables) {
+          SpnlOptions options{.lambda = c.lambda,
+                              .num_shards = c.shards,
+                              .estimator = c.estimator,
+                              .slide = c.slide,
+                              .eta_policy = eta.policy,
+                              .eta0 = eta.eta0,
+                              .logical_hints = table};
+          SpnlPartitioner fused(graph.num_vertices(), graph.num_edges(), config,
+                                options);
+          ReferenceSpnlPartitioner reference(graph.num_vertices(),
+                                             graph.num_edges(), config, options);
+          EXPECT_EQ(run(graph, fused), run(graph, reference))
+              << describe(c, seed) << " eta=" << eta.name
+              << " hints=" << (table != nullptr ? "random" : "range");
+        }
+      }
     }
   }
 }
 
 TEST(ScoringKernel, WebcrawlRoutesByteIdenticalAllBalanceModes) {
-  // A realistic clean stream, and the edge/both balance modes (compute_loads
-  // must mirror GreedyStreamingBase::load() exactly in all three).
+  // A realistic clean stream, and the edge/both balance modes (the cached
+  // loads must mirror the reference's per-call load() exactly in all three).
   WebCrawlParams params;
   params.num_vertices = 2000;
   params.avg_out_degree = 8.0;

@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
+    // Read before the load, so a malformed value fails before any output.
+    const int steps = static_cast<int>(args.get_int("pagerank-steps", 0));
     const Graph graph = load_graph(args.positional()[0], args.get("format", "adj"));
     const auto route = read_route_table(args.positional()[1]);
     if (route.size() != graph.num_vertices()) {
@@ -118,7 +120,6 @@ int main(int argc, char** argv) {
       mt.print();
     }
 
-    const int steps = static_cast<int>(args.get_int("pagerank-steps", 0));
     if (steps > 0) {
       const auto result = pagerank(graph, route, k, steps);
       std::printf("\nPageRank x%d under this partitioning: %llu local + %llu "
