@@ -176,8 +176,9 @@ int main(int argc, char** argv) {
       for (int passes : {1, 3}) {
         for (bool spnl_seed : {false, true}) {
           InMemoryStream stream(*order.g);
-          const auto route = restream_partition(
-              stream, config, {.passes = passes, .seed_with_spnl = spnl_seed});
+          const RestreamOptions options{.passes = passes,
+                                        .seed_with_spnl = spnl_seed};
+          const auto route = restream_partition(stream, config, options).route;
           const auto metrics = evaluate_partition(*order.g, route, k);
           table.add_row({order.name, TablePrinter::fmt(passes),
                          spnl_seed ? "SPNL" : "LDG",

@@ -1,52 +1,29 @@
 #include "partition/restream.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/spnl.hpp"
+#include "partition/driver.hpp"
 #include "partition/ldg.hpp"
-#include "util/rng.hpp"
 
 namespace spnl {
 
 namespace {
 
-/// One re-streaming pass: scoring against the previous pass's complete
-/// route table with fresh capacity bookkeeping. Supports the ReLDG and
-/// ReFENNEL rules and partial re-streaming (a hash-selected kept subset).
+/// One ReLDG pass: scoring against the previous pass's complete route table
+/// with fresh capacity bookkeeping.
 class RestreamPass final : public GreedyStreamingBase {
  public:
   RestreamPass(VertexId num_vertices, EdgeId num_edges, const PartitionConfig& config,
-               const std::vector<PartitionId>& previous, const RestreamOptions& options)
-      : GreedyStreamingBase(num_vertices, num_edges, config),
-        previous_(&previous),
-        options_(&options) {
-    if (options.rule == RestreamRule::kFennel) {
-      fennel_alpha_ =
-          num_vertices == 0
-              ? 1.0
-              : std::sqrt(static_cast<double>(config.num_partitions)) *
-                    static_cast<double>(num_edges) /
-                    std::pow(static_cast<double>(num_vertices), 1.5);
-    }
-  }
+               const std::vector<PartitionId>& previous)
+      : GreedyStreamingBase(num_vertices, num_edges, config), previous_(&previous) {}
 
   PartitionId place(VertexId v, std::span<const VertexId> out) override {
     const PartitionId k = num_partitions();
     const PartitionId prev =
         v < previous_->size() ? (*previous_)[v] : kUnassigned;
-
-    // Partial re-streaming: kept vertices re-commit their previous home
-    // (unless it is hard-full, in which case they are re-decided anyway).
-    if (prev < k && options_->restream_fraction < 1.0) {
-      const double draw =
-          static_cast<double>(mix64(options_->selection_seed ^ v) >> 11) *
-          0x1.0p-53;
-      if (draw >= options_->restream_fraction && !is_full(prev)) {
-        commit(v, out, prev);
-        return prev;
-      }
-    }
 
     scores_.assign(k, 0.0);
     for (VertexId u : out) {
@@ -58,72 +35,61 @@ class RestreamPass final : public GreedyStreamingBase {
     // oscillation label-propagation-style refinements are prone to.
     if (prev < k) scores_[prev] += 0.5;
 
-    if (options_->rule == RestreamRule::kLdg) {
-      for (PartitionId i = 0; i < k; ++i) scores_[i] *= remaining_weight(i);
-    } else {
-      constexpr double kGamma = 1.5;
-      for (PartitionId i = 0; i < k; ++i) {
-        scores_[i] -= fennel_alpha_ * kGamma *
-                      std::pow(static_cast<double>(vertex_count(i)), kGamma - 1.0);
-      }
-    }
+    for (PartitionId i = 0; i < k; ++i) scores_[i] *= remaining_weight(i);
     const PartitionId pid = pick_best(scores_);
     commit(v, out, pid);
     return pid;
   }
 
-  std::string name() const override {
-    return options_->rule == RestreamRule::kLdg ? "ReLDG" : "ReFENNEL";
+  std::size_t memory_footprint_bytes() const override {
+    return GreedyStreamingBase::memory_footprint_bytes() +
+           previous_->size() * sizeof(PartitionId);
   }
+
+  std::string name() const override { return "ReLDG"; }
 
  private:
   const std::vector<PartitionId>* previous_;
-  const RestreamOptions* options_;
-  double fennel_alpha_ = 1.0;
 };
-
-void drain(AdjacencyStream& stream, StreamingPartitioner& partitioner) {
-  while (auto record = stream.next()) partitioner.place(record->id, record->out);
-}
 
 }  // namespace
 
-std::vector<PartitionId> restream_partition(AdjacencyStream& stream,
-                                            const PartitionConfig& config,
-                                            const RestreamOptions& options) {
+RestreamResult restream_partition(AdjacencyStream& stream,
+                                  const PartitionConfig& config,
+                                  const RestreamOptions& options) {
   if (options.passes < 1) {
     throw std::invalid_argument("restream_partition: passes must be >= 1");
   }
-  if (options.restream_fraction <= 0.0 || options.restream_fraction > 1.0) {
-    throw std::invalid_argument("restream_partition: fraction must be in (0, 1]");
+  if (options.spnl_hints != nullptr && !options.seed_with_spnl) {
+    throw std::invalid_argument(
+        "restream_partition: spnl_hints requires seed_with_spnl");
   }
   const VertexId n = stream.num_vertices();
   const EdgeId m = stream.num_edges();
 
-  std::vector<PartitionId> route;
+  RestreamResult result;
+  auto run_pass = [&](StreamingPartitioner& partitioner) {
+    RunResult run = run_streaming(stream, partitioner);
+    result.partition_seconds += run.partition_seconds;
+    result.peak_bytes = std::max(result.peak_bytes, run.peak_partitioner_bytes);
+    result.route = std::move(run.route);
+  };
   if (options.seed_with_spnl) {
-    SpnlOptions spnl_options;
-    spnl_options.logical_hints = options.spnl_hints;
-    SpnlPartitioner seed(n, m, config, spnl_options);
-    drain(stream, seed);
-    route = seed.route();
+    SpnlPartitioner seed(n, m, config,
+                         SpnlOptions{.logical_hints = options.spnl_hints});
+    run_pass(seed);
   } else {
-    if (options.spnl_hints != nullptr) {
-      throw std::invalid_argument(
-          "restream_partition: spnl_hints requires seed_with_spnl");
-    }
     LdgPartitioner seed(n, m, config);
-    drain(stream, seed);
-    route = seed.route();
+    run_pass(seed);
   }
 
   for (int pass = 1; pass < options.passes; ++pass) {
     stream.reset();
-    RestreamPass refine(n, m, config, route, options);
-    drain(stream, refine);
-    route = refine.route();
+    const std::vector<PartitionId> previous = std::move(result.route);
+    RestreamPass refine(n, m, config, previous);
+    run_pass(refine);
   }
-  return route;
+  return result;
 }
 
 }  // namespace spnl

@@ -2,11 +2,11 @@
 // extension of Sec. III-B: the stream is replayed for several passes and each
 // pass scores a vertex's neighbors by their assignment in the PREVIOUS pass
 // (a full route table, not just the prefix), progressively refining quality
-// at the cost of extra scans. Works as a wrapper over the one-pass scoring
-// rules; this module provides the LDG-style variant (ReLDG) and an
-// SPNL-seeded variant where pass 1 is SPNL.
+// at the cost of extra scans. Refinement passes use the ReLDG rule; pass 1
+// is LDG or SPNL.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "graph/adjacency_stream.hpp"
@@ -14,33 +14,30 @@
 
 namespace spnl {
 
-/// Scoring rule used by refinement passes (pass 2 onwards).
-enum class RestreamRule {
-  kLdg,     ///< ReLDG: neighbor agreement x remaining-capacity penalty
-  kFennel,  ///< ReFENNEL: neighbor agreement - alpha*gamma*|V_i|^(gamma-1)
-};
-
 struct RestreamOptions {
   /// Total passes including the initial one; 1 = plain single-pass.
   int passes = 3;
   /// Partitioner for pass 1: LDG or SPNL.
   bool seed_with_spnl = false;
-  RestreamRule rule = RestreamRule::kLdg;
-  /// Partial re-streaming (Echbarthi & Kheddouci): only this fraction of
-  /// vertices (a deterministic hash-selected subset) is re-decided per
-  /// refinement pass; the rest keep their previous assignment. 1.0 = full.
-  double restream_fraction = 1.0;
-  std::uint64_t selection_seed = 1;
   /// Optional logical-hint table for the SPNL seed pass (requires
   /// seed_with_spnl; see SpnlOptions::logical_hints for the contract).
   /// Borrowed — must outlive the call. Typically the 2PS prepass output.
   const std::vector<PartitionId>* spnl_hints = nullptr;
 };
 
-/// Runs `passes` scans over the stream (reset() between passes) and returns
-/// the final route table.
-std::vector<PartitionId> restream_partition(AdjacencyStream& stream,
-                                            const PartitionConfig& config,
-                                            const RestreamOptions& options = {});
+struct RestreamResult {
+  std::vector<PartitionId> route;
+  /// PT summed over every pass.
+  double partition_seconds = 0.0;
+  /// MC: the largest pass footprint, a refinement pass counting the
+  /// previous pass's route table it scores against.
+  std::size_t peak_bytes = 0;
+};
+
+/// Runs `passes` scans over the stream (reset() between passes), each
+/// through run_streaming, and returns the final route table.
+RestreamResult restream_partition(AdjacencyStream& stream,
+                                  const PartitionConfig& config,
+                                  const RestreamOptions& options = {});
 
 }  // namespace spnl

@@ -2,8 +2,9 @@
 # 2 with a message naming it (a retired --workers=4 must not quietly run
 # sequential SPNL, a mistyped spnl_gen --n=500 must not generate the 100k
 # default), so does a malformed value, every flag a tool does read passes
-# the check, and a retired --inject-faults key exits non-zero with
-# "unknown fault key" before the graph is loaded.
+# the check, a retired --inject-faults key exits non-zero with
+# "unknown fault key" before the graph is loaded, and so does a flag
+# combination no path implements (exit 2).
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(GRAPH ${WORK_DIR}/flags.adj)
 
@@ -49,6 +50,40 @@ endif()
 if(out MATCHES "\\|V\\|=")
   message(FATAL_ERROR "--inject-faults=crash:1@10: the graph was loaded "
                       "before the spec was rejected: ${out}")
+endif()
+
+# An algorithm/mode combination no path implements exits 2 before the input
+# is read, naming the flag, instead of running some other algorithm under
+# the requested label (or dropping the flag).
+foreach(case
+    "--algo;--algo=nonsense --window=64"
+    "--window;--window=64 --buffer=128"
+    "--passes;--algo=hash --passes=2"
+    "--threads;--algo=ldg --threads=3"
+    "--checkpoint;--passes=2 --checkpoint=${WORK_DIR}/c.bin --checkpoint-every=100"
+    "--inject-faults;--inject-faults=stuck:0@10")
+  list(GET case 0 flag)
+  list(GET case 1 flags)
+  separate_arguments(flags)
+  execute_process(
+    COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 ${flags}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag}" OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${flags}: expected exit 2 naming ${flag} before any "
+                        "output, got rc=${rc}: ${err}\nstdout: ${out}")
+  endif()
+endforeach()
+if(EXISTS ${WORK_DIR}/c.bin)
+  message(FATAL_ERROR "a rejected --checkpoint run still wrote a snapshot")
+endif()
+
+# Re-streaming reports the PT and MC of its passes.
+execute_process(
+  COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --passes=2 --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "MC=" OR out MATCHES "MC=0B")
+  message(FATAL_ERROR "--passes=2: expected a nonzero MC, got rc=${rc}: "
+                      "${out}${err}")
 endif()
 
 execute_process(

@@ -15,8 +15,7 @@ if(NOT EXISTS ${GRAPH})
   message(FATAL_ERROR "spnl_gen did not write ${GRAPH}")
 endif()
 
-foreach(algo hash range ldg fennel spn spnl balanced dg edg triangles
-        multilevel labelprop)
+foreach(algo hash range ldg fennel spn spnl multilevel labelprop)
   execute_process(
     COMMAND ${SPNL_PARTITION} ${GRAPH} --k=8 --algo=${algo} --out=${ROUTE} --quiet
     RESULT_VARIABLE rc)

@@ -17,11 +17,13 @@
 //                  [--max-bad-records=N] [--quarantine-log=bad.txt]
 //                  [--perf-report] [--perf-json=stats.json]
 //
-// Algorithms: hash, range, ldg, fennel, spn, spnl (default), balanced, dg,
-// edg, triangles, multilevel, labelprop. --threads > 1 selects parallel
-// SPNL / parallel label-prop; --passes > 1 wraps streaming algos in
-// re-streaming; --buffer > 0 uses the hybrid buffered mode; --window > 0
-// uses WSGP-style most-confident-first selection. --prepass=2ps (SPNL only, sequential and
+// Algorithms: hash, range, ldg, fennel, spn, spnl (default), multilevel,
+// labelprop. At most one mode may be set: --threads > 1 selects parallel
+// SPN/SPNL or parallel label-prop; --passes > 1 re-streams an LDG or SPNL
+// first pass with ReLDG; --buffer > 0 uses the hybrid buffered mode and
+// --window > 0 WSGP-style most-confident-first selection, each with the LDG
+// or SPNL rule. A mode given an algorithm it does not run exits 2, as does
+// an unknown --algo. --prepass=2ps (SPNL only, sequential and
 // --passes paths) runs the two-phase streaming clustering prepass and feeds
 // its cluster-derived placement hints into SPNL's logical table — one extra
 // scan that buys order-robustness (see prepass/two_phase.hpp); a degraded
@@ -34,13 +36,14 @@
 // partitioner — the memory profile the paper's streaming model assumes —
 // for the streaming algorithm paths (greedy sequential, --threads, --passes,
 // --window, --buffer); quality metrics then cost one extra
-// read-only pass after routing. Offline algos (multilevel, labelprop,
-// triangles) still need the materialized graph and reject --stream.
+// read-only pass after routing. The offline algos (multilevel, labelprop)
+// still need the materialized graph and reject --stream.
 //
 // Robustness flags: --checkpoint + --checkpoint-every snapshot the
 // partitioner state every N placements (sequential greedy algos and the
-// parallel driver); --resume-from continues an interrupted run from a
-// snapshot and produces the same route the uninterrupted run would have.
+// parallel driver; any other path exits 2); --resume-from continues an
+// interrupted run from a snapshot and produces the same route the
+// uninterrupted run would have.
 //
 // Resource governance: --memory-budget (partitioner-footprint bytes, K/M/G
 // suffixes) and --deadline (wall-clock seconds) attach a ResourceGovernor to
@@ -53,7 +56,8 @@
 // cleanly. --max-bad-records / --quarantine-log harden the adj-format file
 // stream: malformed mid-stream lines are skipped, counted and logged rather
 // than fatal, up to the bound. --inject-faults (keys stuck/wedge/slow/
-// pressure) drives the parallel pipeline's fault plan.
+// pressure) drives the parallel pipeline's fault plan, so it requires
+// --threads > 1 with spn or spnl.
 //
 // Instrumentation: --perf-report attaches per-stage counters/timers (score,
 // Γ increment, window advance, commit, queue wait) to the sequential greedy
@@ -67,10 +71,13 @@
 // malformed flag value, exits 2.
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_driver.hpp"
 #include "core/spn.hpp"
@@ -89,7 +96,6 @@
 #include "partition/metrics.hpp"
 #include "partition/range_partitioner.hpp"
 #include "partition/restream.hpp"
-#include "partition/stanton_kliot.hpp"
 #include "prepass/two_phase.hpp"
 #include "partition/window_stream.hpp"
 #include "util/cli.hpp"
@@ -123,9 +129,17 @@ int usage() {
                "  [--inject-io-faults=seed:S,fail:OP@N[@ERR],eintr:OP@N[@R],"
                "short:OP@N[@D],enospc:BYTES,torn:N[@BYTES],kill:OP@N]\n"
                "  [--perf-report] [--perf-json=stats.json]\n"
-               "algos: hash range ldg fennel spn spnl balanced dg edg "
-               "triangles multilevel labelprop\n");
+               "algos: hash range ldg fennel spn spnl multilevel labelprop\n"
+               "modes (at most one): --threads>1 runs spn spnl labelprop; "
+               "--passes>1, --buffer, --window run ldg spnl\n");
   return 2;
+}
+
+bool one_of(const std::string& value, std::initializer_list<const char*> set) {
+  for (const char* item : set) {
+    if (value == item) return true;
+  }
+  return false;
 }
 
 // Parses the comma-separated parallel-pipeline fault spec: "stuck:W@N"
@@ -261,6 +275,39 @@ int main(int argc, char** argv) {
     }
     const bool use_prepass = prepass == "2ps";
 
+    // Every algorithm/mode combination is checked before the input is
+    // opened: a combination no path implements exits 2 instead of running
+    // some other algorithm under the requested label.
+    if (!one_of(algo, {"hash", "range", "ldg", "fennel", "spn", "spnl",
+                       "multilevel", "labelprop"})) {
+      throw CliError("--algo: unknown algorithm '" + algo + "'");
+    }
+    std::vector<std::string> modes;
+    if (window > 0) modes.push_back("--window");
+    if (buffer > 0) modes.push_back("--buffer");
+    if (passes > 1) modes.push_back("--passes");
+    if (threads > 1) modes.push_back("--threads");
+    if (modes.size() > 1) {
+      throw CliError(modes[0] + " and " + modes[1] +
+                     " select different modes; set one");
+    }
+    const std::string mode = modes.empty() ? "" : modes[0];
+    const bool threaded = mode == "--threads";
+    if (threaded ? !one_of(algo, {"spn", "spnl", "labelprop"})
+                 : !mode.empty() && !one_of(algo, {"ldg", "spnl"})) {
+      throw CliError(mode + " does not run --algo=" + algo);
+    }
+    const bool offline = algo == "multilevel" || algo == "labelprop";
+    if ((args.has("checkpoint") || args.has("resume-from")) &&
+        (offline || !(mode.empty() || threaded))) {
+      throw CliError(
+          "--checkpoint/--resume-from apply only to the sequential streaming "
+          "algorithms and --threads>1 with spn or spnl");
+    }
+    if (args.has("inject-faults") && !(threaded && !offline)) {
+      throw CliError("--inject-faults requires --threads>1 with spn or spnl");
+    }
+
     const std::string checkpoint_path = args.get("checkpoint", "");
     const auto checkpoint_every =
         static_cast<std::uint64_t>(args.get_int("checkpoint-every", 0));
@@ -334,8 +381,8 @@ int main(int argc, char** argv) {
           "--stream requires --format=adj or --format=sadj");
     }
 
-    // Materialize unless --stream: offline algos and the triangle heuristic
-    // need the CSR, and the materialized path keeps the seed behavior
+    // Materialize unless --stream: the offline algos need the CSR, and the
+    // materialized path keeps the seed behavior
     // (metrics over the in-memory graph, no second file pass).
     std::optional<Graph> graph;
     if (!stream_direct) {
@@ -442,8 +489,11 @@ int main(int argc, char** argv) {
       options.passes = passes;
       options.seed_with_spnl = algo == "spnl";
       options.spnl_hints = spnl_hints;
-      route = restream_partition(stream, config, options);
-    } else if (threads > 1 && (algo == "spnl" || algo == "spn")) {
+      auto result = restream_partition(stream, config, options);
+      route = std::move(result.route);
+      seconds = result.partition_seconds;
+      bytes = result.peak_bytes;
+    } else if (threaded) {
       ParallelOptions options;
       options.num_threads = threads;
       options.use_locality = algo == "spnl";
@@ -496,30 +546,12 @@ int main(int argc, char** argv) {
       } else if (algo == "spn") {
         partitioner = std::make_unique<SpnPartitioner>(
             n, m, config, SpnOptions{.lambda = lambda, .num_shards = shards});
-      } else if (algo == "spnl") {
+      } else {  // spnl
         partitioner = std::make_unique<SpnlPartitioner>(
             n, m, config,
             SpnlOptions{.lambda = lambda,
                         .num_shards = shards,
                         .logical_hints = spnl_hints});
-      } else if (algo == "balanced") {
-        partitioner = std::make_unique<SkPartitioner>(n, m, config,
-                                                      SkHeuristic::kBalanced);
-      } else if (algo == "dg") {
-        partitioner = std::make_unique<SkPartitioner>(
-            n, m, config, SkHeuristic::kDeterministicGreedy);
-      } else if (algo == "edg") {
-        partitioner = std::make_unique<SkPartitioner>(
-            n, m, config, SkHeuristic::kExponentialGreedy);
-      } else if (algo == "triangles") {
-        if (!graph) {
-          throw std::runtime_error(
-              "--algo=triangles needs the materialized graph; drop --stream");
-        }
-        partitioner = std::make_unique<SkPartitioner>(
-            n, m, config, SkHeuristic::kTriangles, &*graph);
-      } else {
-        return usage();
       }
       const StreamingCheckpointOptions checkpoint{
           .path = checkpoint_path,
