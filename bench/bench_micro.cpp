@@ -1,9 +1,11 @@
 // Microbenchmarks (google-benchmark) for the hot inner structures:
-// Γ window operations, RCT operations, queue throughput, and single-vertex
-// placement cost of each streaming heuristic.
+// Γ window operations, RCT operations, queue throughput, single-vertex
+// placement cost of each streaming heuristic, and the fixed setup cost of
+// the sequential and parallel SPNL drivers at 1M vertices, K=32.
 #include <benchmark/benchmark.h>
 
 #include "core/gamma_table.hpp"
+#include "core/parallel_driver.hpp"
 #include "core/rct.hpp"
 #include "core/spn.hpp"
 #include "core/spnl.hpp"
@@ -88,5 +90,36 @@ void BM_PlaceSpnl(benchmark::State& state) { run_placement_bench<SpnlPartitioner
 BENCHMARK(BM_PlaceLdg)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlaceSpn)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlaceSpnl)->Unit(benchmark::kMillisecond);
+
+/// |V| and |E| of a 1M-vertex crawl, and no records: what run_parallel costs
+/// before it scores anything.
+class EmptyStream final : public AdjacencyStream {
+ public:
+  std::optional<VertexRecord> next() override { return std::nullopt; }
+  void reset() override {}
+  VertexId num_vertices() const override { return 1000000; }
+  EdgeId num_edges() const override { return 8000000; }
+};
+
+void BM_SetupSpnl(benchmark::State& state) {
+  const EmptyStream shape;
+  const PartitionConfig config{.num_partitions = 32};
+  for (auto _ : state) {
+    SpnlPartitioner partitioner(shape.num_vertices(), shape.num_edges(), config);
+    benchmark::DoNotOptimize(partitioner.route().data());
+  }
+}
+BENCHMARK(BM_SetupSpnl)->Unit(benchmark::kMillisecond);
+
+void BM_SetupParallelEmptyStream(benchmark::State& state) {
+  const PartitionConfig config{.num_partitions = 32};
+  ParallelOptions options;
+  options.num_threads = 3;
+  for (auto _ : state) {
+    EmptyStream stream;
+    benchmark::DoNotOptimize(run_parallel(stream, config, options).route.data());
+  }
+}
+BENCHMARK(BM_SetupParallelEmptyStream)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -118,9 +118,23 @@ inline std::string command_line_output(const std::string& command) {
   return out;
 }
 
+/// The bracketed transparent-huge-page mode ("always", "madvise", "never"),
+/// or "unknown" when the kernel does not say. The Γ window and route tables
+/// ask for huge pages, which only "never" refuses.
+inline std::string transparent_huge_page_mode() {
+  std::ifstream file("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(file, line);
+  const auto open = line.find('[');
+  const auto close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) return "unknown";
+  return line.substr(open + 1, close - open - 1);
+}
+
 /// Where a bench figure came from, as a JSON object: hardware threads, CPU
-/// model, build type, compiler, and the git sha of the source tree the bench
-/// was built from ("-dirty" when tracked files differ from it).
+/// model, build type, compiler, the git sha of the source tree the bench
+/// was built from ("-dirty" when tracked files differ from it) and the
+/// transparent-huge-page mode.
 inline std::string host_stamp_json() {
   std::string cpu = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -154,7 +168,8 @@ inline std::string host_stamp_json() {
   };
   return "{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
          ",\"cpu\":" + quoted(cpu) + ",\"build_type\":" + quoted(SPNL_BUILD_TYPE) +
-         ",\"compiler\":" + quoted(__VERSION__) + ",\"git_sha\":" + quoted(sha) + "}";
+         ",\"compiler\":" + quoted(__VERSION__) + ",\"git_sha\":" + quoted(sha) +
+         ",\"thp\":" + quoted(transparent_huge_page_mode()) + "}";
 }
 
 inline void print_header(const char* what) {

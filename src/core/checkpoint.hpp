@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -51,6 +52,12 @@ class StateWriter {
 
   template <typename T>
   void put_vec(const std::vector<T>& v) {
+    put_span(std::span<const T>(v));
+  }
+
+  /// The same bytes put_vec writes for a vector with these elements.
+  template <typename T>
+  void put_span(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put_u64(v.size());
     put_raw(v.data(), v.size() * sizeof(T));
@@ -100,6 +107,19 @@ class StateReader {
     }
     pos_ += count * sizeof(T);
     return v;
+  }
+
+  /// Reads a put_vec/put_span field into `out`, whose length it must have
+  /// (throws "<what> size mismatch" otherwise).
+  template <typename T>
+  void get_span(std::span<T> out, const char* what) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (get_u64() != out.size()) {
+      throw CheckpointError(std::string(what) + " size mismatch");
+    }
+    need(out.size() * sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), buf_.data() + pos_, out.size() * sizeof(T));
+    pos_ += out.size() * sizeof(T);
   }
 
   /// Reads a u32/u64/string and throws (naming `what`) unless it equals the

@@ -1,8 +1,9 @@
 #include "core/concurrent_gamma.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <stdexcept>
-#include <vector>
 
 namespace spnl {
 
@@ -19,11 +20,8 @@ ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
   const VertexId n = std::max<VertexId>(num_vertices, 1);
   window_size_ = (n + num_shards - 1) / num_shards;
   mod_magic_ = mod_magic(window_size_);
-  const std::size_t total = static_cast<std::size_t>(window_size_) * num_partitions_;
-  counters_ = std::make_unique<std::atomic<std::uint32_t>[]>(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    counters_[i].store(0, std::memory_order_relaxed);
-  }
+  counters_ = ZeroedArray<std::uint32_t>(static_cast<std::size_t>(window_size_) *
+                                         num_partitions_);
 }
 
 void ConcurrentGammaWindow::advance_to(VertexId head) {
@@ -36,11 +34,11 @@ void ConcurrentGammaWindow::advance_to(VertexId head) {
   } while (!base_.compare_exchange_weak(base, head, std::memory_order_relaxed));
 
   auto clear_rows = [this](VertexId first_slot, VertexId rows) {
-    auto* begin = counters_.get() +
-                  static_cast<std::size_t>(first_slot) * num_partitions_;
+    std::uint32_t* begin =
+        counters_.data() + static_cast<std::size_t>(first_slot) * num_partitions_;
     const std::size_t count = static_cast<std::size_t>(rows) * num_partitions_;
     for (std::size_t i = 0; i < count; ++i) {
-      begin[i].store(0, std::memory_order_relaxed);
+      std::atomic_ref(begin[i]).store(0, std::memory_order_relaxed);
     }
   };
   const VertexId steps = head - base;
@@ -59,25 +57,18 @@ void ConcurrentGammaWindow::advance_to(VertexId head) {
 void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
   if (new_window == 0) new_window = 1;
   if (new_window >= window_size_) return;
+  // Callers have quiesced every other access, so plain copies are safe.
   const VertexId base = base_.load(std::memory_order_relaxed);
-  auto counters =
-      std::make_unique<std::atomic<std::uint32_t>[]>(
-          static_cast<std::size_t>(new_window) * num_partitions_);
-  const std::size_t total = static_cast<std::size_t>(new_window) * num_partitions_;
-  for (std::size_t i = 0; i < total; ++i) {
-    counters[i].store(0, std::memory_order_relaxed);
-  }
+  ZeroedArray<std::uint32_t> counters(static_cast<std::size_t>(new_window) *
+                                      num_partitions_);
   for (VertexId i = 0; i < new_window; ++i) {
     const VertexId id = base + i;
     const std::size_t old_row =
         static_cast<std::size_t>(slot_of(id)) * num_partitions_;
     const std::size_t new_row =
         static_cast<std::size_t>(id % new_window) * num_partitions_;
-    for (PartitionId p = 0; p < num_partitions_; ++p) {
-      counters[new_row + p].store(
-          counters_[old_row + p].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
+    std::memcpy(counters.data() + new_row, counters_.data() + old_row,
+                num_partitions_ * sizeof(std::uint32_t));
   }
   counters_ = std::move(counters);
   window_size_ = new_window;
@@ -85,15 +76,10 @@ void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
 }
 
 void ConcurrentGammaWindow::save(StateWriter& out) const {
-  const std::size_t total = static_cast<std::size_t>(window_size_) * num_partitions_;
-  std::vector<std::uint32_t> counters(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    counters[i] = counters_[i].load(std::memory_order_relaxed);
-  }
   out.put_u32(num_partitions_);
   out.put_u32(window_size_);
   out.put_u32(base_.load(std::memory_order_relaxed));
-  out.put_vec(counters);
+  out.put_span(counters_.span());
 }
 
 void ConcurrentGammaWindow::restore(StateReader& in) {
@@ -106,15 +92,8 @@ void ConcurrentGammaWindow::restore(StateReader& in) {
   }
   if (window < window_size_) shrink_to(window);
   const VertexId base = in.get_u32();
-  const auto counters = in.get_vec<std::uint32_t>();
-  const std::size_t total = static_cast<std::size_t>(window_size_) * num_partitions_;
-  if (counters.size() != total) {
-    throw CheckpointError("gamma restore: counter table size mismatch");
-  }
+  in.get_span(counters_.span(), "gamma restore: counter table");
   base_.store(base, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < total; ++i) {
-    counters_[i].store(counters[i], std::memory_order_relaxed);
-  }
 }
 
 }  // namespace spnl

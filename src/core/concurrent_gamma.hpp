@@ -12,16 +12,20 @@
 // Every worker increments the shared counters eagerly on commit
 // (increment_many), so a placement is visible to the next record any worker
 // scores.
+//
+// The counters are plain uint32_t in a ZeroedArray, every concurrent access
+// going through std::atomic_ref: the kernel zeroes the table on first touch,
+// so construction runs no pass over it.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -58,21 +62,30 @@ class ConcurrentGammaWindow {
       if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
         continue;
       }
-      counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p].fetch_add(
-          run, std::memory_order_relaxed);
+      std::atomic_ref(counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p])
+          .fetch_add(run, std::memory_order_relaxed);
     }
   }
 
   /// u's row of K counters, or nullptr when u is outside the window. One
-  /// base load and one modulo serve all K reads of the row.
-  const std::atomic<std::uint32_t>* row(VertexId u) const {
+  /// base load and one modulo serve all K reads of the row. Read its
+  /// counters with load().
+  const std::uint32_t* row(VertexId u) const {
     if (!contains(u)) return nullptr;
-    return counters_.get() + static_cast<std::size_t>(slot_of(u)) * num_partitions_;
+    return counters_.data() + static_cast<std::size_t>(slot_of(u)) * num_partitions_;
+  }
+
+  /// Relaxed atomic read of counter i of a row() result.
+  static std::uint32_t load(const std::uint32_t* row, std::size_t i) {
+    // atomic_ref wants a mutable referent even to load; the counter itself
+    // is a non-const object of the table.
+    return std::atomic_ref(const_cast<std::uint32_t&>(row[i]))
+        .load(std::memory_order_relaxed);
   }
 
   std::uint32_t get(PartitionId p, VertexId u) const {
-    const std::atomic<std::uint32_t>* r = row(u);
-    return r == nullptr ? 0 : r[p].load(std::memory_order_relaxed);
+    const std::uint32_t* r = row(u);
+    return r == nullptr ? 0 : load(r, p);
   }
 
   bool contains(VertexId u) const {
@@ -87,15 +100,12 @@ class ConcurrentGammaWindow {
 
   /// Resource-governor degradation: shrink to `new_window` rows, keeping the
   /// covered ids' counters and releasing the rest of the storage. The
-  /// backing array is REALLOCATED — callers must have quiesced every
+  /// backing table is REALLOCATED — callers must have quiesced every
   /// reader/writer first (the parallel driver holds its pipeline-wide
   /// exclusive lock, the same discipline save() documents).
   void shrink_to(VertexId new_window);
 
-  std::size_t memory_footprint_bytes() const {
-    return static_cast<std::size_t>(window_size_) * num_partitions_ *
-           sizeof(std::atomic<std::uint32_t>);
-  }
+  std::size_t memory_footprint_bytes() const { return counters_.bytes(); }
 
   /// Checkpoint support. Callers must quiesce all writers first.
   void save(StateWriter& out) const;
@@ -114,7 +124,7 @@ class ConcurrentGammaWindow {
   VertexId window_size_;
   std::uint64_t mod_magic_;  // mod_magic(window_size_)
   std::atomic<VertexId> base_{0};
-  std::unique_ptr<std::atomic<std::uint32_t>[]> counters_;
+  ZeroedArray<std::uint32_t> counters_;  // window_size_ x num_partitions_
 };
 
 }  // namespace spnl

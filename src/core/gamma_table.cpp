@@ -6,8 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/memory.hpp"
-
 namespace spnl {
 
 GammaWindow::GammaWindow(VertexId num_vertices, PartitionId num_partitions,
@@ -21,7 +19,8 @@ GammaWindow::GammaWindow(VertexId num_vertices, PartitionId num_partitions,
   const VertexId n = std::max<VertexId>(num_vertices, 1);
   window_size_ = (n + num_shards - 1) / num_shards;  // ceil(n/X)
   if (window_size_ == 0) window_size_ = 1;
-  counters_.assign(static_cast<std::size_t>(window_size_) * num_partitions_, 0);
+  counters_ = ZeroedArray<std::uint32_t>(static_cast<std::size_t>(window_size_) *
+                                         num_partitions_);
 }
 
 std::uint32_t GammaWindow::recommended_shards(VertexId num_vertices, PartitionId k,
@@ -52,7 +51,7 @@ void GammaWindow::advance_general(VertexId head) {
   const VertexId steps = head - base_;
   if (steps >= window_size_) {
     // The whole window is retired: one bulk clear.
-    std::memset(counters_.data(), 0, counters_.size() * sizeof(std::uint32_t));
+    std::memset(counters_.data(), 0, counters_.bytes());
     base_ = head;
     base_slot_ = slot_of(base_);
     return;
@@ -83,12 +82,12 @@ void GammaWindow::advance_general(VertexId head) {
 void GammaWindow::shrink_to(VertexId new_window) {
   if (new_window == 0) new_window = 1;
   if (new_window >= window_size_) return;
-  // Rebuild into a fresh right-sized vector (assign() would keep the old
-  // capacity and the footprint would not actually drop). Ids still covered
-  // by the smaller window keep their counters; [base+new_W, base+old_W) is
-  // dropped — the same loss as having streamed with a larger X all along.
-  std::vector<std::uint32_t> counters(
-      static_cast<std::size_t>(new_window) * num_partitions_, 0);
+  // Rebuild into a fresh right-sized table so the footprint actually drops.
+  // Ids still covered by the smaller window keep their counters;
+  // [base+new_W, base+old_W) is dropped — the same loss as having streamed
+  // with a larger X all along.
+  ZeroedArray<std::uint32_t> counters(static_cast<std::size_t>(new_window) *
+                                      num_partitions_);
   const std::uint64_t covered =
       std::min<std::uint64_t>(new_window,
                               static_cast<std::uint64_t>(window_size_));
@@ -109,7 +108,7 @@ void GammaWindow::shrink_to(VertexId new_window) {
 }
 
 std::size_t GammaWindow::memory_footprint_bytes() const {
-  return vector_bytes(counters_);
+  return counters_.bytes();
 }
 
 void GammaWindow::save(StateWriter& out) const {
@@ -119,7 +118,7 @@ void GammaWindow::save(StateWriter& out) const {
   out.put_u32(static_cast<std::uint32_t>(mode_));
   out.put_u32(window_size_);
   out.put_u32(base_);
-  out.put_vec(counters_);
+  out.put_span(counters_.span());
 }
 
 void GammaWindow::restore(StateReader& in) {
@@ -142,11 +141,7 @@ void GammaWindow::restore(StateReader& in) {
   mode_ = mode;
   base_ = in.get_u32();
   base_slot_ = slot_of(base_);
-  auto counters = in.get_vec<std::uint32_t>();
-  if (counters.size() != counters_.size()) {
-    throw CheckpointError("gamma restore: counter table size mismatch");
-  }
-  counters_ = std::move(counters);
+  in.get_span(counters_.span(), "gamma restore: counter table");
 }
 
 }  // namespace spnl

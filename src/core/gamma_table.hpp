@@ -17,10 +17,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "graph/types.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -156,7 +156,7 @@ class GammaWindow {
   /// slot_of(base_), maintained by advance_to/restore so row_offset() never
   /// divides.
   VertexId base_slot_ = 0;
-  std::vector<std::uint32_t> counters_;  // window_size_ x num_partitions_
+  ZeroedArray<std::uint32_t> counters_;  // window_size_ x num_partitions_
 };
 
 }  // namespace spnl

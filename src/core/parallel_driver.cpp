@@ -21,6 +21,7 @@
 #include "core/watermark_tracker.hpp"
 #include "partition/range_partitioner.hpp"
 #include "util/timer.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -44,7 +45,7 @@ struct SharedState {
         gamma(n, config.num_partitions, shards),
         logical(n, config.num_partitions),
         options(options) {
-    for (auto& r : route) r.store(kUnassigned, std::memory_order_relaxed);
+    std::fill_n(route.data(), route.size(), kUnassigned);
     for (PartitionId i = 0; i < config.num_partitions; ++i) {
       loads[i].logical.store(options.use_locality ? logical.range_size(i) : 0,
                              std::memory_order_relaxed);
@@ -54,7 +55,8 @@ struct SharedState {
   const PartitionConfig config;
   const VertexId num_vertices;
   const double capacity;
-  std::vector<std::atomic<PartitionId>> route;
+  /// Written and read through std::atomic_ref (route_of / set_route).
+  ZeroedArray<PartitionId> route;
   std::vector<PartitionLoad> loads;
   ConcurrentGammaWindow gamma;
   RangeTable logical;
@@ -68,6 +70,14 @@ struct SharedState {
   /// capacity-weighted hash vote (and stop feeding the Γ window). Written
   /// only under quiesce, read on every record: a line of its own.
   alignas(64) std::atomic<bool> hash_fallback{false};
+
+  PartitionId route_of(VertexId v) const {
+    return std::atomic_ref(const_cast<PartitionId&>(route[v]))
+        .load(std::memory_order_relaxed);
+  }
+  void set_route(VertexId v, PartitionId pid) {
+    std::atomic_ref(route[v]).store(pid, std::memory_order_relaxed);
+  }
 };
 
 /// Records a worker may hold unflushed. The other M-1 workers' unflushed
@@ -91,7 +101,7 @@ std::size_t flush_interval(const PartitionConfig& config, VertexId n, unsigned w
 /// sum and kept current as the sequential partitioner keeps its own.
 class WorkerReads {
  public:
-  using Row = const std::atomic<std::uint32_t>*;
+  using Row = const std::uint32_t*;
 
   WorkerReads(SharedState& state, std::size_t flush_every)
       : state_(state),
@@ -109,15 +119,13 @@ class WorkerReads {
 
   PartitionId num_partitions() const { return state_.config.num_partitions; }
   VertexId num_vertices() const { return state_.num_vertices; }
-  PartitionId route(VertexId u) const {
-    return state_.route[u].load(std::memory_order_relaxed);
-  }
+  PartitionId route(VertexId u) const { return state_.route_of(u); }
   bool locality() const { return state_.options.use_locality; }
   PartitionId logical_of(VertexId u) const { return state_.logical.partition_of(u); }
   /// Also the Γ row commit() will increment, as the sequential place_with()
   /// does: the misses overlap the scoring instead of stalling the commit.
   void prefetch(VertexId u) const {
-    prefetch_read(&state_.route[u]);
+    prefetch_read(state_.route.data() + u);
     if (const Row row = state_.gamma.row(u)) prefetch_write(row);
   }
   bool gamma_row(VertexId u, Row& row) const {
@@ -125,7 +133,7 @@ class WorkerReads {
     return row != nullptr;
   }
   std::uint32_t gamma(Row row, std::size_t i) const {
-    return row[i].load(std::memory_order_relaxed);
+    return ConcurrentGammaWindow::load(row, i);
   }
 
   PartitionView view() const { return {loads_, eta_, weights_}; }
@@ -251,7 +259,7 @@ class Worker {
   void commit(const VertexRecord& record, PartitionId pid) {
     {
       PerfScope t(perf_, PerfStage::kCommit);
-      state_.route[record.id].store(pid, std::memory_order_relaxed);
+      state_.set_route(record.id, pid);
       reads_.add(pid, record.out.size(),
                 state_.options.use_locality ? state_.logical.partition_of(record.id)
                                             : kUnassigned);
@@ -408,11 +416,7 @@ StateWriter snapshot_parallel(const SharedState& state, const Rct& rct,
   out.put_u32(static_cast<std::uint32_t>(state.options.spnl.estimator));
   out.put_u32(static_cast<std::uint32_t>(state.options.spnl.eta_policy));
 
-  std::vector<PartitionId> route(state.num_vertices);
-  for (VertexId v = 0; v < state.num_vertices; ++v) {
-    route[v] = state.route[v].load(std::memory_order_relaxed);
-  }
-  out.put_vec(route);
+  out.put_span(state.route.span());
   // Serialized as three flat vectors — the on-disk format predates the
   // cache-line-per-partition layout and must stay byte-compatible.
   const PartitionId k = state.config.num_partitions;
@@ -465,9 +469,7 @@ std::uint64_t restore_parallel(const std::string& path, SharedState& state, Rct&
       edge_counts.size() != k || logical_counts.size() != k) {
     throw CheckpointError("run_parallel: snapshot table sizes do not match");
   }
-  for (VertexId v = 0; v < state.num_vertices; ++v) {
-    state.route[v].store(route[v], std::memory_order_relaxed);
-  }
+  std::copy(route.begin(), route.end(), state.route.data());
   for (PartitionId i = 0; i < k; ++i) {
     state.loads[i].vertices.store(vertex_counts[i], std::memory_order_relaxed);
     state.loads[i].edges.store(edge_counts[i], std::memory_order_relaxed);
@@ -619,7 +621,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   // the input stream's own read and decode buffers.
   auto pipeline_bytes = [&]() -> std::size_t {
     std::size_t bytes = state.gamma.memory_footprint_bytes() +
-                        state.route.size() * sizeof(std::atomic<PartitionId>) +
+                        state.route.bytes() +
                         state.loads.size() * sizeof(PartitionLoad) +
                         rct.memory_footprint_bytes() + watermark.memory_footprint_bytes() +
                         stream.memory_footprint_bytes();
@@ -848,10 +850,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
 
   ParallelRunResult result;
   result.partition_seconds = timer.seconds();
-  result.route.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    result.route[v] = state.route[v].load(std::memory_order_relaxed);
-  }
+  result.route.assign(state.route.data(), state.route.data() + n);
   result.peak_partitioner_bytes =
       std::max(pipeline_bytes(),
                governor != nullptr ? governor->peak_partitioner_bytes() : 0);

@@ -16,6 +16,7 @@
 #include "graph/io.hpp"
 #include "util/checked_io.hpp"
 #include "util/ordered_prefetch.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -522,9 +523,11 @@ Graph materialize(AdjacencyStream& stream) {
   std::vector<bool> seen(n, false);
   std::vector<EdgeId> offsets;
   offsets.reserve(static_cast<std::size_t>(n) + 1);
+  advise_huge_pages(offsets);
   offsets.push_back(0);
   std::vector<VertexId> targets;
   targets.reserve(std::min(stream.num_edges(), kMaxReservedEdges));
+  advise_huge_pages(targets);
   // In place while ids ascend: rows 0..offsets.size()-2 are final.
   std::optional<VertexRecord> record;
   while ((record = stream.next())) {

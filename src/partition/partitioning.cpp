@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/memory.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -35,12 +36,15 @@ GreedyStreamingBase::GreedyStreamingBase(VertexId num_vertices, EdgeId num_edges
                                              static_cast<double>(num_edges) /
                                              config.num_partitions)
                          : 0.0),
-      route_(num_vertices, kUnassigned),
       vertex_counts_(config.num_partitions, 0),
       edge_counts_(config.num_partitions, 0),
       loads_(config.num_partitions),
       weights_(config.num_partitions),
       scores_(config.num_partitions, 0.0) {
+  // Scoring reads route_ at every out-neighbor: huge pages before the fill.
+  route_.reserve(num_vertices);
+  advise_huge_pages(route_);
+  route_.assign(num_vertices, kUnassigned);
   for (PartitionId i = 0; i < config.num_partitions; ++i) update_load(i);
 }
 

@@ -69,10 +69,12 @@ RestreamResult restream_partition(AdjacencyStream& stream,
 
   RestreamResult result;
   auto run_pass = [&](StreamingPartitioner& partitioner) {
-    RunResult run = run_streaming(stream, partitioner);
+    RunResult run =
+        run_streaming(stream, partitioner, {}, options.perf, options.governor);
     result.partition_seconds += run.partition_seconds;
     result.peak_bytes = std::max(result.peak_bytes, run.peak_partitioner_bytes);
     result.route = std::move(run.route);
+    result.degradations = std::move(run.degradations);
   };
   if (options.seed_with_spnl) {
     SpnlPartitioner seed(n, m, config,

@@ -11,6 +11,8 @@
 
 #include "graph/adjacency_stream.hpp"
 #include "partition/partitioning.hpp"
+#include "util/perf_stats.hpp"
+#include "util/resource_governor.hpp"
 
 namespace spnl {
 
@@ -23,6 +25,11 @@ struct RestreamOptions {
   /// seed_with_spnl; see SpnlOptions::logical_hints for the contract).
   /// Borrowed — must outlive the call. Typically the 2PS prepass output.
   const std::vector<PartitionId>* spnl_hints = nullptr;
+  /// Handed to every pass's run_streaming (borrowed; nullptr = off): the
+  /// stage timings add up over the passes, and one governor's budget,
+  /// deadline and ladder span the whole run.
+  PerfStats* perf = nullptr;
+  ResourceGovernor* governor = nullptr;
 };
 
 struct RestreamResult {
@@ -32,6 +39,8 @@ struct RestreamResult {
   /// MC: the largest pass footprint, a refinement pass counting the
   /// previous pass's route table it scores against.
   std::size_t peak_bytes = 0;
+  /// The governor's ladder transitions over all passes.
+  std::vector<DegradationEvent> degradations;
 };
 
 /// Runs `passes` scans over the stream (reset() between passes), each

@@ -6,6 +6,7 @@
 
 #include "partition/range_partitioner.hpp"
 #include "util/timer.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 
@@ -82,7 +83,8 @@ PrepassResult cluster_prepass(AdjacencyStream& stream,
   const auto cap = std::max<VertexId>(
       2, static_cast<VertexId>(options.cluster_cap_factor * n / k));
 
-  std::vector<std::uint32_t> cluster_of(n, kNoCluster);
+  ZeroedArray<std::uint32_t> cluster_of(n);
+  std::fill_n(cluster_of.data(), n, kNoCluster);
   std::vector<VertexId> cluster_size;
   cluster_size.reserve(std::min<std::uint32_t>(budget, 1 << 16));
   VoteCounter votes(budget);
@@ -178,6 +180,8 @@ PrepassResult cluster_prepass(AdjacencyStream& stream,
   // hardened streams that quarantined its record) keeps the range default so
   // the hint table is always total.
   const RangeTable fallback(n, k);
+  result.hints.reserve(n);
+  advise_huge_pages(result.hints);
   result.hints.resize(n);
   for (VertexId v = 0; v < n; ++v) {
     result.hints[v] = cluster_of[v] == kNoCluster

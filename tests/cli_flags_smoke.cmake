@@ -54,14 +54,24 @@ endif()
 
 # An algorithm/mode combination no path implements exits 2 before the input
 # is read, naming the flag, instead of running some other algorithm under
-# the requested label (or dropping the flag).
+# the requested label (or dropping the flag). A flag the selected path has
+# no use for (a perf or governor flag without a sink there, a watchdog
+# without worker threads) exits 2 the same way.
 foreach(case
     "--algo;--algo=nonsense --window=64"
     "--window;--window=64 --buffer=128"
     "--passes;--algo=hash --passes=2"
     "--threads;--algo=ldg --threads=3"
     "--checkpoint;--passes=2 --checkpoint=${WORK_DIR}/c.bin --checkpoint-every=100"
-    "--inject-faults;--inject-faults=stuck:0@10")
+    "--inject-faults;--inject-faults=stuck:0@10"
+    "--watchdog-timeout;--watchdog-timeout=0.2"
+    "--watchdog-timeout;--algo=labelprop --threads=2 --watchdog-timeout=0.2"
+    "--perf-report;--window=64 --perf-report"
+    "--perf-json;--buffer=128 --perf-json=${WORK_DIR}/p.json"
+    "--memory-budget;--algo=multilevel --memory-budget=1M"
+    "--deadline;--algo=labelprop --threads=2 --deadline=60"
+    "--degrade-policy;--window=64 --degrade-policy=abort"
+    "--governor-interval;--buffer=128 --governor-interval=64")
   list(GET case 0 flag)
   list(GET case 1 flags)
   separate_arguments(flags)
@@ -75,6 +85,41 @@ foreach(case
 endforeach()
 if(EXISTS ${WORK_DIR}/c.bin)
   message(FATAL_ERROR "a rejected --checkpoint run still wrote a snapshot")
+endif()
+if(EXISTS ${WORK_DIR}/p.json)
+  message(FATAL_ERROR "a rejected --perf-json run still wrote its file")
+endif()
+
+# Re-streaming carries the perf sink and the governor into every pass.
+execute_process(
+  COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --passes=2
+          --perf-json=${WORK_DIR}/restream.json --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS ${WORK_DIR}/restream.json)
+  message(FATAL_ERROR "--passes=2 --perf-json: expected the file, got "
+                      "rc=${rc}: ${out}${err}")
+endif()
+# Both passes fetch all 2000 records and the end of the stream.
+file(READ ${WORK_DIR}/restream.json perf_json)
+if(NOT perf_json MATCHES "\"stage\":\"queue_wait\",\"calls\":4002,")
+  message(FATAL_ERROR "--passes=2 --perf-json: expected 2 x 2001 stream "
+                      "fetches: ${perf_json}")
+endif()
+execute_process(
+  COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --passes=2 --memory-budget=16K
+          --governor-interval=64
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "degraded: stage=")
+  message(FATAL_ERROR "--passes=2 --memory-budget: expected a degradation, "
+                      "got rc=${rc}: ${out}${err}")
+endif()
+execute_process(
+  COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --passes=2 --memory-budget=1K
+          --degrade-policy=abort --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "resource budget exceeded")
+  message(FATAL_ERROR "--passes=2 --degrade-policy=abort: expected exit 1, "
+                      "got rc=${rc}: ${out}${err}")
 endif()
 
 # Re-streaming reports the PT and MC of its passes.

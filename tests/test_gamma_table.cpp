@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "core/concurrent_gamma.hpp"
+#include "core/spnl.hpp"
+#include "util/memory.hpp"
 #include "util/rng.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 namespace {
@@ -296,6 +299,101 @@ TEST(ConcurrentGamma, ConcurrentIncrementsAllLand) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(gamma.get(1, 7), kThreads * kPerThread);
+}
+
+// Both windows keep their counters in a ZeroedArray: heap memory below
+// 2 MiB, a kernel-zeroed mapping from 2 MiB up. These run each window on
+// both sides of that line.
+template <class Window>
+class GammaStorage : public ::testing::Test {};
+using Windows = ::testing::Types<GammaWindow, ConcurrentGammaWindow>;
+TYPED_TEST_SUITE(GammaStorage, Windows);
+
+constexpr PartitionId kStorageK = 4;
+// Rows whose K counters fill exactly 2 MiB.
+constexpr VertexId kHugeRows = kHugePageBytes / (kStorageK * sizeof(std::uint32_t));
+
+/// The count the round-trip test gives id u in partition u % K (0 for the
+/// others): nonzero on every seventh id.
+std::uint32_t pattern(VertexId u) { return u % 7 == 0 ? u % 5 + 1 : 0; }
+
+TYPED_TEST(GammaStorage, StartsZeroedJustBelowAndAboveTwoMiB) {
+  for (const VertexId rows : {kHugeRows - 1, kHugeRows + 1}) {
+    {
+      // Dirty heap memory of the table's size: an allocation that skipped
+      // zeroing would likely be handed it back.
+      std::vector<std::uint32_t> dirty(static_cast<std::size_t>(rows) * kStorageK,
+                                       0xDEADBEEF);
+      ASSERT_EQ(dirty.back(), 0xDEADBEEF);
+    }
+    const TypeParam gamma(rows, kStorageK, 1);
+    ASSERT_EQ(gamma.window_size(), rows);
+    EXPECT_EQ(gamma.memory_footprint_bytes(),
+              static_cast<std::size_t>(rows) * kStorageK * sizeof(std::uint32_t));
+    std::size_t nonzero = 0;
+    for (VertexId u = 0; u < rows; ++u) {
+      for (PartitionId p = 0; p < kStorageK; ++p) nonzero += gamma.get(p, u) != 0;
+    }
+    EXPECT_EQ(nonzero, 0u) << rows << " rows";
+  }
+}
+
+TYPED_TEST(GammaStorage, ShrinkSaveRestoreRoundTripAcrossTwoMiB) {
+  // 1.5x the 2 MiB table, shrunk to 0.75x: the shrink moves the counters
+  // from a mapping onto the heap.
+  const VertexId n = kHugeRows * 3 / 2;
+  const VertexId base = 1000;
+  const VertexId shrunk = kHugeRows * 3 / 4;
+  TypeParam gamma(n, kStorageK, 1);
+  gamma.advance_to(base);
+  for (VertexId u = base; u < n; ++u) {
+    for (std::uint32_t c = 0; c < pattern(u); ++c) gamma.increment(u % kStorageK, u);
+  }
+  gamma.shrink_to(shrunk);
+  ASSERT_EQ(gamma.window_size(), shrunk);
+  EXPECT_EQ(gamma.memory_footprint_bytes(),
+            static_cast<std::size_t>(shrunk) * kStorageK * sizeof(std::uint32_t));
+
+  StateWriter out;
+  gamma.save(out);
+  TypeParam restored(n, kStorageK, 1);
+  StateReader in(out.bytes());
+  restored.restore(in);
+  EXPECT_TRUE(in.exhausted());
+  ASSERT_EQ(restored.window_size(), shrunk);
+  ASSERT_EQ(restored.base(), base);
+  for (const TypeParam* w : {&gamma, &restored}) {
+    for (VertexId u = base; u < base + shrunk; ++u) {
+      for (PartitionId p = 0; p < kStorageK; ++p) {
+        ASSERT_EQ(w->get(p, u), p == u % kStorageK ? pattern(u) : 0u) << "u=" << u;
+      }
+    }
+    EXPECT_FALSE(w->contains(base + shrunk));
+  }
+}
+
+TEST(GammaTables, ConstructionLeavesThreeQuartersUntouched) {
+  // No eager zero-fill: constructing a 1M-vertex K=32 Γ table does not make
+  // it resident. X=1 (the full 128 MB table) keeps the bound clear of SPNL's
+  // 4 MB route table, which the constructor does fill, even where a
+  // sanitizer shadows that fill with several times its size.
+  constexpr VertexId kVertices = 1000000;
+  constexpr PartitionId kParts = 32;
+  PartitionConfig config;
+  config.num_partitions = kParts;
+  const std::size_t before = current_rss_bytes();
+  ASSERT_GT(before, 0u) << "VmRSS unreadable";
+  const SpnlPartitioner spnl(kVertices, 8 * kVertices, config, {.num_shards = 1});
+  const std::size_t spnl_gamma = spnl.gamma().memory_footprint_bytes();
+  ASSERT_EQ(spnl_gamma, std::size_t{kVertices} * kParts * sizeof(std::uint32_t));
+  const std::size_t after_spnl = current_rss_bytes();
+  EXPECT_LT(after_spnl - std::min(after_spnl, before), spnl_gamma / 4);
+
+  const ConcurrentGammaWindow concurrent(kVertices, kParts, 1);
+  ASSERT_EQ(concurrent.memory_footprint_bytes(), spnl_gamma);
+  const std::size_t after_concurrent = current_rss_bytes();
+  EXPECT_LT(after_concurrent - std::min(after_concurrent, after_spnl),
+            concurrent.memory_footprint_bytes() / 4);
 }
 
 }  // namespace

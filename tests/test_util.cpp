@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "util/memory.hpp"
 #include "util/table_printer.hpp"
 #include "util/timer.hpp"
+#include "util/zeroed_array.hpp"
 
 namespace spnl {
 namespace {
@@ -59,6 +63,65 @@ TEST(Memory, VectorBytesTracksCapacity) {
   std::vector<int> v;
   v.reserve(100);
   EXPECT_EQ(vector_bytes(v), 100 * sizeof(int));
+}
+
+// Sizes on both sides of the 2 MiB line between heap and mapped storage.
+constexpr std::size_t kZeroedSizes[] = {
+    1, 4096, kHugePageBytes - 4, kHugePageBytes, kHugePageBytes + 4, 5 * kHugePageBytes + 12};
+
+TEST(ZeroedArray, MemoryIsZeroAndLargeRequestsAre2MiBAligned) {
+  for (const std::size_t bytes : kZeroedSizes) {
+    // Leave dirty memory behind in the heap first: a heap allocation of the
+    // same size that skipped zeroing would likely be handed it back.
+    {
+      std::vector<std::uint8_t> dirty(bytes, 0xAB);
+      ASSERT_EQ(dirty.back(), 0xAB);
+    }
+    const ZeroedArray<std::uint8_t> array(bytes);
+    ASSERT_EQ(array.size(), bytes);
+    EXPECT_EQ(array.bytes(), bytes);
+    EXPECT_TRUE(std::all_of(array.data(), array.data() + bytes,
+                            [](std::uint8_t b) { return b == 0; }))
+        << bytes << " bytes";
+    if (bytes >= kHugePageBytes) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(array.data()) % kHugePageBytes, 0u)
+          << bytes << " bytes";
+    }
+  }
+}
+
+TEST(ZeroedArray, WritableToTheLastElementAndMovable) {
+  for (const std::size_t bytes : kZeroedSizes) {
+    const std::size_t n = bytes / sizeof(std::uint32_t) + 2;
+    ZeroedArray<std::uint32_t> array(n);
+    std::memset(array.data(), 0xFF, array.bytes());
+    array[n - 1] = 7;
+    ZeroedArray<std::uint32_t> moved(std::move(array));
+    EXPECT_EQ(array.data(), nullptr);
+    EXPECT_EQ(array.size(), 0u);
+    ASSERT_EQ(moved.size(), n);
+    EXPECT_EQ(moved[n - 1], 7u);
+    EXPECT_EQ(moved[0], 0xFFFFFFFFu);
+    moved = ZeroedArray<std::uint32_t>(3);
+    EXPECT_EQ(moved.span().size(), 3u);
+    EXPECT_EQ(moved[2], 0u);
+  }
+  const ZeroedArray<std::uint64_t> empty;
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_TRUE(empty.span().empty());
+  EXPECT_EQ(ZeroedArray<std::uint64_t>(0).data(), nullptr);
+}
+
+TEST(ZeroedArray, AdviceOnAVectorKeepsItsContents) {
+  std::vector<std::uint32_t> v;
+  v.reserve(kHugePageBytes);  // 8 MiB of uint32
+  advise_huge_pages(v);
+  v.assign(kHugePageBytes, 5);
+  EXPECT_EQ(v.front(), 5u);
+  EXPECT_EQ(v.back(), 5u);
+  std::vector<std::uint32_t> small(10, 1);
+  advise_huge_pages(small);  // below 2 MiB: nothing to advise
+  EXPECT_EQ(small[9], 1u);
 }
 
 TEST(BoundedQueue, PushPopFifo) {

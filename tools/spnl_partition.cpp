@@ -47,21 +47,24 @@
 //
 // Resource governance: --memory-budget (partitioner-footprint bytes, K/M/G
 // suffixes) and --deadline (wall-clock seconds) attach a ResourceGovernor to
-// the sequential greedy and parallel SPNL/SPN paths; on breach the run steps
+// the sequential greedy, --passes and parallel SPNL/SPN paths (with --window,
+// --buffer or an offline algo they exit 2); on breach the run steps
 // a degradation ladder (shrink Γ window → coarse slide → capacity-weighted
 // hash fallback) instead of OOMing — --degrade-policy=abort makes a breach a
 // hard error, =off records samples without intervening. --watchdog-timeout
-// arms the parallel pipeline watchdog: a worker stalled past the timeout has
-// its in-flight record stolen and rescued; a fully wedged pipeline aborts
-// cleanly. --max-bad-records / --quarantine-log harden the adj-format file
-// stream: malformed mid-stream lines are skipped, counted and logged rather
-// than fatal, up to the bound. --inject-faults (keys stuck/wedge/slow/
+// arms the parallel pipeline watchdog (so it requires --threads > 1 with spn
+// or spnl): a worker stalled past the timeout has its in-flight record
+// stolen and rescued; a fully wedged pipeline aborts cleanly.
+// --max-bad-records / --quarantine-log harden the adj-format file stream:
+// malformed mid-stream lines are skipped, counted and logged rather than
+// fatal, up to the bound. --inject-faults (keys stuck/wedge/slow/
 // pressure) drives the parallel pipeline's fault plan, so it requires
 // --threads > 1 with spn or spnl.
 //
 // Instrumentation: --perf-report attaches per-stage counters/timers (score,
-// Γ increment, window advance, commit, queue wait) to the sequential greedy
-// and parallel SPNL/SPN paths and prints a table plus one machine-readable
+// Γ increment, window advance, commit, queue wait) to the sequential greedy,
+// --passes (summed over the passes) and parallel SPNL/SPN paths, exiting 2
+// on the paths that have no sink, and prints a table plus one machine-readable
 // JSON line (prefix "perf-json: "); --perf-json writes that JSON object to a
 // file. When neither flag is given the instrumentation is compiled in but
 // never attached — the hot path only sees untaken null-pointer branches.
@@ -307,6 +310,23 @@ int main(int argc, char** argv) {
     if (args.has("inject-faults") && !(threaded && !offline)) {
       throw CliError("--inject-faults requires --threads>1 with spn or spnl");
     }
+    if (args.has("watchdog-timeout") && !(threaded && !offline)) {
+      throw CliError("--watchdog-timeout requires --threads>1 with spn or spnl");
+    }
+    // These paths take neither a perf sink nor a resource governor, so the
+    // flags that feed them would be dropped.
+    const std::string unobserved = window > 0   ? "--window"
+                                   : buffer > 0 ? "--buffer"
+                                   : offline    ? "--algo=" + algo
+                                                : "";
+    if (!unobserved.empty()) {
+      for (const char* flag : {"perf-report", "perf-json", "memory-budget", "deadline",
+                               "degrade-policy", "governor-interval"}) {
+        if (args.has(flag)) {
+          throw CliError("--" + std::string(flag) + " has no effect with " + unobserved);
+        }
+      }
+    }
 
     const std::string checkpoint_path = args.get("checkpoint", "");
     const auto checkpoint_every =
@@ -489,10 +509,13 @@ int main(int argc, char** argv) {
       options.passes = passes;
       options.seed_with_spnl = algo == "spnl";
       options.spnl_hints = spnl_hints;
+      options.perf = perf_ptr;
+      options.governor = governor_ptr;
       auto result = restream_partition(stream, config, options);
       route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_bytes;
+      degradations = std::move(result.degradations);
     } else if (threaded) {
       ParallelOptions options;
       options.num_threads = threads;
