@@ -616,15 +616,24 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
     }
   };
 
+  // The largest the input stream's read and decode buffers have been. The
+  // text reader frees its pass at the end of the stream, before the final
+  // sample, so the reader thread samples the stream at every publish.
+  std::size_t stream_bytes = 0;
+  auto sample_stream = [&] {
+    stream_bytes = std::max(stream_bytes, stream.memory_footprint_bytes());
+  };
+
   // The governor's MC sample: every byte the parallel partitioner itself
   // holds (Γ window, route, load counters, RCT, watermark, slab ring) plus
-  // the input stream's own read and decode buffers.
+  // the input stream's buffers.
   auto pipeline_bytes = [&]() -> std::size_t {
+    sample_stream();
     std::size_t bytes = state.gamma.memory_footprint_bytes() +
                         state.route.bytes() +
                         state.loads.size() * sizeof(PartitionLoad) +
                         rct.memory_footprint_bytes() + watermark.memory_footprint_bytes() +
-                        stream.memory_footprint_bytes();
+                        stream_bytes;
     for (const Slab& s : ring->slabs) {
       bytes += (s.ids.capacity() + s.targets.capacity()) * sizeof(VertexId) +
                s.ends.capacity() * sizeof(std::size_t);
@@ -665,6 +674,7 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
   // the stream first: a claim straddling its end is then readable, which a
   // quiesce there has to wait for.
   auto publish = [&](std::uint64_t count, bool last) {
+    sample_stream();
     ring->published.store(count, std::memory_order_release);
     if (last) ring->ended.store(true, std::memory_order_release);
     const std::uint64_t prev = produced;
@@ -850,10 +860,14 @@ ParallelRunResult run_parallel(AdjacencyStream& stream, const PartitionConfig& c
 
   ParallelRunResult result;
   result.partition_seconds = timer.seconds();
-  result.route.assign(state.route.data(), state.route.data() + n);
   result.peak_partitioner_bytes =
       std::max(pipeline_bytes(),
                governor != nullptr ? governor->peak_partitioner_bytes() : 0);
+  // Free the Γ table and the slab ring before the route is copied out, so
+  // the copy never sits next to them.
+  state.gamma.shrink_to(1);
+  ring.reset();
+  result.route.assign(state.route.data(), state.route.data() + n);
   result.delayed_vertices = state.delayed.load();
   result.untracked_overflow = options.use_rct ? rct.untracked_overflow() : 0;
   result.forced_vertices = state.forced.load();

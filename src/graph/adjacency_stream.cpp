@@ -411,10 +411,13 @@ std::optional<VertexRecord> FileAdjacencyStream::next() {
                                                       slice_->ends[r] - begin)};
       }
     }
-    slice_ = pass_ ? pass_->next_slice() : nullptr;  // null after a failed reopen
+    slice_ = pass_ ? pass_->next_slice() : nullptr;  // null past the end or a failed reopen
     record_ = 0;
     event_ = 0;
-    if (slice_ == nullptr) return std::nullopt;
+    if (slice_ == nullptr) {
+      pass_.reset();  // the pass's buffers are not needed past its end
+      return std::nullopt;
+    }
   }
 }
 

@@ -191,7 +191,9 @@ class FileAdjacencyStream final : public AdjacencyStream {
   void reset() override;
   VertexId num_vertices() const override { return num_vertices_; }
   EdgeId num_edges() const override { return num_edges_; }
-  /// Raw and parsed slice buffers of the current pass.
+  /// Raw and parsed slice buffers of the current pass; 0 once next() has
+  /// returned the end of the stream, which frees them (reset() starts a new
+  /// pass).
   std::size_t memory_footprint_bytes() const override;
 
   /// Malformed lines quarantined so far in the current pass.

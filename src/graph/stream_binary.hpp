@@ -74,7 +74,7 @@ class BinaryAdjacencyStream final : public AdjacencyStream {
  public:
   /// Window capacity. It grows past this only for a record whose worst-case
   /// encoding (kMaxHeadBytes + 10 bytes per neighbor) does not fit.
-  static constexpr std::size_t kWindowBytes = std::size_t{1} << 20;
+  static constexpr std::size_t kWindowBytes = std::size_t{128} << 10;
   /// Worst-case bytes of a record's id delta and degree (two 10-byte varints).
   static constexpr std::size_t kMaxHeadBytes = 20;
 

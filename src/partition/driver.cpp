@@ -139,11 +139,12 @@ RunResult run_streaming(AdjacencyStream& stream, StreamingPartitioner& partition
   drain(stream, partitioner, checkpointer, placed, result, perf, governor, stop);
   result.partition_seconds = timer.seconds();
   // Streaming structures only grow or stay flat — except when the governor
-  // shrinks them, in which case its samples saw the true peak.
+  // shrinks them, in which case its samples saw the true peak. Measured
+  // before the route leaves the partitioner.
   result.peak_partitioner_bytes =
       std::max(partitioner.memory_footprint_bytes(),
                governor != nullptr ? governor->peak_partitioner_bytes() : 0);
-  result.route = partitioner.route();
+  result.route = partitioner.take_route();
   return result;
 }
 

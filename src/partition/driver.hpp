@@ -59,6 +59,9 @@ struct StreamingCheckpointOptions {
 
 /// Drains the stream through the partitioner. The stream is consumed from
 /// its current position; callers reset() beforehand if reusing streams.
+/// The result takes the partitioner's route (StreamingPartitioner::
+/// take_route), so a partitioner that owns its table has an empty route()
+/// afterwards, also after an interrupted run.
 /// `perf`, when non-null, is attached to the partitioner for per-stage
 /// timings and additionally records stream-fetch time under kQueueWait;
 /// detached again before returning. Instrumentation overhead when null is a

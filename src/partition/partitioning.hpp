@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -46,6 +47,12 @@ class StreamingPartitioner {
 
   /// The route table built so far (kUnassigned for unseen vertices).
   virtual const std::vector<PartitionId>& route() const = 0;
+
+  /// Hands the route table to the caller when the run is over; the
+  /// partitioner places nothing after it. The default copies route(), so a
+  /// decorator that forwards route() stays correct; a partitioner that owns
+  /// its table moves it out and is left with an empty route().
+  virtual std::vector<PartitionId> take_route() { return route(); }
 
   /// Precise accounting of this partitioner's own data structures — the MC
   /// metric of the paper's Table IV.
@@ -94,6 +101,7 @@ class GreedyStreamingBase : public StreamingPartitioner {
                       const PartitionConfig& config);
 
   const std::vector<PartitionId>& route() const override { return route_; }
+  std::vector<PartitionId> take_route() override { return std::exchange(route_, {}); }
   std::size_t memory_footprint_bytes() const override;
 
   /// Base state (route + loads) with structural guards on n/m/K/balance.

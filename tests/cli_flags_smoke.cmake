@@ -131,6 +131,22 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "MC=" OR out MATCHES "MC=0B")
                       "${out}${err}")
 endif()
 
+# The summary line reports the process's peak RSS next to MC, and the perf
+# JSON carries the same peak in bytes; on Linux neither reads 0.
+execute_process(
+  COMMAND ${SPNL_PARTITION} ${GRAPH} --k=4 --perf-json=${WORK_DIR}/rss.json --quiet
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "MC=[0-9.]+[KMGT]?B RSS=[0-9.]+[KMGT]?B"
+   OR out MATCHES "RSS=0B")
+  message(FATAL_ERROR "expected a nonzero RSS= after MC= on the summary "
+                      "line, got rc=${rc}: ${out}${err}")
+endif()
+file(READ ${WORK_DIR}/rss.json perf_json)
+if(NOT perf_json MATCHES "\"peak_rss_bytes\":[1-9][0-9]*[,}]")
+  message(FATAL_ERROR "--perf-json: expected a nonzero peak_rss_bytes: "
+                      "${perf_json}")
+endif()
+
 execute_process(
   COMMAND ${SPNL_GEN} --out=${WORK_DIR}/n.adj --n=500
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

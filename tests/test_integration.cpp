@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "core/parallel_driver.hpp"
 #include "core/spnl.hpp"
@@ -150,6 +151,25 @@ TEST(Integration, DescribeRunsOnEveryAnalogue) {
     const Graph g = load_dataset(spec, 0.02);
     EXPECT_FALSE(describe(g, spec.name).empty());
   }
+}
+
+// run_streaming hands the partitioner's route table over instead of copying
+// it, and reports MC from before the hand-over, when the route still counts.
+TEST(Driver, RunStreamingHandsOverTheRouteItsPartitionerBuilt) {
+  const Graph g = generate_webcrawl({.num_vertices = 5000, .avg_out_degree = 6.0,
+                                     .seed = 43});
+  SpnlPartitioner partitioner(g.num_vertices(), g.num_edges(),
+                              {.num_partitions = 8});
+  const PartitionId* table = partitioner.route().data();
+  const std::size_t mc_before = partitioner.memory_footprint_bytes();
+  InMemoryStream stream(g);
+  const RunResult run = run_streaming(stream, partitioner);
+
+  EXPECT_EQ(run.route.data(), table);
+  EXPECT_TRUE(partitioner.route().empty());
+  EXPECT_TRUE(is_complete_assignment(run.route, 8));
+  EXPECT_GE(run.peak_partitioner_bytes, mc_before);
+  EXPECT_LT(partitioner.memory_footprint_bytes(), run.peak_partitioner_bytes);
 }
 
 }  // namespace

@@ -144,9 +144,9 @@ TEST_P(StreamingInvariants, HoldsOnAllFamiliesAndK) {
   auto partitioner = make_partitioner(param.partitioner, graph.num_vertices(),
                                       graph.num_edges(), config);
   InMemoryStream stream(graph);
-  run_streaming(stream, *partitioner);
+  const RunResult run = run_streaming(stream, *partitioner);
   if (auto* greedy = dynamic_cast<GreedyStreamingBase*>(partitioner.get())) {
-    const auto again = evaluate_partition(graph, greedy->route(), param.k);
+    const auto again = evaluate_partition(graph, run.route, param.k);
     for (PartitionId i = 0; i < param.k; ++i) {
       EXPECT_EQ(greedy->vertex_count(i), again.vertices_per_partition[i]);
       EXPECT_EQ(greedy->edge_count(i), again.edges_per_partition[i]);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/spn.hpp"
@@ -155,30 +157,64 @@ TEST(Degradation, MemoryBudgetForcesLadderAndRunCompletes) {
   EXPECT_EQ(governor.stage(), run.degradations.back().stage);
 }
 
+// Forwards to a partitioner and, after each placement, records its
+// footprint and the stream's: after the last record, what the run ended
+// with before the driver takes the route and the stream frees its pass.
+class FootprintAtLastRecord final : public StreamingPartitioner {
+ public:
+  FootprintAtLastRecord(StreamingPartitioner& inner, const AdjacencyStream& stream)
+      : inner_(inner), stream_(stream) {}
+
+  PartitionId place(VertexId v, std::span<const VertexId> out) override {
+    const PartitionId pid = inner_.place(v, out);
+    partitioner_bytes = inner_.memory_footprint_bytes();
+    stream_bytes = stream_.memory_footprint_bytes();
+    return pid;
+  }
+  const std::vector<PartitionId>& route() const override { return inner_.route(); }
+  std::size_t memory_footprint_bytes() const override {
+    return inner_.memory_footprint_bytes();
+  }
+  std::string name() const override { return inner_.name(); }
+  bool apply_degradation(DegradationStage stage) override {
+    return inner_.apply_degradation(stage);
+  }
+  DegradationStage degradation_stage() const override {
+    return inner_.degradation_stage();
+  }
+
+  std::size_t partitioner_bytes = 0;
+  std::size_t stream_bytes = 0;
+
+ private:
+  StreamingPartitioner& inner_;
+  const AdjacencyStream& stream_;
+};
+
 // The budget is charged for the partitioner's structures plus the input
 // stream's read and decode buffers, and every event's post_bytes measures
 // that same sum. The stream's buffers only grow within a pass and the
 // partitioner's footprint is fixed after the last step, so the last event
 // lies between the partitioner alone and the partitioner plus the stream's
-// end-of-run buffers.
+// buffers at the last record.
 TEST(Degradation, EventBytesIncludeTheFileStreamBuffers) {
   const Graph g = crawl(20000, 7);
   const auto dir = unique_test_dir();
   const std::string path = (dir / "crawl.adj").string();
   write_adjacency_list(g, path);
 
-  SpnlPartitioner partitioner(g.num_vertices(), g.num_edges(),
-                              {.num_partitions = 8});
+  SpnlPartitioner spnl(g.num_vertices(), g.num_edges(), {.num_partitions = 8});
   ResourceGovernor governor(
-      {.memory_budget_bytes = partitioner.memory_footprint_bytes() / 8,
+      {.memory_budget_bytes = spnl.memory_footprint_bytes() / 8,
        .sample_interval = 64});
   FileAdjacencyStream stream(path);
+  FootprintAtLastRecord partitioner(spnl, stream);
   const RunResult run = run_streaming(stream, partitioner, {}, nullptr, &governor);
   validate_route(run.route, 8, g.num_vertices());
   ASSERT_GE(run.degradations.size(), 1u);
 
-  const std::size_t partitioner_bytes = partitioner.memory_footprint_bytes();
-  const std::size_t stream_bytes = stream.memory_footprint_bytes();
+  const std::size_t partitioner_bytes = partitioner.partitioner_bytes;
+  const std::size_t stream_bytes = partitioner.stream_bytes;
   ASSERT_GT(stream_bytes, 0u);
   const DegradationEvent& last = run.degradations.back();
   EXPECT_GT(last.post_bytes, partitioner_bytes);

@@ -295,6 +295,28 @@ TEST_F(TextReader, DestructionMidPassJoinsCleanly) {
   }
 }
 
+// The end of the stream frees the pass's slices; reset() opens a new pass
+// that hands out the same records.
+TEST_F(TextReader, EndOfStreamFreesThePassAndResetReplays) {
+  const VertexId n = 300000;
+  SplitMix64 rng(11);
+  Written written;
+  std::string text = "# V " + std::to_string(n) + " E 0\n";
+  append_lines(text, 0, n, n, rng, written);
+  write_text(path("e.adj"), text, 3);
+  FileAdjacencyStream file(path("e.adj"));
+  ASSERT_TRUE(file.next().has_value());
+  EXPECT_GT(file.memory_footprint_bytes(), 0u);
+  file.reset();
+  const std::vector<OwnedVertexRecord> first = drain(file);
+  EXPECT_EQ(file.memory_footprint_bytes(), 0u);
+  EXPECT_TRUE(file.next() == std::nullopt);  // stays at end
+  expect_same(first, written.records);
+  file.reset();
+  expect_same(drain(file), first);
+  EXPECT_EQ(file.memory_footprint_bytes(), 0u);
+}
+
 // |V| from the pre-scan, materialize and the stream metrics agree on sinks
 // that have no line of their own, without a header.
 TEST_F(TextReader, SinkWithoutLineCountsAsVertexWithoutHeader) {

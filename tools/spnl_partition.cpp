@@ -69,9 +69,10 @@
 // file. When neither flag is given the instrumentation is compiled in but
 // never attached — the hot path only sees untaken null-pointer branches.
 //
-// Prints ECR / δv / δe / PT / MC and writes the route table when --out is
-// given. Exit code 0 on success; a flag this tool does not read, like a
-// malformed flag value, exits 2.
+// Prints ECR / δv / δe / PT / MC and the process's peak RSS (VmHWM, RSS=)
+// and writes the route table when --out is given; --perf-json carries the
+// same peak as "peak_rss_bytes". Exit code 0 on success; a flag this tool
+// does not read, like a malformed flag value, exits 2.
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -472,8 +473,8 @@ int main(int argc, char** argv) {
         throw std::runtime_error(
             "--algo=multilevel needs the materialized graph; drop --stream");
       }
-      const auto result = multilevel_partition(*graph, config);
-      route = result.route;
+      auto result = multilevel_partition(*graph, config);
+      route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_bytes;
     } else if (algo == "labelprop") {
@@ -483,16 +484,16 @@ int main(int argc, char** argv) {
       }
       LabelPropOptions options;
       options.num_threads = threads;
-      const auto result = label_prop_partition(*graph, config, options);
-      route = result.route;
+      auto result = label_prop_partition(*graph, config, options);
+      route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_bytes;
     } else if (window > 0) {
-      const auto result = window_stream_partition(
+      auto result = window_stream_partition(
           stream, config,
           {.window_size = window,
            .logical_weight = algo == "spnl" ? 0.5 : 0.0});
-      route = result.route;
+      route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_bytes;
     } else if (buffer > 0) {
@@ -500,8 +501,8 @@ int main(int argc, char** argv) {
       options.buffer_size = buffer;
       options.seed_rule =
           algo == "ldg" ? BufferSeedRule::kLdg : BufferSeedRule::kSpnl;
-      const auto result = buffered_partition(stream, config, options);
-      route = result.route;
+      auto result = buffered_partition(stream, config, options);
+      route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_bytes;
     } else if (passes > 1) {
@@ -540,10 +541,10 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(e.result.rescued_records));
         return 1;
       }
-      route = result.route;
+      route = std::move(result.route);
       seconds = result.partition_seconds;
       bytes = result.peak_partitioner_bytes;
-      degradations = result.degradations;
+      degradations = std::move(result.degradations);
       if (!quiet && (result.checkpoints_written > 0 || result.resumed_at > 0)) {
         std::printf("checkpoints_written=%llu resumed_at=%llu\n",
                     static_cast<unsigned long long>(result.checkpoints_written),
@@ -585,8 +586,11 @@ int main(int argc, char** argv) {
       // --checkpoint is set) and returns with interrupted set — instead of
       // the process dying mid-route.
       arm_shutdown_flag();
-      const RunResult run = run_streaming(stream, *partitioner, checkpoint,
-                                          perf_ptr, governor_ptr, &shutdown_flag());
+      RunResult run = run_streaming(stream, *partitioner, checkpoint, perf_ptr,
+                                    governor_ptr, &shutdown_flag());
+      // The route is in `run` now: the metrics pass below runs without the
+      // partitioner's Γ window and tables.
+      partitioner.reset();
       if (run.interrupted) {
         std::fprintf(stderr,
                      "interrupted: %llu of %u records placed; %s\n",
@@ -598,10 +602,10 @@ int main(int argc, char** argv) {
                                .c_str());
         return kExitInterrupted;
       }
-      route = run.route;
+      route = std::move(run.route);
       seconds = run.partition_seconds;
       bytes = run.peak_partitioner_bytes;
-      degradations = run.degradations;
+      degradations = std::move(run.degradations);
       if (!quiet && (run.checkpoints_written > 0 || run.resumed_at > 0)) {
         std::printf("checkpoints_written=%llu resumed_at=%llu\n",
                     static_cast<unsigned long long>(run.checkpoints_written),
@@ -636,17 +640,17 @@ int main(int argc, char** argv) {
       std::printf("%s K=%u route incomplete (records quarantined mid-stream); "
                   "quality metrics skipped\n",
                   algo.c_str(), k);
-    } else if (graph) {
-      const auto metrics = evaluate_partition(*graph, route, k);
-      std::printf("%s K=%u %s PT=%.3fs MC=%s\n", algo.c_str(), k,
-                  summarize(metrics).c_str(), seconds, format_bytes(bytes).c_str());
     } else {
-      // Metrics cost one extra read-only pass; PT above excludes it, matching
-      // the paper's definition (partitioning ends when the route is final).
-      stream.reset();
-      const auto metrics = evaluate_partition(stream, route, k);
-      std::printf("%s K=%u %s PT=%.3fs MC=%s\n", algo.c_str(), k,
-                  summarize(metrics).c_str(), seconds, format_bytes(bytes).c_str());
+      // Without the graph, metrics cost one extra read-only pass; PT above
+      // excludes it, matching the paper's definition (partitioning ends when
+      // the route is final).
+      if (!graph) stream.reset();
+      const auto metrics = graph ? evaluate_partition(*graph, route, k)
+                                 : evaluate_partition(stream, route, k);
+      // RSS is what the process paid at its peak, MC the partitioner's share.
+      std::printf("%s K=%u %s PT=%.3fs MC=%s RSS=%s\n", algo.c_str(), k,
+                  summarize(metrics).c_str(), seconds, format_bytes(bytes).c_str(),
+                  format_bytes(peak_rss_bytes()).c_str());
     }
     if (!quiet) {
       for (const DegradationEvent& event : degradations) {
@@ -660,13 +664,16 @@ int main(int argc, char** argv) {
       }
     }
     if (perf_ptr != nullptr) {
-      // Splice the governor's ladder transitions into the perf JSON object
-      // so one artifact carries timing and degradation history.
+      // Splice the peak RSS and the governor's ladder transitions into the
+      // perf JSON object so one artifact carries timing, memory and
+      // degradation history.
       std::string json = perf.to_json();
-      if (!degradations.empty() && !json.empty() && json.back() == '}') {
-        json.pop_back();
-        json += ",\"degradations\":" + degradation_events_json(degradations) + "}";
+      json.pop_back();  // the closing brace
+      json += ",\"peak_rss_bytes\":" + std::to_string(peak_rss_bytes());
+      if (!degradations.empty()) {
+        json += ",\"degradations\":" + degradation_events_json(degradations);
       }
+      json += "}";
       if (perf_report) {
         std::printf("%s", perf.report().c_str());
         std::printf("perf-json: %s\n", json.c_str());
