@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "core/spnl.hpp"
@@ -12,6 +13,7 @@
 #include "partition/driver.hpp"
 #include "partition/metrics.hpp"
 #include "reference_partitioners.hpp"
+#include "test_dir.hpp"
 #include "util/perf_stats.hpp"
 
 namespace spnl {
@@ -134,6 +136,26 @@ TEST(Parallel, ReportsMemoryFootprint) {
   const Graph g = crawl(5000, 19);
   const auto result = run(g, 2);
   EXPECT_GT(result.peak_partitioner_bytes, 0u);
+}
+
+// MC counts the input stream's buffers at their largest, although the text
+// reader frees them when the stream ends, before the run's last sample.
+TEST(Parallel, MemoryFootprintCountsTheTextReadersBuffers) {
+  const Graph g = crawl(20000, 23);
+  const auto dir = unique_test_dir();
+  const std::string path = (dir / "crawl.adj").string();
+  write_adjacency_list(g, path);
+  const PartitionConfig config{.num_partitions = 8};
+  ParallelOptions options;
+  options.num_threads = 2;
+  options.use_rct = false;
+  InMemoryStream memory(g);
+  const std::size_t in_memory = run_parallel(memory, config, options).peak_partitioner_bytes;
+  FileAdjacencyStream file(path);
+  const std::size_t from_file = run_parallel(file, config, options).peak_partitioner_bytes;
+  EXPECT_EQ(file.memory_footprint_bytes(), 0u);
+  EXPECT_GT(from_file, in_memory);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WatermarkTracker, FollowsTheContiguousPlacedPrefix) {
