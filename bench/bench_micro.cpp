@@ -1,8 +1,14 @@
 // Microbenchmarks (google-benchmark) for the hot inner structures:
 // Γ window operations, RCT operations, queue throughput, single-vertex
-// placement cost of each streaming heuristic, and the fixed setup cost of
-// the sequential and parallel SPNL drivers at 1M vertices, K=32.
+// placement cost of each streaming heuristic, the fixed setup cost of
+// the sequential and parallel SPNL drivers at 1M vertices, K=32, and the
+// metrics pass over an indexed 1M-vertex sadj file, sequential and by
+// segments.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "core/gamma_table.hpp"
 #include "core/parallel_driver.hpp"
@@ -10,7 +16,10 @@
 #include "core/spn.hpp"
 #include "core/spnl.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
+#include "graph/stream_binary.hpp"
 #include "partition/ldg.hpp"
+#include "partition/metrics.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/rng.hpp"
 
@@ -121,5 +130,55 @@ void BM_SetupParallelEmptyStream(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SetupParallelEmptyStream)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The 1M-vertex crawl of perfbench's sadj workloads, written once to a
+/// temporary file that is removed at exit.
+struct SadjFile {
+  std::string path;
+  SadjFile() {
+    path = (std::filesystem::temp_directory_path() /
+            ("bench_micro_" + std::to_string(::getpid()) + ".sadj"))
+               .string();
+    const Graph graph = generate_webcrawl({.num_vertices = 1000000, .seed = 1});
+    InMemoryStream source(graph);
+    write_sadj(source, path);
+  }
+  ~SadjFile() { std::filesystem::remove(path); }
+};
+
+/// Forwards a stream but offers no segments, as a decorator does.
+class Unsegmented final : public AdjacencyStream {
+ public:
+  explicit Unsegmented(AdjacencyStream& inner) : inner_(inner) {}
+  std::optional<VertexRecord> next() override { return inner_.next(); }
+  void reset() override { inner_.reset(); }
+  VertexId num_vertices() const override { return inner_.num_vertices(); }
+  EdgeId num_edges() const override { return inner_.num_edges(); }
+
+ private:
+  AdjacencyStream& inner_;
+};
+
+/// Arg 0: one sequential scan; arg 1: the segments summed on the helpers.
+void BM_EvaluatePartitionSadj(benchmark::State& state) {
+  static const SadjFile file;
+  BinaryAdjacencyStream stream(file.path);
+  while (stream.next()) {
+  }
+  stream.reset();
+  Unsegmented unsegmented(stream);
+  AdjacencyStream& scanned =
+      state.range(0) == 1 ? static_cast<AdjacencyStream&>(stream) : unsegmented;
+  const PartitionId k = 32;
+  std::vector<PartitionId> route(stream.num_vertices());
+  for (VertexId v = 0; v < route.size(); ++v) route[v] = (v / 4096) % k;
+  for (auto _ : state) {
+    scanned.reset();
+    benchmark::DoNotOptimize(evaluate_partition(scanned, route, k).cut_edges);
+  }
+  state.counters["segments"] = static_cast<double>(stream.segments());
+  state.SetItemsProcessed(state.iterations() * stream.num_edges());
+}
+BENCHMARK(BM_EvaluatePartitionSadj)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

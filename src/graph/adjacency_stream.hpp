@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,17 @@ class AdjacencyStream {
   /// written (storage fault on the side channel). Cumulative; 0 for streams
   /// without a quarantine log.
   virtual std::uint64_t quarantine_log_drops() const { return 0; }
+
+  /// Independent readers this stream can open over consecutive runs of its
+  /// records, which read one after another give the same records as one
+  /// full pass. 0 (the default) when it cannot.
+  virtual std::size_t segments() const { return 0; }
+
+  /// Opens segment i < segments(). Safe to call from several threads while
+  /// the stream itself is not read.
+  virtual std::unique_ptr<AdjacencyStream> segment(std::size_t i) const {
+    throw std::out_of_range("AdjacencyStream: no segment " + std::to_string(i));
+  }
 };
 
 /// Streams an in-memory CSR graph in increasing vertex-id order.

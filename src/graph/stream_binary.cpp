@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 
 #include "graph/io.hpp"
 #include "util/checked_io.hpp"
@@ -83,6 +85,9 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 }  // namespace sadj
 
 namespace {
+
+// next_seek_ of a pass that notes no seek points.
+constexpr std::uint64_t kNoSeekPoint = std::numeric_limits<std::uint64_t>::max();
 
 // Hot-path varint decode for next(): the one- and two-byte encodings (the
 // overwhelming majority under delta compression — the benchmark crawl
@@ -188,8 +193,8 @@ BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
   if (file_size_ < sadj::kHeaderBytes) {
     corrupt("file shorter than the 40-byte header");
   }
-  std::uint8_t base[sadj::kHeaderBytes];
-  read_fully(base, sizeof base);
+  read_fully(header_.data(), header_.size());
+  const std::uint8_t* const base = header_.data();
   if (std::memcmp(base, sadj::kMagic, 8) != 0) {
     corrupt("bad magic (not a .sadj file)");
   }
@@ -220,12 +225,66 @@ BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
   if (num_edges_ > body || num_records_ * 2 + num_edges_ > body) {
     corrupt("truncated: body smaller than the header's counts imply");
   }
+  end_ = {file_size_, 0, num_records_, num_edges_};
+  reset();
+}
+
+BinaryAdjacencyStream::BinaryAdjacencyStream(const BinaryAdjacencyStream& parent,
+                                             std::size_t i)
+    : path_(parent.path_),
+      fd_(faultfs::open(parent.path_.c_str(), O_RDONLY | O_CLOEXEC)),
+      file_size_(parent.file_size_),
+      header_(parent.header_),
+      window_bytes_(kSegmentWindowBytes),
+      num_vertices_(parent.num_vertices_),
+      num_edges_(parent.num_edges_),
+      num_records_(parent.num_records_),
+      start_(parent.seek_points_[i]),
+      end_(i + 1 < parent.seek_points_.size() ? parent.seek_points_[i + 1]
+                                              : parent.end_),
+      is_segment_(true) {
+  if (fd_.fd < 0) corrupt(std::string("cannot open: ") + std::strerror(errno));
+  std::array<std::uint8_t, sadj::kHeaderBytes> header{};
+  read_fully(header.data(), header.size());
+  if (header != header_) corrupt("header changed since the stream was indexed");
   reset();
 }
 
 void BinaryAdjacencyStream::reset() {
   // A multi-pass caller restarting on a file that was truncated between
   // passes gets a typed error here rather than partway through the pass.
+  check_size();
+  if (::lseek(fd_.fd, static_cast<off_t>(start_.offset), SEEK_SET) < 0) {
+    corrupt(std::string("cannot seek: ") + std::strerror(errno));
+  }
+  window_offset_ = start_.offset;
+  cursor_ = window_.data();
+  filled_ = window_.data();
+  prev_id_ = start_.prev_id;
+  records_read_ = start_.records;
+  edges_read_ = start_.edges;
+  // Until a pass has been validated to the end, every pass from the first
+  // record builds the index afresh; a segment reader builds none.
+  if (!indexed_) seek_points_.clear();
+  next_seek_ = indexed_ || is_segment_ ? kNoSeekPoint : 0;
+}
+
+std::size_t BinaryAdjacencyStream::segments() const {
+  return indexed_ && records_read_ == 0 ? seek_points_.size() : 0;
+}
+
+std::unique_ptr<AdjacencyStream> BinaryAdjacencyStream::segment(std::size_t i) const {
+  if (i >= segments()) {
+    throw std::out_of_range("BinaryAdjacencyStream: no segment " + std::to_string(i));
+  }
+  return std::unique_ptr<AdjacencyStream>(new BinaryAdjacencyStream(*this, i));
+}
+
+void BinaryAdjacencyStream::corrupt(const std::string& what) const {
+  throw IoError("BinaryAdjacencyStream: " + path_ + ": " + what);
+}
+
+void BinaryAdjacencyStream::check_size() const {
   struct stat st {};
   if (::fstat(fd_.fd, &st) != 0) {
     corrupt(std::string("cannot stat: ") + std::strerror(errno));
@@ -234,19 +293,25 @@ void BinaryAdjacencyStream::reset() {
     corrupt("truncated: " + std::to_string(st.st_size) + " of " +
             std::to_string(file_size_) + " bytes remain");
   }
-  if (::lseek(fd_.fd, static_cast<off_t>(sadj::kHeaderBytes), SEEK_SET) < 0) {
-    corrupt(std::string("cannot seek: ") + std::strerror(errno));
-  }
-  window_offset_ = sadj::kHeaderBytes;
-  cursor_ = window_.data();
-  filled_ = window_.data();
-  prev_id_ = -1;
-  records_read_ = 0;
-  edges_read_ = 0;
 }
 
-void BinaryAdjacencyStream::corrupt(const std::string& what) const {
-  throw IoError("BinaryAdjacencyStream: " + path_ + ": " + what);
+void BinaryAdjacencyStream::check_end() const {
+  const bool inner = end_.records != num_records_;
+  if (offset_of(cursor_) != end_.offset) {
+    corrupt(inner ? "segment ends at byte " + std::to_string(offset_of(cursor_)) +
+                        ", not at the next seek point's byte " +
+                        std::to_string(end_.offset)
+                  : std::string("trailing bytes after the last record"));
+  }
+  if (edges_read_ != end_.edges) {
+    corrupt(inner ? "segment edge count disagrees with the seek-point index"
+                  : "edge count disagrees with the header");
+  }
+}
+
+void BinaryAdjacencyStream::note_seek_point() {
+  seek_points_.push_back({offset_of(cursor_), prev_id_, records_read_, edges_read_});
+  next_seek_ += kSeekStride;
 }
 
 void BinaryAdjacencyStream::read_fully(std::uint8_t* out, std::size_t count) {
@@ -266,14 +331,14 @@ void BinaryAdjacencyStream::read_fully(std::uint8_t* out, std::size_t count) {
 }
 
 void BinaryAdjacencyStream::fill(std::uint64_t bytes) {
-  const std::uint64_t left = file_size_ - offset_of(cursor_);
+  const std::uint64_t left = end_.offset - offset_of(cursor_);
   bytes = std::min(bytes, left);
   const std::size_t kept = static_cast<std::size_t>(filled_ - cursor_);
   if (kept >= bytes) return;
   window_offset_ = offset_of(cursor_);
   if (kept > 0) std::memmove(window_.data(), cursor_, kept);
   const std::size_t capacity = static_cast<std::size_t>(
-      std::max(bytes, std::min<std::uint64_t>(kWindowBytes, left)));
+      std::max(bytes, std::min<std::uint64_t>(window_bytes_, left)));
   if (window_.size() < capacity) window_.resize(capacity);
   const std::size_t want =
       static_cast<std::size_t>(std::min<std::uint64_t>(window_.size(), left));
@@ -283,12 +348,11 @@ void BinaryAdjacencyStream::fill(std::uint64_t bytes) {
 }
 
 std::optional<VertexRecord> BinaryAdjacencyStream::next() {
-  if (records_read_ == num_records_) {
-    if (offset_of(cursor_) != file_size_) {
-      corrupt("trailing bytes after the last record");
-    }
+  if (records_read_ == end_.records) {
+    check_end();
     return std::nullopt;
   }
+  if (records_read_ == next_seek_) [[unlikely]] note_seek_point();
   // The window holds each record whole, or the rest of the file: a record
   // decodes from bytes in memory exactly as it would from the whole file.
   if (static_cast<std::size_t>(filled_ - cursor_) < kMaxHeadBytes) {
@@ -371,12 +435,13 @@ std::optional<VertexRecord> BinaryAdjacencyStream::next() {
   cursor_ = p;
   edges_read_ += degree;
   ++records_read_;
-  if (records_read_ == num_records_) {
-    if (edges_read_ != num_edges_) {
-      corrupt("edge count disagrees with the header");
-    }
-    if (offset_of(cursor_) != file_size_) {
-      corrupt("trailing bytes after the last record");
+  if (records_read_ == end_.records) {
+    check_end();
+    // The pass from the first record passed the end-of-file checks: its
+    // seek points can be trusted.
+    if (next_seek_ != kNoSeekPoint) {
+      indexed_ = true;
+      next_seek_ = kNoSeekPoint;
     }
   }
   return VertexRecord{static_cast<VertexId>(id),

@@ -42,12 +42,23 @@ QualityMetrics count_vertices(const std::vector<PartitionId>& route, PartitionId
   return metrics;
 }
 
-// Sums of one vertex chunk of the Graph overload.
+// Sums of one vertex chunk of the Graph overload, or of one stream segment
+// (which leaves `vertices` empty: the route counts those).
 struct ChunkSums {
   EdgeId cut_edges = 0;
   std::vector<VertexId> vertices;
   std::vector<EdgeId> edges;
 };
+
+void fold(QualityMetrics& metrics, const ChunkSums& part) {
+  metrics.cut_edges += part.cut_edges;
+  for (std::size_t p = 0; p < part.vertices.size(); ++p) {
+    metrics.vertices_per_partition[p] += part.vertices[p];
+  }
+  for (std::size_t p = 0; p < part.edges.size(); ++p) {
+    metrics.edges_per_partition[p] += part.edges[p];
+  }
+}
 
 }  // namespace
 
@@ -87,13 +98,7 @@ QualityMetrics evaluate_partition(const Graph& graph,
   QualityMetrics metrics;
   metrics.vertices_per_partition.assign(k, 0);
   metrics.edges_per_partition.assign(k, 0);
-  while (const ChunkSums* part = sums.next()) {
-    metrics.cut_edges += part->cut_edges;
-    for (PartitionId p = 0; p < k; ++p) {
-      metrics.vertices_per_partition[p] += part->vertices[p];
-      metrics.edges_per_partition[p] += part->edges[p];
-    }
-  }
+  while (const ChunkSums* part = sums.next()) fold(metrics, *part);
   finalize_metrics(metrics, n, graph.num_edges(), k);
   return metrics;
 }
@@ -108,21 +113,42 @@ QualityMetrics evaluate_partition(AdjacencyStream& stream,
   if (k == 0) throw std::invalid_argument("evaluate_partition: k must be >= 1");
 
   QualityMetrics metrics = count_vertices(route, k);
-  while (auto record = stream.next()) {
-    if (record->id >= n) {
-      throw std::invalid_argument("evaluate_partition: stream record " +
-                                  std::to_string(record->id) + " out of range");
-    }
-    const PartitionId p = route[record->id];
-    metrics.edges_per_partition[p] += record->out.size();
-    for (VertexId u : record->out) {
-      if (u >= n) {
-        throw std::invalid_argument("evaluate_partition: neighbor " +
-                                    std::to_string(u) + " out of range");
+  const auto sum_records = [&](AdjacencyStream& records, ChunkSums& part) {
+    part.cut_edges = 0;
+    part.edges.assign(k, 0);
+    while (auto record = records.next()) {
+      if (record->id >= n) {
+        throw std::invalid_argument("evaluate_partition: stream record " +
+                                    std::to_string(record->id) + " out of range");
       }
-      if (route[u] != p) ++metrics.cut_edges;
+      const PartitionId p = route[record->id];
+      part.edges[p] += record->out.size();
+      for (VertexId u : record->out) {
+        if (u >= n) {
+          throw std::invalid_argument("evaluate_partition: neighbor " +
+                                      std::to_string(u) + " out of range");
+        }
+        if (route[u] != p) ++part.cut_edges;
+      }
     }
-  }
+  };
+  // A stream that offers segments is summed like the Graph overload's vertex
+  // chunks: one segment per item on the spare cores, folded in stream order,
+  // so the first bad record is still the one reported. Any other stream is
+  // one item read inline.
+  const std::size_t segments =
+      stream.num_edges() >= kParallelMetricsMinEdges ? stream.segments() : 0;
+  const bool parallel = segments >= 2;
+  OrderedPrefetch<ChunkSums> sums(
+      parallel ? segments : 1, parallel ? prefetch_helpers() : 0,
+      [&](std::size_t i, ChunkSums& part) {
+        if (parallel) {
+          sum_records(*stream.segment(i), part);
+        } else {
+          sum_records(stream, part);
+        }
+      });
+  while (const ChunkSums* part = sums.next()) fold(metrics, *part);
   finalize_metrics(metrics, n, stream.num_edges(), k);
   return metrics;
 }

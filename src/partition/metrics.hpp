@@ -39,7 +39,10 @@ QualityMetrics evaluate_partition(const Graph& graph,
 /// Streaming variant for runs that never materialize the graph: one extra
 /// pass over the stream (reset() it first if already consumed). Vertices the
 /// stream does not mention count as degree-0; results are identical to the
-/// Graph overload whenever the stream covers every vertex.
+/// Graph overload whenever the stream covers every vertex. From
+/// kParallelMetricsMinEdges edges on, a stream that offers two or more
+/// segments() is summed segment by segment in parallel and stays at its
+/// first record; the result and the error reported are the same.
 QualityMetrics evaluate_partition(AdjacencyStream& stream,
                                   const std::vector<PartitionId>& route,
                                   PartitionId k);

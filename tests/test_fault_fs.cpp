@@ -3,14 +3,16 @@
 // crash-atomic publish of checkpoints and sadj conversions, quarantine-log
 // drop counting, and the input readers (a file truncated while streamed
 // surfaces as a typed IoError; injected open/read faults are typed errors or
-// absorbed retries).
+// absorbed retries), also in the sadj segment readers the metrics open.
 #include "util/fault_fs.hpp"
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stream_binary.hpp"
+#include "partition/metrics.hpp"
 #include "util/checked_io.hpp"
 #include "test_dir.hpp"
 
@@ -429,6 +432,129 @@ TEST_F(FaultFsTest, InjectedOpenAndReadFailuresAreTyped) {
   }
   // The plan grammar no longer knows a mapping operation.
   EXPECT_THROW(faultfs::configure("fail:mmap@1"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// The segment readers evaluate_partition opens over an indexed sadj stream:
+// a file changed or shrunk after indexing, and injected read faults, are
+// typed errors; short reads and EINTR storms leave the metrics unchanged.
+
+class SegmentFaultTest : public FaultFsTest {
+ protected:
+  static constexpr VertexId kVertices = 300000;
+  static constexpr PartitionId kK = 5;
+
+  void SetUp() override {
+    FaultFsTest::SetUp();
+    graph_ = generate_webcrawl({.num_vertices = kVertices, .avg_out_degree = 6.0, .seed = 3});
+    ASSERT_GE(graph_.num_edges(), kParallelMetricsMinEdges);
+    file_ = path("g.sadj");
+    InMemoryStream source(graph_);
+    write_sadj(source, file_);
+    route_.resize(kVertices);
+    for (VertexId v = 0; v < kVertices; ++v) route_[v] = (v / 1000) % kK;
+  }
+
+  // A stream whose validated first pass built the seek-point index.
+  std::unique_ptr<BinaryAdjacencyStream> indexed() const {
+    auto stream = std::make_unique<BinaryAdjacencyStream>(file_);
+    while (stream->next()) {
+    }
+    stream->reset();
+    EXPECT_GE(stream->segments(), 4u);
+    return stream;
+  }
+
+  // Overwrites one byte of the file in place.
+  void poke(std::uint64_t offset, std::uint8_t byte) const {
+    const int fd = ::open(file_.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, &byte, 1, static_cast<off_t>(offset)), 1);
+    ::close(fd);
+  }
+
+  Graph graph_;
+  std::string file_;
+  std::vector<PartitionId> route_;
+};
+
+TEST_F(SegmentFaultTest, FileTruncatedAfterIndexingIsIoError) {
+  const auto stream = indexed();
+  ASSERT_EQ(::truncate(file_.c_str(), static_cast<off_t>(kPage)), 0);
+  try {
+    evaluate_partition(*stream, route_, kK);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(SegmentFaultTest, FileChangedAfterIndexingIsIoError) {
+  // The degree byte of the last record before the second seek point, found
+  // by encoding the records ahead of it as the writer does.
+  const VertexId last = static_cast<VertexId>(BinaryAdjacencyStream::kSeekStride - 1);
+  ASSERT_GE(graph_.out_degree(last), 2u);
+  ASSERT_LT(graph_.out_degree(last), 128u);
+  std::vector<std::uint8_t> prefix;
+  for (VertexId v = 0; v < last; ++v) {
+    sadj::put_signed(prefix, 1);
+    sadj::put_varint(prefix, graph_.out_degree(v));
+    std::int64_t prev = v;
+    for (VertexId u : graph_.out_neighbors(v)) {
+      sadj::put_signed(prefix, static_cast<std::int64_t>(u) - prev);
+      prev = u;
+    }
+  }
+  sadj::put_signed(prefix, 1);
+  const std::uint64_t degree_at = sadj::kHeaderBytes + prefix.size();
+
+  const auto stream = indexed();
+  poke(degree_at, static_cast<std::uint8_t>(graph_.out_degree(last) - 1));
+  {
+    const std::unique_ptr<AdjacencyStream> segment = stream->segment(0);
+    try {
+      while (segment->next()) {
+      }
+      FAIL() << "expected IoError";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("not at the next seek point"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(evaluate_partition(*stream, route_, kK), IoError);
+
+  poke(16, 0xFF);  // V, in the header
+  EXPECT_THROW(stream->segment(1), IoError);
+}
+
+TEST_F(SegmentFaultTest, InjectedReadFailureInASegmentReaderIsTyped) {
+  const auto stream = indexed();
+  for (const char* plan : {"fail:read@1", "fail:read@6@eio", "fail:read@r40"}) {
+    SCOPED_TRACE(plan);
+    faultfs::configure(plan);
+    EXPECT_THROW(evaluate_partition(*stream, route_, kK), IoError);
+    EXPECT_EQ(faultfs::injected_faults(), 1u);
+    faultfs::disarm();
+    EXPECT_GE(stream->segments(), 4u);
+  }
+}
+
+TEST_F(SegmentFaultTest, ShortAndEintrReadsInSegmentReadersChangeNothing) {
+  const auto stream = indexed();
+  const QualityMetrics expected = evaluate_partition(graph_, route_, kK);
+  for (const char* plan : {"short:read@1", "short:read@9@3", "eintr:read@2@5",
+                           "short:read@4,eintr:read@12@2"}) {
+    SCOPED_TRACE(plan);
+    faultfs::configure(plan);
+    const QualityMetrics metrics = evaluate_partition(*stream, route_, kK);
+    EXPECT_GE(faultfs::injected_faults(), 1u);
+    faultfs::disarm();
+    EXPECT_EQ(metrics.cut_edges, expected.cut_edges);
+    EXPECT_EQ(metrics.edges_per_partition, expected.edges_per_partition);
+    EXPECT_EQ(metrics.vertices_per_partition, expected.vertices_per_partition);
+    EXPECT_EQ(metrics.ecr, expected.ecr);
+    EXPECT_EQ(metrics.delta_e, expected.delta_e);
+  }
 }
 
 }  // namespace

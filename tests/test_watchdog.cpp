@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "partition/metrics.hpp"
+#include "test_dir.hpp"
 
 namespace spnl {
 namespace {
@@ -265,12 +266,13 @@ TEST(WatchdogIntegration, GovernorDegradesEdgeBalancedParallelPipeline) {
   // clears (a use-after-free the sanitizer builds catch). Checkpoints add
   // more quiesces, each of which serializes those rows.
   const PartitionId k = 8;
+  const std::filesystem::path dir = unique_test_dir();
   for (const std::uint64_t seed : {33u, 35u, 37u, 39u}) {
     const Graph g = crawl(20000, seed);
     ParallelOptions options = watchdog_options(4);
     ResourceGovernor governor({.memory_budget_bytes = 1, .sample_interval = 64});
     options.governor = &governor;
-    const std::string checkpoint = ::testing::TempDir() + "edge_governor.ckpt";
+    const std::string checkpoint = (dir / "edge_governor.ckpt").string();
     options.checkpoint_path = checkpoint;
     options.checkpoint_every = 640;
     InMemoryStream stream(g);
@@ -282,8 +284,8 @@ TEST(WatchdogIntegration, GovernorDegradesEdgeBalancedParallelPipeline) {
     EXPECT_EQ(result.degradations.back().stage, DegradationStage::kHashFallback);
     EXPECT_GT(result.checkpoints_written, 0u) << "seed " << seed;
     EXPECT_LE(evaluate_partition(g, result.route, k).delta_e, 1.2) << "seed " << seed;
-    std::filesystem::remove(checkpoint);
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -643,7 +643,9 @@ int main(int argc, char** argv) {
     } else {
       // Without the graph, metrics cost one extra read-only pass; PT above
       // excludes it, matching the paper's definition (partitioning ends when
-      // the route is final).
+      // the route is final). After reset(), a sadj stream whose partitioning
+      // pass indexed it offers segments, and the pass is split over them on
+      // the spare cores; any other stream is read once on this thread.
       if (!graph) stream.reset();
       const auto metrics = graph ? evaluate_partition(*graph, route, k)
                                  : evaluate_partition(stream, route, k);
