@@ -12,7 +12,7 @@ namespace spnl {
 namespace {
 
 constexpr std::uint64_t kCheckpointMagic = 0x53504e4c434b5031ULL;  // "SPNLCKP1"
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 std::array<std::uint32_t, 256> make_crc_table() {
   std::array<std::uint32_t, 256> table{};

@@ -20,8 +20,8 @@ ConcurrentGammaWindow::ConcurrentGammaWindow(VertexId num_vertices,
   const VertexId n = std::max<VertexId>(num_vertices, 1);
   window_size_ = (n + num_shards - 1) / num_shards;
   mod_magic_ = mod_magic(window_size_);
-  counters_ = ZeroedArray<std::uint32_t>(static_cast<std::size_t>(window_size_) *
-                                         num_partitions_);
+  counters_ = ZeroedArray<GammaCount>(static_cast<std::size_t>(window_size_) *
+                                      num_partitions_);
 }
 
 void ConcurrentGammaWindow::advance_to(VertexId head) {
@@ -34,7 +34,7 @@ void ConcurrentGammaWindow::advance_to(VertexId head) {
   } while (!base_.compare_exchange_weak(base, head, std::memory_order_relaxed));
 
   auto clear_rows = [this](VertexId first_slot, VertexId rows) {
-    std::uint32_t* begin =
+    GammaCount* begin =
         counters_.data() + static_cast<std::size_t>(first_slot) * num_partitions_;
     const std::size_t count = static_cast<std::size_t>(rows) * num_partitions_;
     for (std::size_t i = 0; i < count; ++i) {
@@ -59,8 +59,8 @@ void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
   if (new_window >= window_size_) return;
   // Callers have quiesced every other access, so plain copies are safe.
   const VertexId base = base_.load(std::memory_order_relaxed);
-  ZeroedArray<std::uint32_t> counters(static_cast<std::size_t>(new_window) *
-                                      num_partitions_);
+  ZeroedArray<GammaCount> counters(static_cast<std::size_t>(new_window) *
+                                   num_partitions_);
   for (VertexId i = 0; i < new_window; ++i) {
     const VertexId id = base + i;
     const std::size_t old_row =
@@ -68,7 +68,7 @@ void ConcurrentGammaWindow::shrink_to(VertexId new_window) {
     const std::size_t new_row =
         static_cast<std::size_t>(id % new_window) * num_partitions_;
     std::memcpy(counters.data() + new_row, counters_.data() + old_row,
-                num_partitions_ * sizeof(std::uint32_t));
+                num_partitions_ * sizeof(GammaCount));
   }
   counters_ = std::move(counters);
   window_size_ = new_window;

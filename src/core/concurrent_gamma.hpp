@@ -13,9 +13,10 @@
 // (increment_many), so a placement is visible to the next record any worker
 // scores.
 //
-// The counters are plain uint32_t in a ZeroedArray, every concurrent access
-// going through std::atomic_ref: the kernel zeroes the table on first touch,
-// so construction runs no pass over it.
+// The counters are plain GammaCount (16 bits, saturating; see
+// core/gamma_table.hpp) in a ZeroedArray, every concurrent access going
+// through std::atomic_ref: the kernel zeroes the table on first touch, so
+// construction runs no pass over it.
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include <span>
 
 #include "core/checkpoint.hpp"
+#include "core/gamma_table.hpp"
 #include "graph/types.hpp"
 #include "util/zeroed_array.hpp"
 
@@ -45,7 +47,7 @@ class ConcurrentGammaWindow {
   /// Batched per-record increments for the parallel commit path: one base
   /// load for the whole neighbor list instead of one per neighbor, and
   /// consecutive duplicate neighbors (multigraph edges arrive sorted from
-  /// the loaders) coalesced into one fetch_add of the run length.
+  /// the loaders) coalesced into one saturating add of the run length.
   /// Semantically identical to calling increment() per neighbor: slot_of is
   /// base-independent (u mod W), so an increment racing a concurrent slide
   /// lands on the same slot either way — the same benign heuristic race the
@@ -62,29 +64,29 @@ class ConcurrentGammaWindow {
       if (u < b || static_cast<std::uint64_t>(u) >= static_cast<std::uint64_t>(b) + w) {
         continue;
       }
-      std::atomic_ref(counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p])
-          .fetch_add(run, std::memory_order_relaxed);
+      add_saturating(counters_[static_cast<std::size_t>(slot_of(u)) * num_partitions_ + p],
+                     run);
     }
   }
 
   /// u's row of K counters, or nullptr when u is outside the window. One
   /// base load and one modulo serve all K reads of the row. Read its
   /// counters with load().
-  const std::uint32_t* row(VertexId u) const {
+  const GammaCount* row(VertexId u) const {
     if (!contains(u)) return nullptr;
     return counters_.data() + static_cast<std::size_t>(slot_of(u)) * num_partitions_;
   }
 
   /// Relaxed atomic read of counter i of a row() result.
-  static std::uint32_t load(const std::uint32_t* row, std::size_t i) {
+  static GammaCount load(const GammaCount* row, std::size_t i) {
     // atomic_ref wants a mutable referent even to load; the counter itself
     // is a non-const object of the table.
-    return std::atomic_ref(const_cast<std::uint32_t&>(row[i]))
+    return std::atomic_ref(const_cast<GammaCount&>(row[i]))
         .load(std::memory_order_relaxed);
   }
 
   std::uint32_t get(PartitionId p, VertexId u) const {
-    const std::uint32_t* r = row(u);
+    const GammaCount* r = row(u);
     return r == nullptr ? 0 : load(r, p);
   }
 
@@ -120,11 +122,23 @@ class ConcurrentGammaWindow {
   }
   static std::uint64_t mod_magic(VertexId w) { return ~std::uint64_t{0} / w + 1; }
 
+  /// counter += n, clamped at kGammaCountMax by a relaxed CAS loop: two
+  /// racing adds near the cap cannot wrap it, and a saturated counter is
+  /// left alone without a write.
+  static void add_saturating(GammaCount& counter, std::uint32_t n) {
+    std::atomic_ref<GammaCount> ref(counter);
+    GammaCount seen = ref.load(std::memory_order_relaxed);
+    while (seen != kGammaCountMax &&
+           !ref.compare_exchange_weak(seen, saturating_add(seen, n),
+                                      std::memory_order_relaxed)) {
+    }
+  }
+
   PartitionId num_partitions_;
   VertexId window_size_;
   std::uint64_t mod_magic_;  // mod_magic(window_size_)
   std::atomic<VertexId> base_{0};
-  ZeroedArray<std::uint32_t> counters_;  // window_size_ x num_partitions_
+  ZeroedArray<GammaCount> counters_;  // window_size_ x num_partitions_
 };
 
 }  // namespace spnl

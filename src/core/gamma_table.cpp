@@ -19,8 +19,8 @@ GammaWindow::GammaWindow(VertexId num_vertices, PartitionId num_partitions,
   const VertexId n = std::max<VertexId>(num_vertices, 1);
   window_size_ = (n + num_shards - 1) / num_shards;  // ceil(n/X)
   if (window_size_ == 0) window_size_ = 1;
-  counters_ = ZeroedArray<std::uint32_t>(static_cast<std::size_t>(window_size_) *
-                                         num_partitions_);
+  counters_ = ZeroedArray<GammaCount>(static_cast<std::size_t>(window_size_) *
+                                      num_partitions_);
 }
 
 std::uint32_t GammaWindow::recommended_shards(VertexId num_vertices, PartitionId k,
@@ -65,12 +65,12 @@ void GammaWindow::advance_general(VertexId head) {
   std::memset(counters_.data() + static_cast<std::size_t>(first) * num_partitions_,
               0,
               static_cast<std::size_t>(head_rows) * num_partitions_ *
-                  sizeof(std::uint32_t));
+                  sizeof(GammaCount));
   const VertexId wrapped_rows = steps - head_rows;
   if (wrapped_rows > 0) {
     std::memset(counters_.data(), 0,
                 static_cast<std::size_t>(wrapped_rows) * num_partitions_ *
-                    sizeof(std::uint32_t));
+                    sizeof(GammaCount));
   }
   base_ = head;
   // One modulo per slide instead of one per out-neighbor: row_offset()
@@ -86,8 +86,8 @@ void GammaWindow::shrink_to(VertexId new_window) {
   // Ids still covered by the smaller window keep their counters;
   // [base+new_W, base+old_W) is dropped — the same loss as having streamed
   // with a larger X all along.
-  ZeroedArray<std::uint32_t> counters(static_cast<std::size_t>(new_window) *
-                                      num_partitions_);
+  ZeroedArray<GammaCount> counters(static_cast<std::size_t>(new_window) *
+                                   num_partitions_);
   const std::uint64_t covered =
       std::min<std::uint64_t>(new_window,
                               static_cast<std::uint64_t>(window_size_));
@@ -97,7 +97,7 @@ void GammaWindow::shrink_to(VertexId new_window) {
     const std::size_t new_row =
         static_cast<std::size_t>(id % new_window) * num_partitions_;
     std::memcpy(counters.data() + new_row, counters_.data() + old_row,
-                num_partitions_ * sizeof(std::uint32_t));
+                num_partitions_ * sizeof(GammaCount));
   }
   counters_.swap(counters);
   window_size_ = new_window;

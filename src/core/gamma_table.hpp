@@ -12,10 +12,18 @@
 // Layout is slot-major (W rows of K counters): reading all K counters of one
 // vertex — the hot operation when scoring an arrival — is one contiguous
 // cache run, and retiring a slot is one contiguous clear.
+//
+// A counter is a GammaCount of 16 bits that saturates at kGammaCountMax
+// instead of wrapping. Γ_i(u) never exceeds u's in-degree, so the cap binds
+// only for a vertex with 65,535 placed in-neighbors in one partition within
+// one window span; its decision then falls to the λ term and the weights.
+// At K = 32 one row is exactly one 64-byte cache line.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "core/checkpoint.hpp"
@@ -23,6 +31,16 @@
 #include "util/zeroed_array.hpp"
 
 namespace spnl {
+
+/// One Γ counter: the one place its width is decided.
+using GammaCount = std::uint16_t;
+inline constexpr GammaCount kGammaCountMax = std::numeric_limits<GammaCount>::max();
+
+/// count + n, clamped at kGammaCountMax: a counter never wraps.
+inline GammaCount saturating_add(GammaCount count, std::uint64_t n = 1) {
+  return static_cast<GammaCount>(
+      std::min<std::uint64_t>(std::uint64_t{count} + n, kGammaCountMax));
+}
 
 /// Sliding granularity (Sec. V-A): the paper rejects coarse shard-by-shard
 /// sliding because the sharp jump loses boundary-vertex expectations; the
@@ -57,7 +75,7 @@ class GammaWindow {
   /// whole table, so the fast path is still exact.)
   void advance_to(VertexId head) {
     if (mode_ == SlideMode::kFine && head == base_ + 1) {
-      std::uint32_t* row =
+      GammaCount* row =
           counters_.data() + static_cast<std::size_t>(base_slot_) * num_partitions_;
       for (PartitionId i = 0; i < num_partitions_; ++i) row[i] = 0;
       base_ = head;
@@ -67,20 +85,20 @@ class GammaWindow {
     advance_general(head);
   }
 
-  /// Γ_p(u) += 1 if u is inside the window; silently dropped otherwise —
-  /// exactly the accuracy/memory trade-off of Fig. 5.
+  /// Γ_p(u) += 1 (saturating) if u is inside the window; silently dropped
+  /// otherwise — exactly the accuracy/memory trade-off of Fig. 5.
   void increment(PartitionId p, VertexId u) {
-    if (contains(u)) ++counters_[slot_of(u) * num_partitions_ + p];
+    if (contains(u)) increment_at(row_offset(u), p);
   }
 
   /// Γ_p(u), 0 if outside the window.
   std::uint32_t get(PartitionId p, VertexId u) const {
-    return contains(u) ? counters_[slot_of(u) * num_partitions_ + p] : 0;
+    return contains(u) ? counters_[row_offset(u) + p] : 0;
   }
 
   /// All K counters of u as a contiguous span; empty span if outside the
   /// window (callers treat it as all-zeros).
-  std::span<const std::uint32_t> row(VertexId u) const {
+  std::span<const GammaCount> row(VertexId u) const {
     if (!contains(u)) return {};
     return {counters_.data() + static_cast<std::size_t>(slot_of(u)) * num_partitions_,
             num_partitions_};
@@ -108,11 +126,13 @@ class GammaWindow {
     return static_cast<std::size_t>(slot) * num_partitions_;
   }
 
-  const std::uint32_t* data() const { return counters_.data(); }
+  const GammaCount* data() const { return counters_.data(); }
 
-  /// Γ_p += 1 at a row offset previously obtained from row_offset().
+  /// Γ_p += 1 (saturating) at a row offset previously obtained from
+  /// row_offset().
   void increment_at(std::size_t row_offset, PartitionId p) {
-    ++counters_[row_offset + p];
+    GammaCount& count = counters_[row_offset + p];
+    count = saturating_add(count);
   }
 
   VertexId base() const { return base_; }
@@ -156,7 +176,7 @@ class GammaWindow {
   /// slot_of(base_), maintained by advance_to/restore so row_offset() never
   /// divides.
   VertexId base_slot_ = 0;
-  ZeroedArray<std::uint32_t> counters_;  // window_size_ x num_partitions_
+  ZeroedArray<GammaCount> counters_;  // window_size_ x num_partitions_
 };
 
 }  // namespace spnl

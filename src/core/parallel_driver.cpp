@@ -101,7 +101,7 @@ std::size_t flush_interval(const PartitionConfig& config, VertexId n, unsigned w
 /// sum and kept current as the sequential partitioner keeps its own.
 class WorkerReads {
  public:
-  using Row = const std::uint32_t*;
+  using Row = const GammaCount*;
 
   WorkerReads(SharedState& state, std::size_t flush_every)
       : state_(state),
@@ -132,7 +132,7 @@ class WorkerReads {
     row = state_.gamma.row(u);
     return row != nullptr;
   }
-  std::uint32_t gamma(Row row, std::size_t i) const {
+  GammaCount gamma(Row row, std::size_t i) const {
     return ConcurrentGammaWindow::load(row, i);
   }
 

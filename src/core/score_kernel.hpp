@@ -197,7 +197,7 @@ PartitionId hash_vote_pick(const Reads& reads, const RecordParams& params, Verte
 /// logical term (SPN); SpnlPartitioner's policy adds it. prefetch() is a
 /// no-op because place_with() prefetches before the window slide.
 struct PlainReads {
-  using Row = const std::uint32_t*;
+  using Row = const GammaCount*;
 
   PartitionId num_partitions() const { return static_cast<PartitionId>(loads.size()); }
   VertexId num_vertices() const { return static_cast<VertexId>(routes.size()); }
@@ -211,7 +211,7 @@ struct PlainReads {
     row = window.data() + window.row_offset(u);
     return true;
   }
-  std::uint32_t gamma(Row row, std::size_t i) const { return row[i]; }
+  GammaCount gamma(Row row, std::size_t i) const { return row[i]; }
 
   PartitionView view() const { return {loads, {}, weights}; }
 

@@ -139,7 +139,7 @@ PartitionId SpnPartitioner::place_with(const Reads& reads, VertexId v,
   // clear and the scoring arithmetic. Membership is re-evaluated after the
   // slide; a prefetch of a row that then retires (or a miss on one that just
   // entered) only costs a wasted hint.
-  const std::uint32_t* gamma_data = gamma_.data();
+  const GammaCount* gamma_data = gamma_.data();
   for (VertexId u : out) {
     if (u < route_.size()) prefetch_read(&route_[u]);
     if (gamma_.contains(u)) prefetch_write(gamma_data + gamma_.row_offset(u));

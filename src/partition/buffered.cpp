@@ -19,7 +19,7 @@ struct Batch {
   std::vector<PartitionId> labels;
   /// Γ-row snapshot per record: placed-in-neighbor counts contributed by the
   /// committed prefix (flattened records.size() x k). Zero for the LDG seed.
-  std::vector<std::uint32_t> gamma_prior;
+  std::vector<GammaCount> gamma_prior;
   /// In-batch reverse adjacency: for each record, the batch positions of its
   /// in-batch in-neighbors (so agreement is symmetric inside the buffer).
   std::vector<std::vector<std::uint32_t>> in_batch_in_neighbors;

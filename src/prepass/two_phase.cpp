@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "partition/range_partitioner.hpp"
@@ -16,41 +17,64 @@ constexpr std::uint32_t kNoCluster = ~0u;
 
 /// Sparse per-record vote tally over cluster ids: O(out-degree) per record,
 /// cleared through the touched list so the dense array is paid for once.
+/// tally() first gathers the cluster ids of the whole out-list, so the random
+/// cluster_of loads are independent of one another, then counts them with a
+/// branch-free push onto the touched list: unclustered neighbors vote into a
+/// spare slot that is never touched.
 class VoteCounter {
  public:
-  explicit VoteCounter(std::uint32_t budget) : votes_(budget, 0) {}
+  explicit VoteCounter(std::uint32_t budget)
+      : votes_(std::size_t{budget} + 1, 0), none_(budget) {}
 
-  void add(std::uint32_t cluster) {
-    if (votes_[cluster]++ == 0) touched_.push_back(cluster);
+  /// Tallies the clustered out-neighbors of one record; clear() the tally
+  /// before the next record's.
+  void tally(std::span<const VertexId> out, const ZeroedArray<std::uint32_t>& cluster_of) {
+    if (ids_.size() < out.size()) {
+      ids_.resize(out.size());
+      touched_.resize(out.size());
+    }
+    const VertexId n = static_cast<VertexId>(cluster_of.size());
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      const VertexId u = out[j];
+      ids_[j] = u < n ? std::min(cluster_of[u], none_) : none_;
+    }
+    std::size_t touched = 0;
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      const std::uint32_t c = ids_[j];
+      touched_[touched] = c;
+      touched += static_cast<std::size_t>((votes_[c]++ == 0) & (c != none_));
+    }
+    num_touched_ = touched;
   }
 
   std::uint32_t count(std::uint32_t cluster) const { return votes_[cluster]; }
 
   /// Highest-vote cluster passing `admit`; ties to the lower cluster id.
-  /// kNoCluster when nothing passes.
+  /// kNoCluster when nothing passes. The maximum of votes << 32 | ~cluster
+  /// is exactly that winner, and an admitted cluster's key is never 0.
   template <typename Admit>
   std::uint32_t best(Admit admit) const {
-    std::uint32_t best_cluster = kNoCluster;
-    std::uint32_t best_votes = 0;
-    for (const std::uint32_t c : touched_) {
-      if (!admit(c)) continue;
-      const std::uint32_t v = votes_[c];
-      if (v > best_votes || (v == best_votes && c < best_cluster)) {
-        best_votes = v;
-        best_cluster = c;
-      }
+    std::uint64_t best_key = 0;
+    for (std::size_t i = 0; i < num_touched_; ++i) {
+      const std::uint32_t c = touched_[i];
+      const std::uint64_t key = std::uint64_t{votes_[c]} << 32 | ~c;
+      best_key = std::max(best_key, admit(c) ? key : 0);
     }
-    return best_cluster;
+    return ~static_cast<std::uint32_t>(best_key);
   }
 
   void clear() {
-    for (const std::uint32_t c : touched_) votes_[c] = 0;
-    touched_.clear();
+    for (std::size_t i = 0; i < num_touched_; ++i) votes_[touched_[i]] = 0;
+    votes_[none_] = 0;
+    num_touched_ = 0;
   }
 
  private:
-  std::vector<std::uint32_t> votes_;
+  std::vector<std::uint32_t> votes_;  // one per cluster id, then none_'s
+  std::uint32_t none_;                // the slot unclustered neighbors vote in
+  std::vector<std::uint32_t> ids_;    // the gathered cluster ids of one record
   std::vector<std::uint32_t> touched_;
+  std::size_t num_touched_ = 0;
 };
 
 }  // namespace
@@ -100,9 +124,7 @@ PrepassResult cluster_prepass(AdjacencyStream& stream,
     }
     std::uint32_t home = cluster_of[v];
     if (home == kNoCluster) {
-      for (const VertexId u : record->out) {
-        if (u < n && cluster_of[u] != kNoCluster) votes.add(cluster_of[u]);
-      }
+      votes.tally(record->out, cluster_of);
       home = votes.best(
           [&](std::uint32_t c) { return cluster_size[c] < cap; });
       votes.clear();
@@ -139,9 +161,7 @@ PrepassResult cluster_prepass(AdjacencyStream& stream,
     while (auto record = stream.next()) {
       const VertexId v = record->id;
       const std::uint32_t home = cluster_of[v];
-      for (const VertexId u : record->out) {
-        if (u < n && cluster_of[u] != kNoCluster) votes.add(cluster_of[u]);
-      }
+      votes.tally(record->out, cluster_of);
       const std::uint32_t target = votes.best([&](std::uint32_t c) {
         return c == home || cluster_size[c] < cap;
       });

@@ -247,6 +247,26 @@ TEST_F(CheckpointTest, VersionSkewThrows) {
   EXPECT_THROW(read_checkpoint_file(path("v.ckpt")), CheckpointError);
 }
 
+TEST_F(CheckpointTest, VersionOneIsRefusedByName) {
+  // Version 1 stored Γ counters in 32 bits; reading its payload as today's
+  // 16-bit rows would restore garbage, so the container must be refused.
+  StateWriter out;
+  out.put_u32(1);
+  write_checkpoint_file(path("v1.ckpt"), out);
+  std::fstream f(path("v1.ckpt"), std::ios::in | std::ios::out | std::ios::binary);
+  const std::uint32_t old_version = 1;
+  f.seekp(8);  // version field follows the u64 magic
+  f.write(reinterpret_cast<const char*>(&old_version), sizeof(old_version));
+  f.close();
+  try {
+    read_checkpoint_file(path("v1.ckpt"));
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CheckpointerPolicy, CadenceAndEnablement) {
   Checkpointer off;
   EXPECT_FALSE(off.enabled());

@@ -311,7 +311,7 @@ TYPED_TEST_SUITE(GammaStorage, Windows);
 
 constexpr PartitionId kStorageK = 4;
 // Rows whose K counters fill exactly 2 MiB.
-constexpr VertexId kHugeRows = kHugePageBytes / (kStorageK * sizeof(std::uint32_t));
+constexpr VertexId kHugeRows = kHugePageBytes / (kStorageK * sizeof(GammaCount));
 
 /// The count the round-trip test gives id u in partition u % K (0 for the
 /// others): nonzero on every seventh id.
@@ -322,14 +322,13 @@ TYPED_TEST(GammaStorage, StartsZeroedJustBelowAndAboveTwoMiB) {
     {
       // Dirty heap memory of the table's size: an allocation that skipped
       // zeroing would likely be handed it back.
-      std::vector<std::uint32_t> dirty(static_cast<std::size_t>(rows) * kStorageK,
-                                       0xDEADBEEF);
-      ASSERT_EQ(dirty.back(), 0xDEADBEEF);
+      std::vector<GammaCount> dirty(static_cast<std::size_t>(rows) * kStorageK, 0xBEEF);
+      ASSERT_EQ(dirty.back(), 0xBEEF);
     }
     const TypeParam gamma(rows, kStorageK, 1);
     ASSERT_EQ(gamma.window_size(), rows);
     EXPECT_EQ(gamma.memory_footprint_bytes(),
-              static_cast<std::size_t>(rows) * kStorageK * sizeof(std::uint32_t));
+              static_cast<std::size_t>(rows) * kStorageK * sizeof(GammaCount));
     std::size_t nonzero = 0;
     for (VertexId u = 0; u < rows; ++u) {
       for (PartitionId p = 0; p < kStorageK; ++p) nonzero += gamma.get(p, u) != 0;
@@ -352,7 +351,7 @@ TYPED_TEST(GammaStorage, ShrinkSaveRestoreRoundTripAcrossTwoMiB) {
   gamma.shrink_to(shrunk);
   ASSERT_EQ(gamma.window_size(), shrunk);
   EXPECT_EQ(gamma.memory_footprint_bytes(),
-            static_cast<std::size_t>(shrunk) * kStorageK * sizeof(std::uint32_t));
+            static_cast<std::size_t>(shrunk) * kStorageK * sizeof(GammaCount));
 
   StateWriter out;
   gamma.save(out);
@@ -372,20 +371,75 @@ TYPED_TEST(GammaStorage, ShrinkSaveRestoreRoundTripAcrossTwoMiB) {
   }
 }
 
+// Γ counters are 16 bits and saturate at kGammaCountMax instead of wrapping.
+constexpr int kPastCap = 70000;
+
+TYPED_TEST(GammaStorage, IncrementsSaturateAtTheCap) {
+  TypeParam gamma(10, 2, 1);
+  for (int i = 0; i < kPastCap; ++i) gamma.increment(1, 3);
+  EXPECT_EQ(gamma.get(1, 3), kGammaCountMax);
+  EXPECT_EQ(gamma.get(0, 3), 0u);
+}
+
+TYPED_TEST(GammaStorage, ShrinkSaveRestoreKeepASaturatedCount) {
+  TypeParam gamma(100, 2, 1);
+  for (int i = 0; i < kPastCap; ++i) gamma.increment(0, 5);
+  gamma.shrink_to(10);
+  EXPECT_EQ(gamma.get(0, 5), kGammaCountMax);
+  StateWriter out;
+  gamma.save(out);
+  TypeParam restored(100, 2, 1);
+  StateReader in(out.bytes());
+  restored.restore(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(restored.get(0, 5), kGammaCountMax);
+  restored.increment(0, 5);
+  EXPECT_EQ(restored.get(0, 5), kGammaCountMax);
+}
+
+TEST(ConcurrentGamma, DuplicateRunStopsAtTheCap) {
+  ConcurrentGammaWindow gamma(10, 2, 1);
+  // From zero, one coalesced run longer than the cap.
+  const std::vector<VertexId> long_run(kPastCap, 4);
+  gamma.increment_many(1, long_run);
+  EXPECT_EQ(gamma.get(1, 4), kGammaCountMax);
+  // A run that starts below the cap and crosses it.
+  for (int i = 0; i < kGammaCountMax - 10; ++i) gamma.increment(0, 6);
+  const std::vector<VertexId> crossing{2, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 8};
+  gamma.increment_many(0, crossing);
+  EXPECT_EQ(gamma.get(0, 6), kGammaCountMax);
+  EXPECT_EQ(gamma.get(0, 2), 1u);
+  EXPECT_EQ(gamma.get(0, 8), 1u);
+}
+
+TEST(ConcurrentGamma, RacingIncrementsStopExactlyAtTheCap) {
+  ConcurrentGammaWindow gamma(10, 2, 1);
+  constexpr int kThreads = 4, kPerThread = 20000;  // 80,000 > the cap
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) gamma.increment(1, 7);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(gamma.get(1, 7), kGammaCountMax);
+}
+
 TEST(GammaTables, ConstructionLeavesThreeQuartersUntouched) {
-  // No eager zero-fill: constructing a 1M-vertex K=32 Γ table does not make
+  // No eager zero-fill: constructing a 1M-vertex K=64 Γ table does not make
   // it resident. X=1 (the full 128 MB table) keeps the bound clear of SPNL's
   // 4 MB route table, which the constructor does fill, even where a
-  // sanitizer shadows that fill with several times its size.
+  // sanitizer shadows that fill with several times its size (TSan: about
+  // 20 MB, over a quarter of a 64 MB table).
   constexpr VertexId kVertices = 1000000;
-  constexpr PartitionId kParts = 32;
+  constexpr PartitionId kParts = 64;
   PartitionConfig config;
   config.num_partitions = kParts;
   const std::size_t before = current_rss_bytes();
   ASSERT_GT(before, 0u) << "VmRSS unreadable";
   const SpnlPartitioner spnl(kVertices, 8 * kVertices, config, {.num_shards = 1});
   const std::size_t spnl_gamma = spnl.gamma().memory_footprint_bytes();
-  ASSERT_EQ(spnl_gamma, std::size_t{kVertices} * kParts * sizeof(std::uint32_t));
+  ASSERT_EQ(spnl_gamma, std::size_t{kVertices} * kParts * sizeof(GammaCount));
   const std::size_t after_spnl = current_rss_bytes();
   EXPECT_LT(after_spnl - std::min(after_spnl, before), spnl_gamma / 4);
 
