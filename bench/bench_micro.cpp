@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot inner structures:
 // Γ window operations, RCT operations, queue throughput, single-vertex
 // placement cost of each streaming heuristic, the fixed setup cost of
-// the sequential and parallel SPNL drivers at 1M vertices, K=32, and the
+// the sequential and parallel SPNL drivers at 1M vertices, K=32, the
 // metrics pass over an indexed 1M-vertex sadj file, sequential and by
-// segments.
+// segments, and the 2PS clustering prepass alone over a random-order planted
+// sadj file.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -17,9 +18,11 @@
 #include "core/spnl.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "graph/reorder.hpp"
 #include "graph/stream_binary.hpp"
 #include "partition/ldg.hpp"
 #include "partition/metrics.hpp"
+#include "prepass/two_phase.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/rng.hpp"
 
@@ -131,15 +134,13 @@ void BM_SetupParallelEmptyStream(benchmark::State& state) {
 }
 BENCHMARK(BM_SetupParallelEmptyStream)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// The 1M-vertex crawl of perfbench's sadj workloads, written once to a
-/// temporary file that is removed at exit.
+/// `graph` written once to a temporary sadj file that is removed at exit.
 struct SadjFile {
   std::string path;
-  SadjFile() {
+  SadjFile(const std::string& name, const Graph& graph) {
     path = (std::filesystem::temp_directory_path() /
-            ("bench_micro_" + std::to_string(::getpid()) + ".sadj"))
+            ("bench_micro_" + name + "_" + std::to_string(::getpid()) + ".sadj"))
                .string();
-    const Graph graph = generate_webcrawl({.num_vertices = 1000000, .seed = 1});
     InMemoryStream source(graph);
     write_sadj(source, path);
   }
@@ -161,7 +162,9 @@ class Unsegmented final : public AdjacencyStream {
 
 /// Arg 0: one sequential scan; arg 1: the segments summed on the helpers.
 void BM_EvaluatePartitionSadj(benchmark::State& state) {
-  static const SadjFile file;
+  // The 1M-vertex crawl of perfbench's sadj workloads.
+  static const SadjFile file("crawl",
+                             generate_webcrawl({.num_vertices = 1000000, .seed = 1}));
   BinaryAdjacencyStream stream(file.path);
   while (stream.next()) {
   }
@@ -180,5 +183,25 @@ void BM_EvaluatePartitionSadj(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * stream.num_edges());
 }
 BENCHMARK(BM_EvaluatePartitionSadj)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// cluster_prepass alone (its three scans, read ahead on a helper thread)
+/// over hostile-2ps's input at a fifth of the size: a planted graph (C=K=8,
+/// mu=0.3) renumbered into a random stream order.
+void BM_ClusterPrepassSadj(benchmark::State& state) {
+  static const SadjFile file("planted", [] {
+    const VertexId n = 200000;
+    const PlantedGraph planted = generate_planted_partition(
+        {.num_vertices = n, .num_communities = 8, .mixing = 0.3, .seed = 1});
+    return apply_permutation(planted.graph, random_order(n, 3));
+  }());
+  BinaryAdjacencyStream stream(file.path);
+  const PartitionConfig config{.num_partitions = 8};
+  for (auto _ : state) {
+    stream.reset();
+    benchmark::DoNotOptimize(cluster_prepass(stream, config).num_clusters);
+  }
+  state.SetItemsProcessed(state.iterations() * stream.num_edges());
+}
+BENCHMARK(BM_ClusterPrepassSadj)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -16,8 +16,10 @@
 // numbering embeds it — which is what rescues SPNL on hostile stream orders
 // (docs/scenarios.md).
 //
-// The prepass trades one extra scan and O(|V|) memory for order-robustness;
-// it degrades GRACEFULLY: when the cluster-id budget overflows (pathological
+// The prepass trades 1 + refine_passes scans before the scoring pass (3 by
+// default) and O(|V|) memory for order-robustness. It reads each scan through
+// a ReadAheadStream (graph/read_ahead_stream.hpp), so a helper thread
+// decodes the stream while the caller clusters. It degrades GRACEFULLY: when the cluster-id budget overflows (pathological
 // inputs — e.g. edgeless graphs where every vertex is a singleton cluster)
 // the result is flagged `degraded`, no hints are produced, and callers fall
 // back to plain SPNL.
@@ -63,7 +65,11 @@ struct PrepassResult {
 
 /// Phase 1 + cluster packing. Consumes the stream from its current position
 /// and reset()s it between refinement passes; callers reset() beforehand if
-/// reusing streams. Deterministic for a given stream order.
+/// reusing streams. Where the stream stands once cluster_prepass returns or
+/// throws is unspecified (the read-ahead may have read past the last record
+/// clustered): reset() it before reading it again. A stream error is thrown
+/// only after every earlier record was clustered. Deterministic for a given
+/// stream order.
 PrepassResult cluster_prepass(AdjacencyStream& stream,
                               const PartitionConfig& config,
                               const TwoPhaseOptions& options = {});

@@ -3,7 +3,8 @@
 // crash-atomic publish of checkpoints and sadj conversions, quarantine-log
 // drop counting, and the input readers (a file truncated while streamed
 // surfaces as a typed IoError; injected open/read faults are typed errors or
-// absorbed retries), also in the sadj segment readers the metrics open.
+// absorbed retries), also in the sadj segment readers the metrics open and
+// on the read-ahead helper the 2PS prepass reads its scans through.
 #include "util/fault_fs.hpp"
 
 #include <gtest/gtest.h>
@@ -20,8 +21,10 @@
 #include "graph/adjacency_stream.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/read_ahead_stream.hpp"
 #include "graph/stream_binary.hpp"
 #include "partition/metrics.hpp"
+#include "prepass/two_phase.hpp"
 #include "util/checked_io.hpp"
 #include "test_dir.hpp"
 
@@ -432,6 +435,97 @@ TEST_F(FaultFsTest, InjectedOpenAndReadFailuresAreTyped) {
   }
   // The plan grammar no longer knows a mapping operation.
   EXPECT_THROW(faultfs::configure("fail:mmap@1"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// The 2PS prepass reads each scan through a ReadAheadStream, whose helper
+// thread calls the file stream's next(): a read failure there must reach the
+// caller as the reader's IoError, after every earlier record, and neither
+// hang the caller nor terminate the process.
+
+TEST_F(FaultFsTest, ReadFailureInAPrepassScanIsTypedIoError) {
+  const Graph g = generate_webcrawl(
+      {.num_vertices = 40000, .avg_out_degree = 8.0, .seed = 9});
+  const std::string p = path("g.sadj");
+  {
+    InMemoryStream s(g);
+    write_sadj(s, p);
+  }
+  const PartitionConfig config{.num_partitions = 8};
+  BinaryAdjacencyStream reference(p);
+  const PrepassResult expected = cluster_prepass(reference, config);
+  // Reads of one scan: the file through the 128 KiB window.
+  const std::uint64_t reads_per_scan =
+      std::filesystem::file_size(p) / BinaryAdjacencyStream::kWindowBytes + 1;
+  ASSERT_GE(reads_per_scan, 3u);
+  // Mid-scan in the first scan, then in each refinement scan.
+  for (const std::uint64_t index :
+       {reads_per_scan / 2 + 1, reads_per_scan + 2, 2 * reads_per_scan + 2}) {
+    SCOPED_TRACE(index);
+    BinaryAdjacencyStream stream(p);
+    faultfs::configure("fail:read@" + std::to_string(index) + "@eio");
+    EXPECT_THROW(cluster_prepass(stream, config), IoError);
+    EXPECT_EQ(faultfs::injected_faults(), 1u);
+    faultfs::disarm();
+    stream.reset();
+    const PrepassResult again = cluster_prepass(stream, config);
+    EXPECT_EQ(again.hints, expected.hints);
+  }
+}
+
+/// Streams 0..n-1 with one out-neighbor each and throws IoError when asked
+/// for record `fail_at`. Record `bad_id_at` carries an id out of range.
+class FailingStream final : public AdjacencyStream {
+ public:
+  FailingStream(VertexId n, VertexId fail_at, VertexId bad_id_at = kInvalidVertex)
+      : n_(n), fail_at_(fail_at), bad_id_at_(bad_id_at) {}
+  std::optional<VertexRecord> next() override {
+    if (cursor_ == fail_at_) throw IoError("FailingStream: injected at record " +
+                                           std::to_string(cursor_));
+    if (cursor_ == n_) return std::nullopt;
+    target_ = (cursor_ + 1) % n_;
+    const VertexId id = cursor_ == bad_id_at_ ? n_ + 7 : cursor_;
+    ++cursor_;
+    return VertexRecord{id, {&target_, 1}};
+  }
+  void reset() override { cursor_ = 0; }
+  VertexId num_vertices() const override { return n_; }
+  EdgeId num_edges() const override { return n_; }
+
+ private:
+  VertexId n_;
+  VertexId fail_at_;
+  VertexId bad_id_at_;
+  VertexId cursor_ = 0;
+  VertexId target_ = 0;
+};
+
+TEST_F(FaultFsTest, StreamErrorSurfacesOnlyAfterEveryEarlierRecord) {
+  const VertexId n = 20000;
+  // Inside a slab, at a slab boundary, and on the first record.
+  for (const VertexId fail_at : {VertexId{5000}, VertexId{2048}, VertexId{0}}) {
+    SCOPED_TRACE(fail_at);
+    FailingStream inner(n, fail_at);
+    ReadAheadStream ahead(inner);
+    VertexId seen = 0;
+    try {
+      while (auto record = ahead.next()) {
+        ASSERT_EQ(record->id, seen);
+        ++seen;
+      }
+      ADD_FAILURE() << "no error surfaced";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("injected at record"), std::string::npos);
+    }
+    EXPECT_EQ(seen, fail_at);
+  }
+  // The prepass's own error for an earlier record wins over the stream's,
+  // which wins over a later one.
+  const PartitionConfig config{.num_partitions = 4};
+  FailingStream bad_first(n, 6000, 5990);
+  EXPECT_THROW(cluster_prepass(bad_first, config), std::invalid_argument);
+  FailingStream fail_first(n, 5990, 6000);
+  EXPECT_THROW(cluster_prepass(fail_first, config), IoError);
 }
 
 // ---------------------------------------------------------------------------
