@@ -226,6 +226,13 @@ BinaryAdjacencyStream::BinaryAdjacencyStream(const std::string& path)
     corrupt("truncated: body smaller than the header's counts imply");
   }
   end_ = {file_size_, 0, num_records_, num_edges_};
+  // Reserved here rather than grown by next(), so that a stream another
+  // thread reads on (the 2PS read-ahead's helper) keeps them on the opening
+  // thread's heap; only a record wider than kDecodeReserve neighbors grows
+  // the decode buffer on the reading thread. The read window is allocated at
+  // the first fill(): an mmap here added about 10 us, a quarter, to the open.
+  buffer_.reserve(static_cast<std::size_t>(std::min<EdgeId>(num_edges_, kDecodeReserve)));
+  seek_points_.reserve(num_records_ / kSeekStride + 1);
   reset();
 }
 

@@ -87,6 +87,9 @@ class BinaryAdjacencyStream final : public AdjacencyStream {
   static constexpr std::size_t kSegmentWindowBytes = std::size_t{32} << 10;
   /// Records between two seek points.
   static constexpr std::uint64_t kSeekStride = std::uint64_t{1} << 16;
+  /// Neighbors the decode buffer of a whole-file reader holds from
+  /// construction; it grows past this only for a wider record.
+  static constexpr std::size_t kDecodeReserve = 1024;
   /// Worst-case bytes of a record's id delta and degree (two 10-byte varints).
   static constexpr std::size_t kMaxHeadBytes = 20;
 
